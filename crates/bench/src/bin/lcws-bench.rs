@@ -34,8 +34,8 @@ use std::time::Instant;
 
 use lcws_core::deque::{AbpDeque, SplitDeque};
 use lcws_core::{
-    join, par_for_grain, scope, ExposurePolicy, Policies, PoolBuilder, PopBottomMode, Variant,
-    VictimSelection,
+    join, par_for_grain, scope, ExposurePolicy, Policies, PoolBuilder, PopBottomMode, StealAmount,
+    Variant, VictimSelection,
 };
 
 struct Config {
@@ -336,7 +336,17 @@ fn bench_granularity(cfg: &Config, out: &mut Obj) {
         m.steal_batch_tasks()
     };
     for variant in [Variant::Ws, Variant::Signal, Variant::SignalHalf] {
-        let pool = PoolBuilder::new(variant).threads(threads).build();
+        // `flood16k_half_ns` has meant Expose Half *with* batch steals since
+        // BENCH_10; the named composition now steals one task per CAS, so
+        // opt in explicitly to keep the series like-for-like.
+        let mut policies = variant.policies();
+        if variant == Variant::SignalHalf {
+            policies.steal = StealAmount::Half;
+        }
+        let pool = PoolBuilder::new(variant)
+            .policies(policies)
+            .threads(threads)
+            .build();
         let mut batched = 0u64;
         let ns = median_ns(cfg.rounds, || {
             batched += flood(&pool);
@@ -349,6 +359,7 @@ fn bench_granularity(cfg: &Config, out: &mut Obj) {
     }
     let mut p = Policies::signal_half();
     p.victim = VictimSelection::NearFirst;
+    p.steal = StealAmount::Half;
     let pool = PoolBuilder::new(Variant::SignalHalf)
         .policies(p)
         .threads(threads)

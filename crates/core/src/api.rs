@@ -9,15 +9,13 @@ use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lcws_metrics as metrics;
-use lcws_metrics::Counter;
 use parking_lot::Mutex;
 
-use crate::job::HeapJob;
-use crate::sleep::{IdleAction, IdleBackoff, IdlePolicy};
-use crate::worker::{current_ctx, StealAttempt, WorkerCtx};
+use crate::job::{HeapJob, NO_WORKER};
+use crate::sleep::WAITER_PARK_TIMEOUT;
+use crate::worker::{current_ctx, wake_worker};
 
 /// Run `a` and `b` potentially in parallel, returning both results.
 ///
@@ -121,13 +119,10 @@ where
 /// guaranteed complete when [`scope`] returns.
 pub struct Scope<'scope> {
     pending: AtomicUsize,
-    /// Worker index of the drain loop parked awaiting `pending == 0` (or
-    /// `crate::job::NO_WAITER`): the task that performs the last decrement
-    /// delivers a targeted wake instead of leaving the sleeper to its
-    /// timed backstop. Same read-before-the-releasing-store discipline as
-    /// `Job::mark_done` — after the final decrement lands, `scope` may
-    /// return and free this struct.
-    waiter: AtomicU32,
+    /// Index of the worker that opened the scope — the only thread that
+    /// ever drains it — or `NO_WORKER` outside a pool run. The task that
+    /// performs the last `pending` decrement wakes exactly that worker.
+    owner: u32,
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
     // Invariant lifetime, rayon-style: spawned closures may borrow anything
     // that strictly outlives the `scope` call.
@@ -165,39 +160,27 @@ impl<'scope> Scope<'scope> {
         }
         self.pending.fetch_add(1, Ordering::AcqRel);
         let scope_ptr = SendPtr(self as *const Scope<'scope>);
+        // Read now, by value: the scope may be freed the instant the drain
+        // loop observes the final decrement.
+        let owner = self.owner;
         let job = HeapJob::push_new(move || {
             // Safety: `scope` blocks until `pending` drops to zero, which
-            // happens strictly after this closure finishes.
+            // happens strictly after this closure's decrement.
             let sc = unsafe { &*scope_ptr.get() };
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
                 sc.record_panic(payload);
             }
-            // Waiter load strictly before the decrement: the scope may be
-            // freed the instant the drain loop observes zero.
-            let waiter = sc.waiter.load(Ordering::SeqCst);
-            if sc.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                crate::worker::wake_waiter(waiter);
+            // SeqCst publish, then wake: pairs with the drain's announce →
+            // SeqCst `pending` recheck (see `crate::sleep`).
+            if sc.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+                wake_worker(owner);
             }
         });
-        // Deque overflow degrades gracefully: spawn semantics allow the
-        // task to run any time before the scope closes, so "immediately,
-        // inline on the spawner" is always a valid schedule. The job's own
-        // closure performs the panic bookkeeping and `pending` decrement,
-        // and the heap job frees itself — nothing leaks, nothing aborts.
-        // With growable rings this path is unreachable except under a
-        // faultpoints-forced failure or at MAX_DEQUE_CAPACITY (see
-        // WorkerCtx::join).
-        if unsafe { (*ctx).try_push_job(job) }.is_err() {
-            debug_assert!(
-                cfg!(feature = "faultpoints"),
-                "deque overflow without fault injection: growable rings \
-                 only report DequeFull when forced or at MAX_DEQUE_CAPACITY"
-            );
-            metrics::bump(Counter::OverflowInline);
-            crate::trace::record(crate::trace::EventKind::OverflowInline, 0);
-            // Safety: the failed push left us sole owner of the job.
-            unsafe { (*ctx).execute(job) };
-        }
+        // On deque overflow the job runs right here: its own closure does
+        // the panic bookkeeping and the `pending` decrement, and the heap
+        // job frees itself — nothing leaks, nothing aborts.
+        // Safety: non-null ctx pointers stay valid for this call's extent.
+        unsafe { (*ctx).push_or_run_inline(&[job]) };
     }
 
     fn record_panic(&self, payload: Box<dyn Any + Send + 'static>) {
@@ -214,48 +197,27 @@ pub fn scope<'scope, F, R>(f: F) -> R
 where
     F: FnOnce(&Scope<'scope>) -> R,
 {
+    let ctx = current_ctx();
     let sc = Scope {
         pending: AtomicUsize::new(0),
-        waiter: AtomicU32::new(crate::job::NO_WAITER),
+        // Safety: non-null ctx pointers stay valid for this call's extent.
+        owner: if ctx.is_null() {
+            NO_WORKER
+        } else {
+            unsafe { (*ctx).index() as u32 }
+        },
         panic: Mutex::new(None),
         _marker: PhantomData,
     };
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&sc)));
     // Drain: help run work until every spawned task has completed. Spawned
     // jobs sit in deques and cannot be abandoned even if `f` panicked.
-    // Fruitless helping escalates spin → yield → park; before parking the
-    // drain registers in the scope's waiter slot so the task performing the
-    // last `pending` decrement delivers a targeted wake (the timed backstop
-    // covers the residual registration race — see `crate::sleep`).
-    let ctx = current_ctx();
-    let mut backoff = IdleBackoff::new(if ctx.is_null() {
-        IdlePolicy::SpinOnly
+    // (Outside a pool run every spawn ran inline: nothing is pending.)
+    let drained = || sc.pending.load(Ordering::SeqCst) == 0;
+    if ctx.is_null() {
+        debug_assert!(drained(), "pending scope tasks require a pool");
     } else {
-        unsafe { (*ctx).idle_policy() }
-    });
-    while sc.pending.load(Ordering::Acquire) != 0 {
-        debug_assert!(!ctx.is_null(), "pending scope tasks require a pool");
-        match unsafe { help_one(&*ctx) } {
-            HelpOutcome::Ran => backoff.reset(),
-            HelpOutcome::Contended => {
-                // A steal lost its race on a non-empty victim: work exists,
-                // so stay hot instead of escalating toward a park.
-                metrics::bump(Counter::IdleIter);
-                backoff.reset();
-                std::hint::spin_loop();
-            }
-            HelpOutcome::Idle => {
-                metrics::bump(Counter::IdleIter);
-                match backoff.next() {
-                    IdleAction::Park => unsafe {
-                        sc.waiter.store((*ctx).index() as u32, Ordering::SeqCst);
-                        (*ctx).park_waiter(|| sc.pending.load(Ordering::Acquire) == 0);
-                        sc.waiter.store(crate::job::NO_WAITER, Ordering::SeqCst);
-                    },
-                    action => IdleBackoff::relax(action),
-                }
-            }
-        }
+        unsafe { (*ctx).help_until(drained, WAITER_PARK_TIMEOUT) };
     }
     let task_panic = sc.panic.lock().take();
     match result {
@@ -266,32 +228,6 @@ where
             }
             value
         }
-    }
-}
-
-/// What one round of helping accomplished.
-enum HelpOutcome {
-    /// A task ran to completion.
-    Ran,
-    /// Nothing ran, but a steal aborted on a non-empty victim — work exists.
-    Contended,
-    /// Nothing visible anywhere.
-    Idle,
-}
-
-/// Try to acquire and run one task (local first, then steal).
-unsafe fn help_one(ctx: &WorkerCtx) -> HelpOutcome {
-    if let Some(job) = ctx.acquire_local() {
-        ctx.execute(job);
-        return HelpOutcome::Ran;
-    }
-    match ctx.steal_once() {
-        StealAttempt::Taken(job) => {
-            ctx.execute(job);
-            HelpOutcome::Ran
-        }
-        StealAttempt::Contended => HelpOutcome::Contended,
-        StealAttempt::NoWork => HelpOutcome::Idle,
     }
 }
 

@@ -102,10 +102,11 @@ pub enum Site {
     /// again between the slot copy and the new-buffer publish — delays at
     /// that second hit stretch the resize window thieves race against.
     DequeResize = 11,
-    /// Top of each helper's `work_until` iteration. Failable: a forced
-    /// fire panics the helper thread, killing it mid-run — the
+    /// Wherever the helper main loop asks whether its generation is still
+    /// open (top of each iteration, and the park recheck). Failable: a
+    /// forced fire panics the helper thread, killing it mid-run — the
     /// deterministic worker-death injector behind the supervision chaos
-    /// tests. The probe sits *before* local acquisition, where the helper
+    /// tests. Both probe points sit between tasks, where the helper
     /// provably holds no task in hand, so an injected death can strand
     /// tasks only in the deque (where the dying-owner expose-all rescues
     /// them), never a task mid-transfer.

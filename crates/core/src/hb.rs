@@ -87,8 +87,9 @@ pub mod negative {
         Ordering::Release
     }
 
-    /// Ordering used by `Job::mark_done` for the `done` store: `Release`
-    /// normally, `Relaxed` when broken by [`set_broken_done_store`].
+    /// Ordering used by `StackJob::run_erased` for the owner-executed
+    /// `done` store: `Release` normally, `Relaxed` when broken by
+    /// [`set_broken_done_store`].
     #[cfg(feature = "hb")]
     #[inline]
     pub fn done_store_order() -> Ordering {
@@ -113,7 +114,7 @@ pub mod negative {
         BROKEN_GROW_PUBLISH.store(broken, Ordering::Relaxed);
     }
 
-    /// Break (or restore) the `Job::mark_done` publish to `Relaxed`.
+    /// Break (or restore) the owner-executed `done` publish to `Relaxed`.
     /// Test-only; requires `--features hb`.
     #[cfg(feature = "hb")]
     pub fn set_broken_done_store(broken: bool) {
@@ -1077,7 +1078,7 @@ mod tests {
         /// is unordered with the joiner's read.
         fn execute_then_join() -> Vec<String> {
             drain();
-            let job = StackJob::new(|| 41usize + 1);
+            let job = StackJob::new(|| 41usize + 1, 0);
             let ptr = job.as_job_ptr() as usize;
             // Real fork edge: the executor inherits the owner's
             // pre-publish closure/result writes (a deque push would carry
@@ -1086,8 +1087,11 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(|| {
                     hb::join_token(fork);
-                    // Safety: sole executor of a not-yet-run job.
-                    unsafe { Job::execute(ptr as *const Job) };
+                    // Safety: sole executor of a not-yet-run job. It runs
+                    // as the owner (index 0) so completion takes the
+                    // Release `done` store the switch under test weakens —
+                    // a thief's SeqCst store is not switchable.
+                    unsafe { Job::execute(ptr as *const Job, 0) };
                 });
             });
             // The scope join is real synchronization (invisible to the

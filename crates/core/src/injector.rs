@@ -25,7 +25,7 @@
 //!   stealable through the normal deque protocol.
 //!
 //! The steal loop consults the injector only after a failed steal round
-//! (`crate::worker::WorkerCtx::work_until`), so pools running pure
+//! (`crate::worker::WorkerCtx::help_until`), so pools running pure
 //! fork-join never touch it. §4's signal-window argument is untouched:
 //! injector pops happen at task boundaries on the worker's own schedule,
 //! never from handler context, and submissions reach deques exclusively via
@@ -35,7 +35,7 @@
 //!
 //! `spawn` wraps the user closure in a heap job that (1) runs it under
 //! `catch_unwind`, (2) publishes the result into the shared [`TaskState`]
-//! and wakes a blocked joiner, then (3) decrements the pool's outstanding
+//! and wakes a blocked or helping joiner, then (3) decrements the pool's outstanding
 //! count. The state machine is `PENDING → (WAITING) → DONE`: `WAITING` is
 //! entered only by a blocking external joiner (worker-thread joiners help
 //! run tasks instead of blocking — a blocked worker could deadlock the very
@@ -56,7 +56,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{self, Site};
 use crate::hb::{self, shim::AtomicPtr, shim::AtomicU32, shim::AtomicU8, shim::AtomicUsize};
-use crate::job::{Job, NO_WAITER};
+use crate::job::{Job, NO_WORKER};
 
 /// How many tasks a worker takes from the injector per visit: the first
 /// runs immediately, the rest go into the worker's own deque. Amortizes the
@@ -229,13 +229,14 @@ pub(crate) struct TaskState<T> {
     status: AtomicU8,
     sync: Mutex<()>,
     cv: Condvar,
-    /// Index of a **pool-worker** joiner parked in its sleeper slot, or
-    /// [`NO_WAITER`]. The condvar handshake above only serves *external*
-    /// joiners; a worker-side `join` helps run tasks and parks in the
-    /// pool's sleeper when nothing is runnable, so completion must route a
-    /// targeted `wake_worker` or the joiner idles on the 50ms backstop.
-    /// Same Dekker-style SeqCst pairing as [`crate::job::Job::waiter`].
-    pub(crate) waiter: AtomicU32,
+    /// Index of a **pool-worker** joiner, or [`NO_WORKER`]. The condvar
+    /// handshake above only serves *external* joiners; a worker-side `join`
+    /// helps run tasks and parks in the pool's sleeper when nothing is
+    /// runnable, so completion must route a targeted `wake_worker` there.
+    /// Unlike a `join` arm or a scope, the joiner is not known when the
+    /// task is spawned, so it writes itself here once before it starts
+    /// helping; `complete` reads the slot *after* publishing `DONE`.
+    waiter: AtomicU32,
     /// Written once by the completer (before the `DONE` swap releases it),
     /// taken once by the joiner (after acquiring `DONE`).
     result: UnsafeCell<Option<TaskResult<T>>>,
@@ -252,25 +253,18 @@ impl<T> TaskState<T> {
             status: AtomicU8::new(PENDING),
             sync: Mutex::new(()),
             cv: Condvar::new(),
-            waiter: AtomicU32::new(NO_WAITER),
+            waiter: AtomicU32::new(NO_WORKER),
             result: UnsafeCell::new(None),
         }
     }
 
     /// Completer side: publish the result and wake a blocked joiner.
     pub(crate) fn complete(&self, result: TaskResult<T>) {
-        // Dekker pairing with the worker-side joiner (mirrors
-        // `Job::mark_done`): load `waiter` SeqCst *before* publishing DONE.
-        // A joiner that registered before this load gets a targeted wake; a
-        // joiner that registers after it observes DONE on its pre-park
-        // recheck (the registration store and the recheck load are both
-        // SeqCst, so at least one side always sees the other).
-        let waiter = self.waiter.load(Ordering::SeqCst);
         // Safety: exactly one completer (the task runs once), and no reader
         // touches the slot until `DONE` is visible.
         hb::on_write(self.result.get() as usize, "TaskState::result (complete)");
         unsafe { *self.result.get() = Some(result) };
-        let prev = self.status.swap(DONE, Ordering::AcqRel);
+        let prev = self.status.swap(DONE, Ordering::SeqCst);
         if prev == WAITING {
             // Taking the lock orders us after the joiner's last status
             // check inside its wait loop: the notify cannot land in the
@@ -278,12 +272,20 @@ impl<T> TaskState<T> {
             let _g = self.sync.lock();
             self.cv.notify_all();
         }
-        crate::worker::wake_waiter(waiter);
+        // Publish (SeqCst) → read the waiter (SeqCst) → wake, against the
+        // worker-side joiner's register (SeqCst) → announce → SeqCst
+        // recheck: a registration this load misses is later in the SeqCst
+        // order than `DONE`, so the joiner's recheck sees it. The slot is
+        // read after the publication because the `Arc` this runs on keeps
+        // it alive — nothing here can be freed under us.
+        crate::worker::wake_worker(self.waiter.load(Ordering::SeqCst));
     }
 
+    /// SeqCst: also the worker-side joiner's recheck after it announced
+    /// itself in the sleeper set (see `complete`).
     #[inline]
     pub(crate) fn is_done(&self) -> bool {
-        self.status.load(Ordering::Acquire) == DONE
+        self.status.load(Ordering::SeqCst) == DONE
     }
 
     /// Block the calling (non-worker) thread until completion.
@@ -353,17 +355,17 @@ impl<T: Send> JoinHandle<T> {
         if ctx.is_null() {
             self.state.block_until_done();
         } else {
-            // Worker thread: helping loop. The condvar wake is useless here
-            // (we must keep scheduling to make progress), so run
-            // local/stolen/injector work until the state flips — and when
-            // even that runs dry, register in `state.waiter` so the
-            // completer's `wake_worker` ends the park immediately instead
-            // of the 1ms poll backstop burning spurious wakes.
+            // Worker thread: the condvar wake is useless here (we must keep
+            // scheduling to make progress), so name ourselves as the worker
+            // to wake and run local/stolen/injector work until the state
+            // flips. `join` consumes the only handle: one joiner, ever.
             // Safety: installed ctx pointers outlive the call on this
             // thread (CtxGuard discipline).
-            unsafe {
-                crate::worker::help_until(&*ctx, || self.state.is_done(), Some(&self.state.waiter))
-            };
+            let ctx = unsafe { &*ctx };
+            self.state
+                .waiter
+                .store(ctx.index() as u32, Ordering::SeqCst);
+            ctx.help_until(|| self.state.is_done(), crate::sleep::WAITER_PARK_TIMEOUT);
         }
         // Safety: DONE observed; sole consumer (join takes self).
         match unsafe { self.state.take_result() } {
@@ -408,7 +410,7 @@ mod tests {
         assert!(inj.is_empty());
         for j in got {
             // Execute to free the heap jobs.
-            unsafe { Job::execute(j) };
+            unsafe { Job::execute(j, NO_WORKER) };
         }
     }
 
@@ -424,7 +426,7 @@ mod tests {
         assert_eq!(rest, jobs[4..]);
         assert!(inj.pop_batch(4).is_empty());
         for j in jobs {
-            unsafe { Job::execute(j) };
+            unsafe { Job::execute(j, NO_WORKER) };
         }
     }
 
@@ -481,7 +483,7 @@ mod tests {
                         }
                         for j in batch {
                             local.push(ids.lock()[&(j as usize)]);
-                            unsafe { Job::execute(j) };
+                            unsafe { Job::execute(j, NO_WORKER) };
                         }
                     }
                     taken.lock().extend(local);

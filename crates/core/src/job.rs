@@ -3,11 +3,13 @@
 //! A deque slot holds a thin `*mut Job` pointer. `Job` is the common header
 //! of two concrete layouts:
 //!
-//! * [`StackJob`] — lives in the stack frame of a `join`; holds the closure
-//!   and a slot for its result. The frame outlives the job because `join`
-//!   does not return until the job's `done` flag is set.
-//! * [`HeapJob`] — boxed closure spawned into a [`crate::scope`]; frees
-//!   itself after running and decrements the scope's pending counter.
+//! * [`StackJob`] — lives in the stack frame of a `join`; holds the closure,
+//!   a slot for its result, the `done` flag and the index of the worker
+//!   that pushed it (the only thread that can ever wait on it). The frame
+//!   outlives the job because `join` does not return until `done` is set.
+//! * [`HeapJob`] — boxed closure spawned into a [`crate::scope`] or through
+//!   the injector; frees itself after running. Completion is the closure's
+//!   business (the scope's pending counter, a spawn handle's state).
 //!
 //! Execution goes through an erased `unsafe fn(*const Job)` stored in the
 //! header (a hand-rolled single-method vtable, so deque slots stay one word
@@ -23,91 +25,44 @@ use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::Ordering;
 
-use crate::hb::{self, shim::AtomicBool, shim::AtomicPtr, shim::AtomicU32};
+use crate::hb::{self, shim::AtomicBool, shim::AtomicPtr};
 
-/// Sentinel for [`Job`]'s waiter slot: no worker registered for a
-/// completion wake.
-pub(crate) const NO_WAITER: u32 = u32::MAX;
+/// "Not a pool worker": the executor index of a job run outside any pool
+/// run, the owner of a scope opened there, and the empty state of a spawn
+/// handle's waiter slot.
+pub(crate) const NO_WORKER: u32 = u32::MAX;
 
 /// Common header of every job. Must be the first field of each concrete
 /// job type so a `*mut Job` can be recovered from the concrete pointer.
 #[repr(C)]
 pub struct Job {
-    /// Erased entry point; takes the header pointer and runs the job once.
-    run_fn: unsafe fn(*const Job),
-    /// Set (release) after the job body finished — successfully or by
-    /// panicking. Waiters acquire-load it before touching the result.
-    done: AtomicBool,
+    /// Erased entry point; takes the header pointer and the executing
+    /// worker's index, and runs the job once.
+    run_fn: unsafe fn(*const Job, u32),
     /// Intrusive link for the global injector's incoming stack; null while
     /// the job is not enqueued there (deque-resident jobs never use it).
     next: AtomicPtr<Job>,
-    /// Worker index of a join waiter registered for a targeted completion
-    /// wake, or [`NO_WAITER`]. Read by the executor immediately *before*
-    /// publishing `done` — once `done` is visible the waiter may return and
-    /// free the job, so the executor must never touch the header after that
-    /// store (see [`Job::mark_done`]).
-    waiter: AtomicU32,
 }
 
 impl Job {
-    fn new(run_fn: unsafe fn(*const Job)) -> Job {
+    fn new(run_fn: unsafe fn(*const Job, u32)) -> Job {
         Job {
             run_fn,
-            done: AtomicBool::new(false),
             next: AtomicPtr::new(ptr::null_mut()),
-            waiter: AtomicU32::new(NO_WAITER),
         }
     }
 
-    /// Execute the job.
+    /// Execute the job. `executor` is the index of the pool worker running
+    /// it, or `u32::MAX` outside a pool run; a `join` job compares it with
+    /// the worker that pushed it to tell "popped back" from "stolen".
     ///
     /// # Safety
     /// `ptr` must point to a live, not-yet-executed job of the concrete type
     /// `run_fn` expects, and no other thread may execute it concurrently
     /// (deque ownership transfer guarantees this).
     #[inline]
-    pub unsafe fn execute(ptr: *const Job) {
-        ((*ptr).run_fn)(ptr)
-    }
-
-    /// Has the job finished running?
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Publish completion and return the waiter registered for a targeted
-    /// wake (or [`NO_WAITER`]).
-    ///
-    /// The waiter slot is loaded **before** the `done` store on purpose: a
-    /// joiner that observes `done` may immediately return and pop the
-    /// `StackJob`'s frame (or a `HeapJob` free itself), so this is the last
-    /// instant the header is guaranteed alive. The caller delivers the wake
-    /// through pool state, never through the job. A registration landing
-    /// after this load and before the waiter's park-recheck can miss both
-    /// signals; the waiter's timed backstop bounds that window (see
-    /// `crate::sleep`).
-    fn mark_done(&self) -> u32 {
-        let waiter = self.waiter.load(Ordering::SeqCst);
-        // `done_store_order()` is a compile-time `Release` unless an hb
-        // negative test deliberately weakens it to demonstrate the checker
-        // catches the severed result-publication edge.
-        self.done.store(true, hb::negative::done_store_order());
-        waiter
-    }
-
-    /// Register worker `index` for a targeted wake when this job completes.
-    /// SeqCst so the store orders with the sleeper-mask announcement that
-    /// follows in `park` (see `crate::sleep` for the pairing argument).
-    #[inline]
-    pub(crate) fn set_waiter(&self, index: u32) {
-        self.waiter.store(index, Ordering::SeqCst);
-    }
-
-    /// Withdraw a completion-wake registration.
-    #[inline]
-    pub(crate) fn clear_waiter(&self) {
-        self.waiter.store(NO_WAITER, Ordering::SeqCst);
+    pub unsafe fn execute(ptr: *const Job, executor: u32) {
+        ((*ptr).run_fn)(ptr, executor)
     }
 
     /// Intrusive injector link (crate-internal; used only while the job
@@ -124,10 +79,16 @@ type JobResult<R> = Result<R, Box<dyn Any + Send + 'static>>;
 /// A run-once job allocated in the caller's stack frame (used by `join`).
 ///
 /// The lifetime contract is enforced by the caller: `join` keeps the frame
-/// alive until [`Job::is_done`] is observed true.
+/// alive until [`StackJob::is_done`] is observed true.
 #[repr(C)]
 pub struct StackJob<F, R> {
     job: Job,
+    /// Index of the worker whose `join` frame this is — the only thread
+    /// that ever waits on `done`, known before the job is published, so
+    /// completion needs no waiter registration (see `run_erased`).
+    owner: u32,
+    /// Set after the job body finished — successfully or by panicking.
+    done: AtomicBool,
     func: UnsafeCell<Option<F>>,
     result: UnsafeCell<Option<JobResult<R>>>,
 }
@@ -136,10 +97,12 @@ impl<F, R> StackJob<F, R>
 where
     F: FnOnce() -> R,
 {
-    /// Wrap `func` into a pushable job.
-    pub fn new(func: F) -> Self {
+    /// Wrap `func` into a job pushable by worker `owner`.
+    pub fn new(func: F, owner: u32) -> Self {
         StackJob {
             job: Job::new(Self::run_erased),
+            owner,
+            done: AtomicBool::new(false),
             func: UnsafeCell::new(Some(func)),
             result: UnsafeCell::new(None),
         }
@@ -158,12 +121,14 @@ where
     }
 
     /// Whether the job body has completed (panicked counts as completed).
+    /// SeqCst: this is the owner's recheck after announcing itself in the
+    /// sleeper set, the load half of the pairing in `run_erased`.
     #[inline]
     pub fn is_done(&self) -> bool {
-        self.job.is_done()
+        self.done.load(Ordering::SeqCst)
     }
 
-    unsafe fn run_erased(ptr: *const Job) {
+    unsafe fn run_erased(ptr: *const Job, executor: u32) {
         let this = ptr as *const StackJob<F, R>;
         // Ownership: exactly one executor reaches this point (the deque hands
         // a task to exactly one taker), so the closure slot is uncontended.
@@ -177,11 +142,24 @@ where
             "StackJob::result (run_erased)",
         );
         *(*this).result.get() = Some(result.map_err(|e| e as Box<dyn Any + Send>));
-        // `mark_done` may be the frame's last valid access (the joiner can
-        // return as soon as `done` is visible); the wake goes through pool
-        // state only.
-        let waiter = (*this).job.mark_done();
-        crate::worker::wake_waiter(waiter);
+        let owner = (*this).owner;
+        if executor == owner {
+            // Popped back by the owner itself: nobody is waiting, and the
+            // owner reads `done` in program order. `done_store_order()` is
+            // a compile-time `Release` unless an hb negative test weakens
+            // it to show the checker catches the severed result edge.
+            (*this).done.store(true, hb::negative::done_store_order());
+        } else {
+            // Stolen: the owner may be parking on this job right now. The
+            // `done` store is the frame's last valid access (the owner can
+            // return as soon as it is visible), so `owner` was read first
+            // and the wake goes through pool state only. SeqCst store, then
+            // `wake_worker`'s SeqCst mask load, against the owner's SeqCst
+            // mask announce, then SeqCst `is_done` recheck: either we see
+            // the announced bit or the recheck sees `done`.
+            (*this).done.store(true, Ordering::SeqCst);
+            crate::worker::wake_worker(owner);
+        }
     }
 
     /// Take the result after observing `is_done()`, rethrowing a panic from
@@ -196,16 +174,6 @@ where
             Ok(r) => r,
             Err(payload) => panic::resume_unwind(payload),
         }
-    }
-
-    /// Run the job inline on the current thread (the "pop it back" path of
-    /// `join`) and return its result directly.
-    ///
-    /// # Safety
-    /// Same contract as [`Job::execute`]: sole ownership, not yet executed.
-    pub unsafe fn run_inline(&self) -> R {
-        Job::execute(self.as_job_ptr());
-        self.take_result()
     }
 }
 
@@ -246,7 +214,7 @@ where
         Box::into_raw(boxed) as *mut Job
     }
 
-    unsafe fn run_erased(ptr: *const Job) {
+    unsafe fn run_erased(ptr: *const Job, _executor: u32) {
         // Reclaim the box; the closure runs (and is dropped) before the
         // allocation is freed at the end of this scope.
         let mut this = Box::from_raw(ptr as *mut HeapJob<F>);
@@ -259,15 +227,12 @@ where
         // (see `scope`); an unwind past this frame would abort, so `func`
         // is always a non-unwinding wrapper.
         func();
-        let waiter = this.job.mark_done();
         // The allocation dies here; drop the checker's state for it so a
         // later job reusing the address is not misread as racing this one.
         hb::forget_range(
             &*this as *const _ as usize,
             std::mem::size_of::<HeapJob<F>>(),
         );
-        drop(this);
-        crate::worker::wake_waiter(waiter);
     }
 }
 
@@ -278,23 +243,17 @@ mod tests {
 
     #[test]
     fn stack_job_runs_once_and_yields_result() {
-        let job = StackJob::new(|| 21 * 2);
+        let job = StackJob::new(|| 21 * 2, 0);
         assert!(!job.is_done());
-        unsafe { Job::execute(job.as_job_ptr()) };
+        unsafe { Job::execute(job.as_job_ptr(), 0) };
         assert!(job.is_done());
         assert_eq!(unsafe { job.take_result() }, 42);
     }
 
     #[test]
-    fn stack_job_run_inline() {
-        let job = StackJob::new(|| String::from("hi"));
-        assert_eq!(unsafe { job.run_inline() }, "hi");
-    }
-
-    #[test]
     fn stack_job_captures_panic() {
-        let job: StackJob<_, ()> = StackJob::new(|| panic!("boom"));
-        unsafe { Job::execute(job.as_job_ptr()) };
+        let job: StackJob<_, ()> = StackJob::new(|| panic!("boom"), 0);
+        unsafe { Job::execute(job.as_job_ptr(), 0) };
         assert!(job.is_done(), "panicking jobs still complete");
         let caught = panic::catch_unwind(AssertUnwindSafe(|| unsafe { job.take_result() }));
         assert!(caught.is_err(), "take_result rethrows the payload");
@@ -306,16 +265,17 @@ mod tests {
         let ptr = HeapJob::push_new(|| {
             RAN.fetch_add(1, Ordering::SeqCst);
         });
-        unsafe { Job::execute(ptr) };
+        unsafe { Job::execute(ptr, NO_WORKER) };
         assert_eq!(RAN.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn done_flag_is_acquire_visible_across_threads() {
-        let job = StackJob::new(|| vec![1, 2, 3]);
+        let job = StackJob::new(|| vec![1, 2, 3], 0);
         std::thread::scope(|s| {
             let job_ref = &job;
-            s.spawn(move || unsafe { Job::execute(job_ref.as_job_ptr()) });
+            // A thief: not the owner, and no pool to route a wake through.
+            s.spawn(move || unsafe { Job::execute(job_ref.as_job_ptr(), NO_WORKER) });
             while !job.is_done() {
                 std::hint::spin_loop();
             }

@@ -119,6 +119,9 @@ pub enum PolicyError {
     /// Batch steals ride the split deque's `{tag, top}` validation; the
     /// ABP protocol transfers exactly one task per CAS.
     AbpStealsOne,
+    /// The split deque keeps new work private: without an exposure-request
+    /// channel no thief could ever ask for it.
+    SplitNeedsNotify,
 }
 
 impl fmt::Display for PolicyError {
@@ -133,6 +136,9 @@ impl fmt::Display for PolicyError {
             }
             PolicyError::AbpStealsOne => f.write_str(
                 "the ABP deque transfers exactly one task per CAS; StealAmount must be One",
+            ),
+            PolicyError::SplitNeedsNotify => f.write_str(
+                "the split deque exposes work only on request; NotifyChannel must not be None",
             ),
         }
     }
@@ -198,8 +204,10 @@ impl Policies {
     }
 
     /// Expose Half (§4.1.2): signal-driven exposure of `round(r/2)` tasks,
-    /// paired with batch steals — the whole point of publishing a run of
-    /// tasks is that thieves can take several per CAS.
+    /// stolen one per CAS as in the paper. [`StealAmount::Half`] composes
+    /// with it (several tasks of the published run per CAS) but is opt-in:
+    /// `SplitDeque::pop_top_batch` has an open double-take window against
+    /// the owner's `pop_public_bottom` (DESIGN.md §5h).
     pub const fn signal_half() -> Policies {
         Policies {
             deque: DequeKind::Split,
@@ -207,7 +215,7 @@ impl Policies {
             exposure: ExposurePolicy::Half,
             pop_bottom: PopBottomMode::SignalSafe,
             victim: VictimSelection::Uniform,
-            steal: StealAmount::Half,
+            steal: StealAmount::One,
             idle: IdlePolicy::Adaptive,
         }
     }
@@ -224,15 +232,6 @@ impl Policies {
         self.notify == NotifyChannel::Signal
     }
 
-    /// Does this bundle poll the user-space `fallback_expose` flag at task
-    /// boundaries? True exactly for signal-driven bundles: a failed
-    /// `pthread_kill` is rerouted through the flag instead of dropped.
-    /// (Flag-driven bundles poll `targeted` directly; ABP has no exposure.)
-    #[inline]
-    pub fn polls_fallback_flag(&self) -> bool {
-        self.uses_signals()
-    }
-
     /// Check the cross-axis soundness rules.
     ///
     /// * Signal-driven exposure may fire inside the owner's `pop_bottom`
@@ -241,6 +240,7 @@ impl Policies {
     ///   §4 decrement-then-compare ([`PopBottomMode::SignalSafe`]).
     /// * The ABP deque has no private part: no notification channel, no
     ///   batch steals.
+    /// * The split deque needs one: its work is private until requested.
     ///
     /// Everything else composes freely (victim order and idle policy touch
     /// no protocol invariant; flag-driven exposure happens at the owner's
@@ -256,6 +256,9 @@ impl Policies {
                 }
             }
             DequeKind::Split => {
+                if self.notify == NotifyChannel::None {
+                    return Err(PolicyError::SplitNeedsNotify);
+                }
                 if self.notify == NotifyChannel::Signal
                     && self.exposure != ExposurePolicy::Conservative
                     && self.pop_bottom != PopBottomMode::SignalSafe
@@ -269,11 +272,10 @@ impl Policies {
 }
 
 impl Variant {
-    /// The policy composition this variant denotes. Every predicate on
-    /// `Variant` (`uses_split_deque`, `pop_bottom_mode`, …) is derived from
-    /// this bundle, so a pool built from `PoolBuilder::new(v)` and one
-    /// built from `PoolBuilder::new(v).policies(v.policies())` are
-    /// bit-identical.
+    /// The policy composition this variant denotes — the one place a
+    /// variant's behaviour is defined, so a pool built from
+    /// `PoolBuilder::new(v)` and one built from
+    /// `PoolBuilder::new(v).policies(v.policies())` are bit-identical.
     pub fn policies(self) -> Policies {
         match self {
             Variant::Ws => Policies::ws(),
@@ -300,14 +302,19 @@ mod tests {
 
     #[test]
     fn variant_predicates_match_policies() {
+        use crate::variant::Variant as V;
         for v in Variant::ALL {
             let p = v.policies();
-            assert_eq!(v.uses_split_deque(), p.uses_split_deque(), "{v}");
-            assert_eq!(v.uses_signals(), p.uses_signals(), "{v}");
-            assert_eq!(v.polls_fallback_flag(), p.polls_fallback_flag(), "{v}");
-            assert_eq!(v.pop_bottom_mode(), p.pop_bottom, "{v}");
-            assert_eq!(v.exposure_policy(), p.exposure, "{v}");
+            assert_eq!(p.uses_split_deque(), v != V::Ws, "{v}");
+            assert_eq!(p.uses_signals(), !matches!(v, V::Ws | V::UsLcws), "{v}");
+            // The paper's schedulers all steal one task per CAS.
+            assert_eq!(p.steal, StealAmount::One, "{v}");
         }
+        assert_eq!(V::SignalHalf.policies().exposure, ExposurePolicy::Half);
+        assert_eq!(
+            V::SignalConservative.policies().exposure,
+            ExposurePolicy::Conservative
+        );
     }
 
     #[test]
@@ -329,6 +336,11 @@ mod tests {
         let mut p = Policies::ws();
         p.steal = StealAmount::Half;
         assert_eq!(p.validate(), Err(PolicyError::AbpStealsOne));
+        // A split deque nobody can ask for work: the first `PrivateWork`
+        // answer would have no channel to go through.
+        let mut p = Policies::uslcws();
+        p.notify = NotifyChannel::None;
+        assert_eq!(p.validate(), Err(PolicyError::SplitNeedsNotify));
     }
 
     #[test]

@@ -33,10 +33,10 @@ use parking_lot::{Condvar, Mutex};
 use crate::deque::{AbpDeque, SplitDeque, DEFAULT_DEQUE_CAPACITY};
 use crate::hb::{self, shim::AtomicBool, shim::AtomicU64, shim::AtomicUsize};
 use crate::injector::{Injector, JoinHandle, TaskState};
-use crate::job::{HeapJob, Job};
+use crate::job::{HeapJob, Job, NO_WORKER};
 use crate::policy::Policies;
 use crate::signal;
-use crate::sleep::{IdlePolicy, Sleep};
+use crate::sleep::{IdlePolicy, Sleep, PARK_TIMEOUT};
 #[cfg(feature = "trace")]
 use crate::trace;
 use crate::variant::Variant;
@@ -153,8 +153,6 @@ pub(crate) struct PoolInner {
     pub(crate) collector: Arc<Collector>,
     /// Sleeper subsystem for idle workers (spin → yield → park).
     pub(crate) sleep: Sleep,
-    /// Idle escalation policy the workers run with.
-    pub(crate) idle: IdlePolicy,
     /// Global ingress queue for externally-submitted tasks (`spawn`).
     /// Workers fall back to it after a fruitless steal round.
     pub(crate) injector: Injector,
@@ -344,7 +342,6 @@ impl PoolBuilder {
             variant: self.variant,
             policies,
             sleep: Sleep::new(threads),
-            idle: policies.idle,
             injector: Injector::new(),
             outstanding: AtomicUsize::new(0),
             serving: AtomicBool::new(false),
@@ -497,9 +494,42 @@ impl ThreadPool {
             "ThreadPool::run may not be nested inside a pool run"
         );
         let _serial = self.acquire_run();
-        // Self-heal: respawn any helper that died in a previous run before
-        // this generation opens (must precede the collector reset below so
-        // the respawn counts land in *this* run's metrics).
+        let pool = &*self.inner;
+        // Helpers are parked between runs, so nobody can signal the seat
+        // before the generation opens.
+        pool.workers[0]
+            .pthread
+            .store(signal::current_pthread() as u64, Ordering::Release);
+        self.open_generation();
+
+        let ctx = WorkerCtx::new(pool, 0);
+        let result = {
+            let _guard = ctx.install();
+            crate::trace::record(crate::trace::EventKind::RunStart, pool.workers.len() as u32);
+            panic::catch_unwind(AssertUnwindSafe(f))
+        };
+
+        let death = close_generation(pool, "run quiescence");
+        // A panic from the root closure (which fork-join already funnels
+        // sibling panics into) outranks a helper-death payload.
+        match result {
+            Ok(v) => {
+                if let Some(payload) = death {
+                    panic::resume_unwind(payload);
+                }
+                v
+            }
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
+
+    /// Open a generation for `run` or `serve`, under the run token:
+    /// self-heal, reset metrics and trace rings so they cover exactly this
+    /// generation, then release the live helpers into it.
+    fn open_generation(&self) {
+        // Respawn any helper that died in a previous generation (must
+        // precede the collector reset below so the respawn counts land in
+        // *this* generation's metrics).
         let (respawned, stray_deaths) = self.heal_dead_workers();
         let pool = &*self.inner;
         lcws_metrics::touch();
@@ -508,11 +538,9 @@ impl ThreadPool {
         pool.collector
             .add(Counter::WorkerRespawn, respawned.len() as u64);
         pool.collector.add(Counter::WorkerDeath, stray_deaths);
-        pool.workers[0]
-            .pthread
-            .store(signal::current_pthread() as u64, Ordering::Release);
-        // Helpers are parked between runs and the caller has not installed
-        // its ctx yet, so nobody records while the rings reset.
+        // Helpers are parked between generations and the caller has not
+        // installed a ctx (`serve`'s never does), so nobody records while
+        // the rings reset.
         #[cfg(feature = "trace")]
         {
             for w in pool.workers.iter() {
@@ -526,96 +554,19 @@ impl ThreadPool {
                     .record_now(trace::EventKind::WorkerRespawn, index);
             }
         }
-        // Open the generation (under the lock to avoid lost wakeups). Only
-        // live helpers take part in the `active` handshake: a slot whose
-        // respawn failed stays dead and must not be waited for.
-        {
-            let _g = pool.sync.lock();
-            let live = pool
-                .workers
-                .iter()
-                .skip(1)
-                .filter(|w| !w.dead.load(Ordering::Acquire))
-                .count();
-            pool.active.store(live, Ordering::Release);
-            pool.epoch.fetch_add(1, Ordering::AcqRel);
-            pool.start_cv.notify_all();
-        }
-
-        let ctx = WorkerCtx::new(pool, 0);
-        let result = {
-            let _guard = ctx.install();
-            crate::trace::record(crate::trace::EventKind::RunStart, pool.workers.len() as u32);
-            panic::catch_unwind(AssertUnwindSafe(f))
-        };
-
-        // Close the generation and wait for helpers to drain out. Helpers
-        // may be parked in the sleeper: wake them all so they can observe
-        // the closed generation and quiesce promptly.
-        pool.done_epoch
-            .store(pool.epoch.load(Ordering::Acquire), Ordering::Release);
-        pool.sleep.wake_all();
-        lcws_metrics::flush_into(&pool.collector);
-        {
-            let mut g = pool.sync.lock();
-            while pool.active.load(Ordering::Acquire) != 0 {
-                match pool.stall_timeout {
-                    None => pool.quiesce_cv.wait(&mut g),
-                    Some(timeout) => {
-                        let timed_out = pool.quiesce_cv.wait_for(&mut g, timeout).timed_out();
-                        if timed_out && pool.active.load(Ordering::Acquire) != 0 {
-                            pool.stall_reports.fetch_add(1, Ordering::Relaxed);
-                            // Report outside the lock: formatting takes
-                            // racy snapshots only, and a helper finishing
-                            // meanwhile must not block on us.
-                            drop(g);
-                            eprintln!("{}", stall_report(pool, "run quiescence"));
-                            g = pool.sync.lock();
-                        }
-                    }
-                }
-            }
-        }
-        // Quiescent: helpers left their work loop through the `active`
-        // AcqRel handshake, so every deque and ring write happens-before
-        // this point. This is the retirement list's epoch-free reclamation
-        // moment: no thread can still hold a buffer captured before a grow.
-        //
-        // The caller's registration is withdrawn here, not at the next run
-        // open: a signal raced against teardown (or sent by a thief of the
-        // next, differently-stacked run) must fail fast to the fallback
-        // flag rather than land on a thread that left the pool.
-        pool.workers[0].pthread.store(0, Ordering::Release);
-        for w in pool.workers.iter() {
-            // Safety: quiescence established above.
-            unsafe { w.deque.release_retired() };
-        }
-        // The caller's TLS ring was cleared with its ctx guard; worker 0's
-        // ring is still exclusively ours, so the close marker goes in
-        // directly.
-        #[cfg(feature = "trace")]
-        {
-            pool.workers[0]
-                .trace
-                .record_now(trace::EventKind::RunClose, 0);
-            let merged =
-                trace::Trace::merge(pool.workers.iter().map(|w| w.trace.drain()).collect());
-            *pool.trace_last.lock() = Some(merged);
-        }
-        // A panic from the root closure (which fork-join already funnels
-        // sibling panics into) outranks a helper-death payload; an
-        // unclaimed death payload must not leak into the next run either
-        // way.
-        let death = pool.death.lock().take();
-        match result {
-            Ok(v) => {
-                if let Some(payload) = death {
-                    panic::resume_unwind(payload);
-                }
-                v
-            }
-            Err(payload) => panic::resume_unwind(payload),
-        }
+        // Under the lock to avoid lost wakeups. Only live helpers take part
+        // in the `active` handshake: a slot whose respawn failed stays dead
+        // and must not be waited for.
+        let _g = pool.sync.lock();
+        let live = pool
+            .workers
+            .iter()
+            .skip(1)
+            .filter(|w| !w.dead.load(Ordering::Acquire))
+            .count();
+        pool.active.store(live, Ordering::Release);
+        pool.epoch.fetch_add(1, Ordering::AcqRel);
+        pool.start_cv.notify_all();
     }
 
     /// Block until no `run` call or serve window owns the pool, then claim
@@ -661,42 +612,14 @@ impl ThreadPool {
         // The exclusion now spans until shutdown(); drop the guard without
         // releasing.
         std::mem::forget(token);
-        let pool = &*self.inner;
-        let (respawned, stray_deaths) = self.heal_dead_workers();
-        lcws_metrics::touch();
-        lcws_metrics::reset_local();
-        pool.collector.reset();
-        pool.collector
-            .add(Counter::WorkerRespawn, respawned.len() as u64);
-        pool.collector.add(Counter::WorkerDeath, stray_deaths);
-        #[cfg(feature = "trace")]
-        {
-            // Helpers are parked between generations; nobody records while
-            // the rings reset (the serving thread installs no ctx at all).
-            for w in pool.workers.iter() {
-                w.trace.reset();
-            }
-            for &index in &respawned {
-                pool.workers[0]
-                    .trace
-                    .record_now(trace::EventKind::WorkerRespawn, index);
-            }
-        }
-        pool.draining.store(false, Ordering::SeqCst);
-        pool.serving.store(true, Ordering::SeqCst);
-        // Open the generation (under the lock to avoid lost wakeups).
         // Unlike `run`, worker 0 does not participate: its deque stays
         // empty and unregistered, thieves that pick it just find nothing.
-        let _g = pool.sync.lock();
-        let live = pool
-            .workers
-            .iter()
-            .skip(1)
-            .filter(|w| !w.dead.load(Ordering::Acquire))
-            .count();
-        pool.active.store(live, Ordering::Release);
-        pool.epoch.fetch_add(1, Ordering::AcqRel);
-        pool.start_cv.notify_all();
+        self.open_generation();
+        // Accept spawns only once the collector is reset, so the window's
+        // push/pop accounting balances.
+        let pool = &*self.inner;
+        pool.draining.store(false, Ordering::SeqCst);
+        pool.serving.store(true, Ordering::SeqCst);
     }
 
     /// Submit `f` to the pool from any thread and get a [`JoinHandle`] to
@@ -770,7 +693,7 @@ impl ThreadPool {
                 // them forever. Run them inline instead, then fail.
                 for &job in &jobs {
                     // Safety: never published; sole ownership.
-                    unsafe { Job::execute(job) };
+                    unsafe { Job::execute(job, NO_WORKER) };
                 }
                 panic!(
                     "ThreadPool::spawn_batch requires an open serve window (call serve() first)"
@@ -808,7 +731,7 @@ impl ThreadPool {
                 pool.collector.add(Counter::OverflowInline, 1);
                 // Safety: the rejected job was never published; we are its
                 // sole owner.
-                unsafe { Job::execute(job) };
+                unsafe { Job::execute(job, NO_WORKER) };
             }
         }
     }
@@ -830,7 +753,7 @@ impl ThreadPool {
                     .add(Counter::OverflowInline, jobs.len() as u64);
                 for &job in jobs {
                     // Safety: rejected batch, sole ownership retained.
-                    unsafe { Job::execute(job) };
+                    unsafe { Job::execute(job, NO_WORKER) };
                 }
             }
         }
@@ -849,78 +772,21 @@ impl ThreadPool {
             "ThreadPool::shutdown without an open serve window"
         );
         pool.draining.store(true, Ordering::SeqCst);
+        let drained = || pool.outstanding.load(Ordering::SeqCst) == 0;
         if pool.workers.len() == 1 {
             // No helpers exist to drain the injector: the shutting-down
-            // thread becomes worker 0 and drains inline.
+            // thread becomes worker 0 and drains inline. "Outstanding but
+            // nothing visible" means a producer is between its count and
+            // its push, or an inline fallback is running elsewhere — a
+            // brief window the idle ladder rides out.
             let ctx = WorkerCtx::new(pool, 0);
             let _guard = ctx.install();
-            while pool.outstanding.load(Ordering::SeqCst) != 0 {
-                if ctx.try_injector() {
-                    continue;
-                }
-                if let Some(job) = ctx.acquire_local() {
-                    ctx.execute(job);
-                    continue;
-                }
-                // Outstanding but not visible yet: a producer is between
-                // its count and its push, or an inline fallback is running
-                // elsewhere. Brief, bounded window.
-                std::hint::spin_loop();
-            }
+            ctx.help_until(drained, PARK_TIMEOUT);
         } else {
-            let mut g = pool.sync.lock();
-            while pool.outstanding.load(Ordering::SeqCst) != 0 {
-                match pool.stall_timeout {
-                    None => pool.drain_cv.wait(&mut g),
-                    Some(timeout) => {
-                        let timed_out = pool.drain_cv.wait_for(&mut g, timeout).timed_out();
-                        if timed_out && pool.outstanding.load(Ordering::SeqCst) != 0 {
-                            pool.stall_reports.fetch_add(1, Ordering::Relaxed);
-                            drop(g);
-                            eprintln!("{}", stall_report(pool, "shutdown drain"));
-                            g = pool.sync.lock();
-                        }
-                    }
-                }
-            }
+            wait_with_watchdog(pool, &pool.drain_cv, "shutdown drain", drained);
         }
         pool.serving.store(false, Ordering::SeqCst);
-        // Close the generation; from here this is `run`'s close path.
-        pool.done_epoch
-            .store(pool.epoch.load(Ordering::Acquire), Ordering::Release);
-        pool.sleep.wake_all();
-        lcws_metrics::flush_into(&pool.collector);
-        {
-            let mut g = pool.sync.lock();
-            while pool.active.load(Ordering::Acquire) != 0 {
-                match pool.stall_timeout {
-                    None => pool.quiesce_cv.wait(&mut g),
-                    Some(timeout) => {
-                        let timed_out = pool.quiesce_cv.wait_for(&mut g, timeout).timed_out();
-                        if timed_out && pool.active.load(Ordering::Acquire) != 0 {
-                            pool.stall_reports.fetch_add(1, Ordering::Relaxed);
-                            drop(g);
-                            eprintln!("{}", stall_report(pool, "shutdown quiescence"));
-                            g = pool.sync.lock();
-                        }
-                    }
-                }
-            }
-        }
-        for w in pool.workers.iter() {
-            // Safety: quiescence established above.
-            unsafe { w.deque.release_retired() };
-        }
-        #[cfg(feature = "trace")]
-        {
-            pool.workers[0]
-                .trace
-                .record_now(trace::EventKind::RunClose, 0);
-            let merged =
-                trace::Trace::merge(pool.workers.iter().map(|w| w.trace.drain()).collect());
-            *pool.trace_last.lock() = Some(merged);
-        }
-        let death = pool.death.lock().take();
+        let death = close_generation(pool, "shutdown quiescence");
         pool.draining.store(false, Ordering::SeqCst);
         let snapshot = pool.collector.snapshot();
         self.release_run();
@@ -1106,6 +972,70 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
+/// Block on `cv` (under `pool.sync`) until `reached` holds. With the stall
+/// watchdog armed the wait is timed, and each expiry prints a stall report
+/// to stderr and keeps waiting — report-and-keep-waiting, never give up.
+fn wait_with_watchdog(pool: &PoolInner, cv: &Condvar, what: &str, reached: impl Fn() -> bool) {
+    let mut g = pool.sync.lock();
+    while !reached() {
+        match pool.stall_timeout {
+            None => cv.wait(&mut g),
+            Some(timeout) => {
+                if cv.wait_for(&mut g, timeout).timed_out() && !reached() {
+                    pool.stall_reports.fetch_add(1, Ordering::Relaxed);
+                    // Report outside the lock: formatting takes racy
+                    // snapshots only, and a helper finishing meanwhile
+                    // must not block on us.
+                    drop(g);
+                    eprintln!("{}", stall_report(pool, what));
+                    g = pool.sync.lock();
+                }
+            }
+        }
+    }
+}
+
+/// Close the current generation (`run`'s end, `shutdown`'s end) and wait
+/// for the helpers to drain out of it; returns the first helper-death
+/// payload, if any, for the caller to resume — an unclaimed one must not
+/// leak into the next generation.
+fn close_generation(pool: &PoolInner, what: &str) -> Option<Box<dyn Any + Send>> {
+    pool.done_epoch
+        .store(pool.epoch.load(Ordering::Acquire), Ordering::Release);
+    // Helpers may be parked in the sleeper: wake them all so they can
+    // observe the closed generation and quiesce promptly.
+    pool.sleep.wake_all();
+    lcws_metrics::flush_into(&pool.collector);
+    wait_with_watchdog(pool, &pool.quiesce_cv, what, || {
+        pool.active.load(Ordering::Acquire) == 0
+    });
+    // Quiescent: helpers left their work loop through the `active` AcqRel
+    // handshake, so every deque and ring write happens-before this point.
+    // This is the retirement list's epoch-free reclamation moment: no
+    // thread can still hold a buffer captured before a grow.
+    //
+    // `run`'s caller registration is withdrawn here, not at the next open:
+    // a signal raced against teardown (or sent by a thief of the next,
+    // differently-stacked run) must fail fast to the fallback flag rather
+    // than land on a thread that left the pool.
+    pool.workers[0].pthread.store(0, Ordering::Release);
+    for w in pool.workers.iter() {
+        // Safety: quiescence established above.
+        unsafe { w.deque.release_retired() };
+    }
+    // The caller's TLS ring was cleared with its ctx guard; worker 0's ring
+    // is still exclusively ours, so the close marker goes in directly.
+    #[cfg(feature = "trace")]
+    {
+        pool.workers[0]
+            .trace
+            .record_now(trace::EventKind::RunClose, 0);
+        let merged = trace::Trace::merge(pool.workers.iter().map(|w| w.trace.drain()).collect());
+        *pool.trace_last.lock() = Some(merged);
+    }
+    pool.death.lock().take()
+}
+
 /// Leave-the-generation guard: flushes the worker's TLS counters and
 /// performs the `active` handshake on **every** exit path of a generation —
 /// normal drain-out and unwind alike — so `run`'s quiescence wait can never
@@ -1167,6 +1097,8 @@ fn handle_worker_death(pool: &PoolInner, index: usize, payload: Box<dyn Any + Se
         AnyDeque::Split(d) => d.expose_all(),
     };
     w.pthread.store(0, Ordering::Release);
+    // The kill site can fire inside a park's recheck, after the announce.
+    pool.sleep.retire(index);
     w.dead.store(true, Ordering::Release);
     lcws_metrics::bump(Counter::WorkerDeath);
     crate::trace::record(crate::trace::EventKind::WorkerDeath, exposed);
@@ -1296,7 +1228,25 @@ fn worker_main(pool: Arc<PoolInner>, index: usize, seen0: u64) {
         // death flag are visible by the time the caller wakes.
         let active = ActiveGuard { pool: &pool };
         let unwind = panic::catch_unwind(AssertUnwindSafe(|| {
-            ctx.work_until(&|| pool.done_epoch.load(Ordering::Acquire) >= generation);
+            ctx.help_until(
+                || {
+                    if pool.done_epoch.load(Ordering::Acquire) >= generation {
+                        return true;
+                    }
+                    // Supervision fault site: a forced fire panics the
+                    // helper here, where the loop asks whether to go on —
+                    // the worker provably holds no task in hand, so the
+                    // chaos tests can kill it deterministically and assert
+                    // the dying-owner handoff rescues everything still
+                    // queued (see `handle_worker_death`). Only this, the
+                    // helper main loop, carries the site.
+                    if crate::fault::fail_at(crate::fault::Site::WorkerLoop) {
+                        panic!("injected worker-loop fault (Site::WorkerLoop)");
+                    }
+                    false
+                },
+                PARK_TIMEOUT,
+            );
         }));
         match unwind {
             Ok(()) => drop(active),

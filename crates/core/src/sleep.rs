@@ -32,10 +32,11 @@
 //! the sleeper's mask publication precedes the waker's mask scan, and the
 //! waker delivers a wakeup through the slot (the `woken` flag absorbs a
 //! notify that lands before the wait starts). Either way, no wakeup is
-//! lost. As a belt-and-braces backstop against protocol-analysis slips,
-//! every park is *timed*: a parked worker re-polls after its backstop
-//! ([`PARK_TIMEOUT`], or [`WAITER_PARK_TIMEOUT`] for registered
-//! completion waiters) at the latest.
+//! lost. Every park is nevertheless *timed*: the one producer-side gate
+//! that is deliberately racy ([`Sleep::wake_one`]'s Relaxed empty-set
+//! check) can miss a sleeper, and the backstop ([`PARK_TIMEOUT`], or
+//! [`WAITER_PARK_TIMEOUT`] for a worker waiting on a completion) bounds
+//! what that costs.
 //!
 //! ## What wakes sleepers
 //!
@@ -56,22 +57,29 @@
 //! * External submission into the global injector
 //!   ([`crate::ThreadPool::spawn`]), which must be able to rouse a fully
 //!   parked `serve`-mode pool.
-//! * Job/scope completion, as a **targeted** wake: a join or scope waiter
-//!   registers its worker index in the awaited `Job` (or `Scope`) before
-//!   parking, and the executor reads the registration immediately before
-//!   publishing `done`, then pings exactly that slot via
-//!   [`Sleep::wake_worker`]. The execute fast path pays one uncontended
-//!   atomic load when no waiter is registered — no mask scan. The pairing
-//!   argument: the waiter's register → announce → recheck sequence against
-//!   the executor's read-waiter → store-done → check-mask sequence means
-//!   either the executor sees the registration (and `wake_worker` either
-//!   finds the mask bit or the recheck sees `done`), or the registration
-//!   came after the executor's read — the one interleaving that can miss
-//!   both signals. That window is why registered waiters still park
-//!   *timed*, with the longer [`WAITER_PARK_TIMEOUT`]: real wakes make the
-//!   1 ms re-poll cadence unnecessary, so the backstop stretches ~50× and
-//!   the spurious-wake count of a long join collapses accordingly (asserted
-//!   in `tests/sleeper.rs`).
+//! * Completion of something a worker waits for, as a **targeted** wake
+//!   ([`Sleep::wake_worker`]). One rule for every completion: *publish
+//!   with SeqCst, then wake the waiter*; the waiter's side is `park`
+//!   itself — announce the mask bit (SeqCst RMW), then recheck completion
+//!   (SeqCst load). In the SeqCst total order either the completer's mask
+//!   load follows the announce — it sees the bit and delivers through the
+//!   slot — or it precedes it, and then so does the publication that is
+//!   program-ordered before that load, so the recheck sees completion and
+//!   the park aborts. There is no third interleaving.
+//!
+//!   Who the waiter is needs no registration where it is known in
+//!   advance: only the worker that pushed a `join` arm can wait on it, and
+//!   only the worker that opened a `scope` drains it, so both carry that
+//!   worker's index as a plain field written before the job is published.
+//!   The completer reads it *before* publishing (its last legal touch of a
+//!   frame the waiter may free the instant completion is visible), and —
+//!   for a `join` arm — pays the SeqCst store and the wake only when it is
+//!   not the owner itself, i.e. per *steal*; the pop-it-back path keeps its
+//!   plain Release store. A spawn handle's joiner is not known at spawn
+//!   time, so `TaskState` keeps a slot the joining worker writes once
+//!   before it starts helping; the `Arc` keeps the slot alive, so the
+//!   completer loads it *after* publishing `DONE` and the same argument
+//!   covers a registration racing the completion.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -89,14 +97,16 @@ use crate::trace;
 const SPIN_ROUNDS: u32 = 64;
 /// `yield_now` rounds before escalating to parking (stage 2 length).
 const YIELD_ROUNDS: u32 = 16;
-/// Timed-park backstop: the longest a worker stays blocked without
-/// re-polling, bounding the cost of any missed wakeup to one timeout.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
-/// Backstop for parks whose waker delivers a *targeted* completion wake
-/// (join/scope waiters registered in the awaited job or scope). Real wakes
-/// arrive through [`Sleep::wake_worker`], so the re-poll only covers the
-/// narrow register-after-read miss window and can be ~50× lazier than
-/// [`PARK_TIMEOUT`] without hurting latency.
+/// Timed-park backstop of the helper main loop: the longest an idle worker
+/// stays blocked without re-polling, bounding the cost of a work wake
+/// missed by [`Sleep::wake_one`]'s racy gate to one timeout.
+pub(crate) const PARK_TIMEOUT: Duration = Duration::from_millis(1);
+/// Backstop for a worker waiting on a completion (stolen `join` arm, scope
+/// drain, spawn handle). What it waits for arrives through
+/// [`Sleep::wake_worker`], which cannot be missed; the re-poll only
+/// recovers *optional* helping after a missed work wake, so it is ~50×
+/// lazier than [`PARK_TIMEOUT`] and a long wait is not a run of spurious
+/// wakes (asserted in `tests/sleeper.rs`).
 pub(crate) const WAITER_PARK_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// How a pool's idle workers behave once out of work.
@@ -222,26 +232,14 @@ impl Sleep {
         self.mask[word].load(Ordering::Relaxed) & bit != 0
     }
 
-    /// Block worker `index` until woken, the timed backstop fires, or
+    /// Block worker `index` until woken, the timed `backstop` fires, or
     /// `should_abort` reports that parking is (no longer) warranted.
     ///
     /// `should_abort` is re-evaluated *after* the worker announces itself
     /// in the sleeper set — that ordering, against the waker's
-    /// publish-work-then-bump-epoch ordering, is what closes the
+    /// publish-then-read-the-mask ordering, is what closes the
     /// announce-then-sleep race (see the module docs).
-    pub(crate) fn park(&self, index: usize, should_abort: impl Fn() -> bool) {
-        self.park_with_backstop(index, PARK_TIMEOUT, should_abort)
-    }
-
-    /// [`Sleep::park`] with an explicit timed-park backstop. Join/scope
-    /// waiters that registered for a targeted completion wake pass
-    /// [`WAITER_PARK_TIMEOUT`]; everyone else goes through `park`.
-    pub(crate) fn park_with_backstop(
-        &self,
-        index: usize,
-        backstop: Duration,
-        should_abort: impl Fn() -> bool,
-    ) {
+    pub(crate) fn park(&self, index: usize, backstop: Duration, should_abort: impl Fn() -> bool) {
         let slot = &self.slots[index];
         let (word, bit) = (index / 64, 1u64 << (index % 64));
 
@@ -294,8 +292,9 @@ impl Sleep {
 
     /// Withdraw worker `index` from the sleeper set and absorb any wakeup
     /// that was delivered concurrently (so a stale `woken` can never leak
-    /// into the next park).
-    fn retire(&self, index: usize) {
+    /// into the next park). Also the dying-worker path: a worker killed
+    /// inside `should_abort` must not keep absorbing `wake_one`s.
+    pub(crate) fn retire(&self, index: usize) {
         let (word, bit) = (index / 64, 1u64 << (index % 64));
         self.mask[word].fetch_and(!bit, Ordering::SeqCst);
         let mut woken = self.slots[index].woken.lock();
@@ -333,16 +332,18 @@ impl Sleep {
         }
     }
 
-    /// Targeted wake of worker `index` (completion wakes, registered
-    /// waiters). One SeqCst mask-word load when the target is not
-    /// announced; epoch bump + slot delivery when it is.
+    /// Targeted wake of worker `index` (completion wakes). One SeqCst
+    /// mask-word load when the target is not announced; epoch bump + slot
+    /// delivery when it is.
     ///
-    /// Pairing with [`Sleep::park_with_backstop`]: the waiter announces its
-    /// mask bit (SeqCst RMW) *before* its recheck loads. If this load
-    /// misses the bit, the announce is later in the SeqCst order, so the
-    /// caller's work-publication (e.g. the job's `done` store, program-
-    /// ordered before this call) is visible to the waiter's recheck — the
-    /// park aborts without needing us.
+    /// Pairing with [`Sleep::park`]: the waiter announces its mask bit
+    /// (SeqCst RMW) *before* its recheck loads. If this load misses the
+    /// bit, the announce is later in the SeqCst order, so the caller's
+    /// **SeqCst** publication of completion, program-ordered before this
+    /// call, is visible to the waiter's SeqCst recheck — the park aborts
+    /// without needing us. (A Release publication would not do: the mask
+    /// load could be satisfied while the store still sits in the store
+    /// buffer.)
     pub(crate) fn wake_worker(&self, index: usize) {
         metrics::bump(Counter::WakeAttempt);
         let (word, bit) = (index / 64, 1u64 << (index % 64));
@@ -422,7 +423,7 @@ mod tests {
     fn park_aborts_when_work_already_visible() {
         let sleep = Sleep::new(2);
         let start = Instant::now();
-        sleep.park(0, || true);
+        sleep.park(0, PARK_TIMEOUT, || true);
         // An aborted park must not block for the timeout.
         assert!(start.elapsed() < PARK_TIMEOUT);
         assert!(!sleep.has_sleepers());
@@ -438,7 +439,7 @@ mod tests {
         let parks2 = Arc::clone(&parks);
         let h = std::thread::spawn(move || {
             while !stop2.load(Ordering::Acquire) {
-                s2.park(0, || stop2.load(Ordering::Acquire));
+                s2.park(0, PARK_TIMEOUT, || stop2.load(Ordering::Acquire));
                 parks2.fetch_add(1, Ordering::AcqRel);
             }
         });
@@ -470,7 +471,7 @@ mod tests {
                 let go = Arc::clone(&go);
                 std::thread::spawn(move || {
                     while !go.load(Ordering::Acquire) {
-                        sleep.park(i, || go.load(Ordering::Acquire));
+                        sleep.park(i, PARK_TIMEOUT, || go.load(Ordering::Acquire));
                     }
                     released.fetch_add(1, Ordering::AcqRel);
                 })
@@ -509,7 +510,7 @@ mod tests {
                 {
                     got += 1;
                 } else {
-                    s2.park(0, || t2.load(Ordering::Acquire) > 0);
+                    s2.park(0, PARK_TIMEOUT, || t2.load(Ordering::Acquire) > 0);
                 }
             }
         });

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::deque::{ExposurePolicy, PopBottomMode};
-
 /// Scheduler selection: the WS baseline plus the paper's four LCWS-based
 /// schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,43 +64,6 @@ impl Variant {
             Variant::SignalHalf => "Half",
         }
     }
-
-    /// Does this scheduler use split deques (any LCWS variant)?
-    pub fn uses_split_deque(self) -> bool {
-        self.policies().uses_split_deque()
-    }
-
-    /// Does this scheduler notify victims with POSIX signals?
-    pub fn uses_signals(self) -> bool {
-        self.policies().uses_signals()
-    }
-
-    /// Does this scheduler poll the user-space `fallback_expose` flag at
-    /// task boundaries? True exactly for the signal-based variants: their
-    /// primary notification channel (`pthread_kill`) can fail against a
-    /// thread racing with teardown, and the failed request is rerouted
-    /// through the flag (USLCWS-style) instead of being dropped. USLCWS
-    /// itself already polls `targeted` and never sends signals; WS has no
-    /// exposure at all.
-    pub fn polls_fallback_flag(self) -> bool {
-        self.policies().polls_fallback_flag()
-    }
-
-    /// Which `pop_bottom` flavour the owner must use (§4's subtlety):
-    /// USLCWS never exposes asynchronously and Conservative exposure
-    /// provably never publishes the bottom-most task, so both keep the
-    /// original comparison; the base signal scheduler and Expose Half may
-    /// expose the task the owner is popping, so they need
-    /// decrement-then-compare. The choice lives in the variant's policy
-    /// bundle (`crate::Policies`).
-    pub fn pop_bottom_mode(self) -> PopBottomMode {
-        self.policies().pop_bottom
-    }
-
-    /// How much work an exposure request transfers to the public part.
-    pub fn exposure_policy(self) -> ExposurePolicy {
-        self.policies().exposure
-    }
 }
 
 impl fmt::Display for Variant {
@@ -162,11 +123,17 @@ mod tests {
 
     #[test]
     fn signal_variants_need_signal_safe_pop_iff_unconstrained_exposure() {
+        // §4's subtlety: USLCWS never exposes asynchronously and
+        // Conservative exposure provably never publishes the bottom-most
+        // task, so both keep the original comparison; the base signal
+        // scheduler and Expose Half may expose the task the owner is
+        // popping, so they need decrement-then-compare.
         use crate::deque::PopBottomMode as M;
-        assert_eq!(Variant::Ws.pop_bottom_mode(), M::Standard);
-        assert_eq!(Variant::UsLcws.pop_bottom_mode(), M::Standard);
-        assert_eq!(Variant::SignalConservative.pop_bottom_mode(), M::Standard);
-        assert_eq!(Variant::Signal.pop_bottom_mode(), M::SignalSafe);
-        assert_eq!(Variant::SignalHalf.pop_bottom_mode(), M::SignalSafe);
+        let pop = |v: Variant| v.policies().pop_bottom;
+        assert_eq!(pop(Variant::Ws), M::Standard);
+        assert_eq!(pop(Variant::UsLcws), M::Standard);
+        assert_eq!(pop(Variant::SignalConservative), M::Standard);
+        assert_eq!(pop(Variant::Signal), M::SignalSafe);
+        assert_eq!(pop(Variant::SignalHalf), M::SignalSafe);
     }
 }

@@ -6,15 +6,15 @@ use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 use lcws_metrics as metrics;
 use lcws_metrics::Counter;
 
 use crate::deque::{AbpSteal, DequeFull, SplitDeque, Steal, STEAL_BATCH_MAX};
 use crate::fault::{self, Site};
-use crate::hb::shim::AtomicU32;
 use crate::injector::INJECTOR_BATCH;
-use crate::job::{Job, StackJob, NO_WAITER};
+use crate::job::{Job, StackJob, NO_WORKER};
 use crate::policy::{NotifyChannel, Policies, StealAmount, VictimSelection};
 use crate::pool::{AnyDeque, PoolInner, WorkerShared};
 use crate::signal::{self, HandlerCtx};
@@ -46,87 +46,25 @@ pub(crate) fn current_ctx() -> *const WorkerCtx {
     CURRENT.with(|c| c.get())
 }
 
-/// Deliver a targeted completion wake to the worker parked in `await_job`
-/// or the scope drain, if one registered. Called by the job executor right
-/// after it publishes `done` — through *pool* state only; the job header
-/// may already be freed (see [`Job::mark_done`]).
+/// Deliver the completion wake to worker `index`, the thread known to wait
+/// on what the caller just published (a stolen `join` arm's `done`, a
+/// scope's last `pending` decrement, a spawn handle's `DONE`). Goes through
+/// *pool* state only: the published object may already be freed.
 ///
-/// Runs on whichever thread executed the job. If that thread has no
-/// installed ctx (it ran the job inline outside a pool run), there is no
-/// pool to route the wake through — but then the joiner is on the same
-/// thread and was never parked, so there is nothing to deliver.
-pub(crate) fn wake_waiter(index: u32) {
-    if index == NO_WAITER {
+/// Runs on whichever thread completed the work. If that thread has no
+/// installed ctx (it ran the job inline outside a pool run) there is no
+/// pool to route the wake through — but then no worker of one can be
+/// parked on it either. A worker never needs to wake itself.
+pub(crate) fn wake_worker(index: u32) {
+    if index == NO_WORKER {
         return;
     }
     let ctx = current_ctx();
     if !ctx.is_null() {
         // Safety: installed ctx pointers outlive the executing job.
-        unsafe { (*ctx).pool().sleep.wake_worker(index as usize) };
-    }
-}
-
-/// Run scheduling work on `ctx`'s worker until `done` reports true. Used
-/// by `JoinHandle::join` on worker threads: blocking a worker on a condvar
-/// could deadlock the very pool that must run the joined task, so the
-/// joiner keeps executing local, stolen, and injector work instead.
-///
-/// `waiter` is the completion-wake registration slot of whatever `done`
-/// observes (e.g. `TaskState::waiter`): before parking, the worker
-/// registers its index there so the completer can deliver a targeted wake
-/// through `wake_waiter`, exactly like `await_job` registers in
-/// `Job::waiter` — without it the park arm is pure 1ms-backstop polling.
-/// `None` keeps the plain eventcount-recheck park for callers with no
-/// registration slot.
-pub(crate) fn help_until(ctx: &WorkerCtx, done: impl Fn() -> bool, waiter: Option<&AtomicU32>) {
-    let mut backoff = IdleBackoff::new(ctx.pool().idle);
-    loop {
-        if done() {
-            return;
-        }
-        if let Some(job) = ctx.acquire_local() {
-            ctx.execute(job);
-            backoff.reset();
-            continue;
-        }
-        match ctx.steal_once() {
-            StealAttempt::Taken(job) => {
-                ctx.execute(job);
-                backoff.reset();
-            }
-            StealAttempt::Contended => {
-                metrics::bump(Counter::IdleIter);
-                backoff.reset();
-                std::hint::spin_loop();
-            }
-            StealAttempt::NoWork => {
-                if ctx.try_injector() {
-                    backoff.reset();
-                    continue;
-                }
-                metrics::bump(Counter::IdleIter);
-                match backoff.next() {
-                    IdleAction::Park => match waiter {
-                        Some(w) => {
-                            // Same SeqCst register / longer-backstop park /
-                            // withdraw protocol as `await_job`; see
-                            // `crate::sleep` for the pairing argument.
-                            w.store(ctx.index as u32, Ordering::SeqCst);
-                            ctx.pool().sleep.park_with_backstop(
-                                ctx.index,
-                                WAITER_PARK_TIMEOUT,
-                                || done() || ctx.any_work_visible(),
-                            );
-                            w.store(NO_WAITER, Ordering::SeqCst);
-                        }
-                        None => ctx
-                            .pool()
-                            .sleep
-                            .park(ctx.index, || done() || ctx.any_work_visible()),
-                    },
-                    action => IdleBackoff::relax(action),
-                }
-            }
+        let ctx = unsafe { &*ctx };
+        if ctx.index != index as usize {
+            ctx.pool().sleep.wake_worker(index as usize);
         }
     }
 }
@@ -252,7 +190,10 @@ impl WorkerCtx {
         }
     }
 
-    /// Try to push a job at the bottom of this worker's deque.
+    /// Try to push a job at the bottom of this worker's deque. No thief is
+    /// woken for it: that is [`WorkerCtx::push_or_run_inline`]'s job, once
+    /// per batch. The handler's deferred wake still drains per push — that
+    /// one belongs to the signal handler, not to the pusher.
     ///
     /// For the signal variants, pushing new work re-enables notifications
     /// (§4: the `targeted` flag "is only reset to false when a task is
@@ -260,23 +201,8 @@ impl WorkerCtx {
     /// a new task").
     ///
     /// On [`DequeFull`] the job was **not** enqueued and the caller still
-    /// owns it; `join` and `scope` degrade to running it inline on this
-    /// worker (counted as `OverflowInline`) instead of aborting.
-    pub(crate) fn try_push_job(&self, job: *mut Job) -> Result<(), DequeFull> {
-        self.try_push_job_quiet(job)?;
-        // New work is visible: give a parked thief a chance at it (or, for
-        // a split deque, a chance to request its exposure).
-        self.pool().sleep.wake_one();
-        Ok(())
-    }
-
-    /// [`WorkerCtx::try_push_job`] minus the trailing thief wake, for batch
-    /// callers (`try_injector`, the batch-steal surplus requeue) that
-    /// coalesce the whole batch into one `wake_one` — waking a parked
-    /// worker per task just stampedes sleepers at the same deque. The
-    /// handler's deferred wake still drains per push: that one belongs to
-    /// the signal handler, not to this batch.
-    fn try_push_job_quiet(&self, job: *mut Job) -> Result<(), DequeFull> {
+    /// owns it.
+    fn try_push_job(&self, job: *mut Job) -> Result<(), DequeFull> {
         let w = self.shared();
         match &w.deque {
             AnyDeque::Abp(d) => d.try_push_bottom(job)?,
@@ -289,6 +215,44 @@ impl WorkerCtx {
         }
         self.drain_deferred_wake(w);
         Ok(())
+    }
+
+    /// Push `jobs` onto this worker's deque, oldest first, and wake **one**
+    /// parked thief for whatever got queued: the tasks became visible
+    /// together, and a wake per task would just stampede sleepers at one
+    /// deque. Returns whether anything was queued.
+    ///
+    /// The deque grows on demand, so a push fails only when `faultpoints`
+    /// forces `PushBottom`/`DequeResize` or the ring is already at
+    /// `MAX_DEQUE_CAPACITY` (2^30 live tasks — runaway recursion, not a
+    /// full deque). Every pusher degrades the same way: the rejected job is
+    /// still exclusively ours, and "right now, on this worker" is a valid
+    /// schedule for any task — overflow costs parallelism, never
+    /// correctness. Counted as `OverflowInline`.
+    #[inline]
+    pub(crate) fn push_or_run_inline(&self, jobs: &[*mut Job]) -> bool {
+        let mut queued = false;
+        for &job in jobs {
+            if self.try_push_job(job).is_ok() {
+                queued = true;
+                continue;
+            }
+            debug_assert!(
+                cfg!(feature = "faultpoints"),
+                "deque overflow without fault injection: growable rings \
+                 only report DequeFull when forced (Site::PushBottom / \
+                 Site::DequeResize) or at MAX_DEQUE_CAPACITY"
+            );
+            metrics::bump(Counter::OverflowInline);
+            trace::record(trace::EventKind::OverflowInline, 0);
+            self.execute(job);
+        }
+        if queued {
+            // New work is visible: give a parked thief a chance at it (or,
+            // for a split deque, a chance to request its exposure).
+            self.pool().sleep.wake_one();
+        }
+        queued
     }
 
     /// Perform any wake the signal handler deferred to us (it only sets
@@ -325,24 +289,7 @@ impl WorkerCtx {
         };
         metrics::bump_by(Counter::InjectorPop, batch.len() as u64);
         trace::record(trace::EventKind::InjectorPop, batch.len() as u32);
-        let mut queued = false;
-        for &job in rest {
-            if self.try_push_job_quiet(job).is_err() {
-                // Forced DequeFull (see `join`): ownership stays with us,
-                // degrade to running the task inline.
-                metrics::bump(Counter::OverflowInline);
-                trace::record(trace::EventKind::OverflowInline, 0);
-                self.execute(job);
-            } else {
-                queued = true;
-            }
-        }
-        if queued {
-            // One wake for the whole re-queued tail: the tasks became
-            // visible together, and `INJECTOR_BATCH − 1` wakes for them
-            // would just stampede parked thieves at one deque.
-            self.pool().sleep.wake_one();
-        }
+        self.push_or_run_inline(rest);
         self.execute(first);
         true
     }
@@ -361,7 +308,7 @@ impl WorkerCtx {
                 // it here at task granularity, exactly like USLCWS serves
                 // `targeted` (constant-time exposure is lost only for the
                 // requests whose signal already failed).
-                if policies.polls_fallback_flag() && w.fallback_expose.load(Ordering::Relaxed) {
+                if policies.uses_signals() && w.fallback_expose.load(Ordering::Relaxed) {
                     fault::point(Site::TargetedPoll);
                     trace::record(trace::EventKind::TargetedPoll, 1);
                     w.fallback_expose.store(false, Ordering::Relaxed);
@@ -473,22 +420,7 @@ impl WorkerCtx {
         let outcome = d.pop_top_batch(&mut extras, STEAL_BATCH_MAX - 1);
         if !extras.is_empty() {
             trace::record(trace::EventKind::StealBatch, (extras.len() + 1) as u32);
-            let mut queued = false;
-            for &job in &extras {
-                if self.try_push_job_quiet(job).is_err() {
-                    // Forced DequeFull: ownership stays with us; degrade to
-                    // running the surplus task inline (see `try_injector`).
-                    metrics::bump(Counter::OverflowInline);
-                    trace::record(trace::EventKind::OverflowInline, 0);
-                    self.execute(job);
-                } else {
-                    queued = true;
-                }
-            }
-            if queued {
-                // One wake for the whole surplus, like the injector batch.
-                self.pool().sleep.wake_one();
-            }
+            self.push_or_run_inline(&extras);
         }
         outcome
     }
@@ -516,7 +448,10 @@ impl WorkerCtx {
                     self.signal_or_flag(victim_idx, victim);
                 }
             }
-            NotifyChannel::None => unreachable!("no-exposure bundles use the ABP deque"),
+            NotifyChannel::None => unreachable!(
+                "Policies::validate rejects a split deque without a notify \
+                 channel (PolicyError::SplitNeedsNotify)"
+            ),
         }
     }
 
@@ -569,27 +504,38 @@ impl WorkerCtx {
     pub(crate) fn execute(&self, job: *mut Job) {
         metrics::bump(Counter::TaskRun);
         // Safety: deque ownership transfer — exactly one taker per job.
-        unsafe { Job::execute(job) };
+        unsafe { Job::execute(job, self.index as u32) };
     }
 
-    /// Helper worker loop: execute tasks until `finished` reports the run
-    /// generation complete. A worker's own deque is provably empty whenever
-    /// an executed task returns (its nested joins/scopes drain everything it
-    /// pushed), so returning on `finished` never strands work.
-    pub(crate) fn work_until(&self, finished: &dyn Fn() -> bool) {
-        let mut backoff = IdleBackoff::new(self.pool().idle);
-        loop {
-            if finished() {
-                return;
-            }
-            // Supervision fault site: a forced fire panics the helper here,
-            // at the top of the loop *before* local acquisition — the worker
-            // provably holds no task in hand, so the chaos tests can kill it
-            // deterministically and assert the dying-owner handoff rescues
-            // everything still queued (see `pool::handle_worker_death`).
-            if fault::fail_at(Site::WorkerLoop) {
-                panic!("injected worker-loop fault (Site::WorkerLoop)");
-            }
+    /// The scheduling loop — the only one: run tasks until `done` reports
+    /// true. Local pop, else one steal attempt, else the injector (the
+    /// fallback victim shared by all workers), else one rung of the idle
+    /// ladder: spin → yield → park, rechecking `done() ||
+    /// any_work_visible()` after announcing in the sleeper set.
+    ///
+    /// Every way a worker waits goes through here: the helper main loop
+    /// (`done` = the generation closed), `join` awaiting a stolen arm, the
+    /// `scope` drain, `JoinHandle::join` on a worker thread, and the
+    /// one-worker `shutdown` drain. Blocking a worker on a condvar instead
+    /// could deadlock the very pool that must run the awaited task.
+    ///
+    /// A `done` made true for one worker must read what it waits for with
+    /// SeqCst, and the completer must publish with SeqCst and then
+    /// `wake_worker` this one — see `crate::sleep` for the pairing. (The
+    /// generation close wakes everyone through `wake_all`, whose epoch bump
+    /// ahead of its mask scan covers any ordering.) `backstop` bounds the
+    /// cost of a missed *work* wake (`Sleep::wake_one`'s gate is
+    /// deliberately racy): [`crate::sleep::PARK_TIMEOUT`] for the main
+    /// loop, whose only job is finding work, and the lazier
+    /// [`WAITER_PARK_TIMEOUT`] for waits, where helping is optional and a
+    /// 1 ms re-poll of a long wait would be pure spurious wakes.
+    ///
+    /// A worker's own deque is empty whenever an executed task returns (its
+    /// nested joins/scopes drain everything it pushed), so returning on
+    /// `done` never strands work.
+    pub(crate) fn help_until(&self, done: impl Fn() -> bool, backstop: Duration) {
+        let mut backoff = IdleBackoff::new(self.policies().idle);
+        while !done() {
             if let Some(job) = self.acquire_local() {
                 self.execute(job);
                 backoff.reset();
@@ -608,8 +554,6 @@ impl WorkerCtx {
                     std::hint::spin_loop();
                 }
                 StealAttempt::NoWork => {
-                    // Externally-submitted work before idle escalation: the
-                    // injector is the fallback victim shared by all workers.
                     if self.try_injector() {
                         backoff.reset();
                         continue;
@@ -619,7 +563,7 @@ impl WorkerCtx {
                         IdleAction::Park => self
                             .pool()
                             .sleep
-                            .park(self.index, || finished() || self.any_work_visible()),
+                            .park(self.index, backstop, || done() || self.any_work_visible()),
                         action => IdleBackoff::relax(action),
                     }
                 }
@@ -629,13 +573,6 @@ impl WorkerCtx {
 
     /// Fork-join: run `a` and `b` in parallel, `b` being made available to
     /// thieves through this worker's deque.
-    ///
-    /// The deque grows on demand, so the push can no longer fail from
-    /// recursion depth alone. The Cilk-style inline fallback (run both
-    /// arms sequentially on the owner — overflow costs parallelism, never
-    /// correctness) is kept as graceful degradation for the two residual
-    /// `DequeFull` sources: a `faultpoints`-forced `PushBottom`/
-    /// `DequeResize` failure, and a ring already at `MAX_DEQUE_CAPACITY`.
     pub(crate) fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
     where
         A: FnOnce() -> RA + Send,
@@ -643,25 +580,14 @@ impl WorkerCtx {
         RA: Send,
         RB: Send,
     {
-        let job_b = StackJob::new(b);
+        let job_b = StackJob::new(b, self.index as u32);
         let ptr_b = job_b.as_job_ptr();
-        if self.try_push_job(ptr_b).is_err() {
-            // Unreachable without fault injection: a debug build hitting
-            // this assert grew a ring past MAX_DEQUE_CAPACITY (2^30 live
-            // tasks), which indicates runaway recursion, not a full deque.
-            debug_assert!(
-                cfg!(feature = "faultpoints"),
-                "deque overflow without fault injection: growable rings \
-                 only report DequeFull when forced (Site::PushBottom / \
-                 Site::DequeResize) or at MAX_DEQUE_CAPACITY"
-            );
-            metrics::bump(Counter::OverflowInline);
-            trace::record(trace::EventKind::OverflowInline, 0);
-            // Nobody else ever saw `job_b`: run both closures inline with
-            // the same semantics as the out-of-pool sequential path.
+        if !self.push_or_run_inline(&[ptr_b]) {
+            // Overflow: `b` already ran right here and nobody else ever saw
+            // `job_b`; finish sequentially.
             let ra = a();
-            // Safety: sole ownership; the job was never pushed.
-            let rb = unsafe { job_b.run_inline() };
+            // Safety: the inline run completed the job.
+            let rb = unsafe { job_b.take_result() };
             return (ra, rb);
         }
         let ra = match panic::catch_unwind(AssertUnwindSafe(a)) {
@@ -669,110 +595,44 @@ impl WorkerCtx {
             Err(payload) => {
                 // `b` may be running on a thief and referencing this frame:
                 // it must complete (or be reclaimed unrun) before we unwind.
-                self.await_job(ptr_b, false);
+                self.await_job(ptr_b, || job_b.is_done(), false);
                 panic::resume_unwind(payload);
             }
         };
-        self.await_job(ptr_b, true);
+        self.await_job(ptr_b, || job_b.is_done(), true);
         // Safety: await_job guarantees the job ran (or we ran it inline).
         let rb = unsafe { job_b.take_result() };
         (ra, rb)
     }
 
-    /// Wait until the job at `ptr` has been executed, or reclaim it from our
-    /// own deque (running it inline iff `run_if_reacquired`; the panic path
-    /// reclaims without running).
+    /// Wait until the job at `ptr` has been executed (`done` reports its
+    /// flag), or reclaim it from our own deque (running it inline iff
+    /// `run_if_reacquired`; the panic path reclaims without running).
     ///
-    /// On return, either the job ran to completion (`done` set) or it was
-    /// reclaimed unrun by this worker — in both cases no other thread holds
-    /// a reference to it.
-    fn await_job(&self, ptr: *mut Job, run_if_reacquired: bool) {
-        // Fast path: the job is still at the bottom of our deque. The deque
-        // discipline makes anything acquire_local returns here *be* `ptr`
-        // (everything pushed above it has been popped or stolen-and-
-        // completed), but stay defensive in release builds.
-        while let Some(job) = self.acquire_local() {
-            if job == ptr {
-                if run_if_reacquired {
-                    self.execute(job);
-                    return;
-                }
-                // Reclaimed unrun: caller owns it again. The happy case for
-                // the panic path — nobody else ever saw it.
-                return;
+    /// On return, either the job ran to completion or it was reclaimed
+    /// unrun by this worker — in both cases no other thread holds a
+    /// reference to it.
+    fn await_job(&self, ptr: *mut Job, done: impl Fn() -> bool, run_if_reacquired: bool) {
+        // Fast path: the job is still at the bottom of our deque. Everything
+        // this frame pushed above it has been popped or stolen-and-completed,
+        // so anything else found here is an injector tail that a nested wait
+        // requeued after `ptr` was stolen and left behind when its own wait
+        // ended: work like any other, run it on the way down.
+        while let Some(taken) = self.acquire_local() {
+            if taken != ptr {
+                self.execute(taken);
+                continue;
             }
-            debug_assert!(
-                false,
-                "join invariant violated: foreign job at deque bottom"
-            );
-            self.execute(job);
+            // Reclaimed. Unrun (the happy case for the panic path): the
+            // caller owns it again, nobody else ever saw it.
+            if run_if_reacquired {
+                self.execute(taken);
+            }
+            return;
         }
-        // The job was stolen: help along by stealing elsewhere until its
-        // `done` flag (set with Release by the executor) becomes visible.
-        // Fruitless helping escalates spin → yield → park; before parking we
-        // register for the executor's targeted completion wake, with the
-        // (longer) timed backstop covering the residual registration race
-        // (see `crate::sleep` module docs for the pairing argument).
-        let mut backoff = IdleBackoff::new(self.pool().idle);
-        loop {
-            // Safety: `ptr` refers to a StackJob frame that outlives this
-            // loop by construction of `join`.
-            if unsafe { (*ptr).is_done() } {
-                return;
-            }
-            match self.steal_once() {
-                StealAttempt::Taken(job) => {
-                    self.execute(job);
-                    backoff.reset();
-                }
-                StealAttempt::Contended => {
-                    // Work exists; stay hot (see `work_until`).
-                    metrics::bump(Counter::IdleIter);
-                    backoff.reset();
-                    std::hint::spin_loop();
-                }
-                StealAttempt::NoWork => {
-                    metrics::bump(Counter::IdleIter);
-                    match backoff.next() {
-                        IdleAction::Park => {
-                            // Safety (both accesses): the StackJob frame
-                            // outlives `join`, and we have not observed
-                            // `done` yet, so the header is alive.
-                            unsafe { (*ptr).set_waiter(self.index as u32) };
-                            self.pool().sleep.park_with_backstop(
-                                self.index,
-                                WAITER_PARK_TIMEOUT,
-                                || {
-                                    let done = unsafe { (*ptr).is_done() };
-                                    done || self.any_work_visible()
-                                },
-                            );
-                            unsafe { (*ptr).clear_waiter() };
-                        }
-                        action => IdleBackoff::relax(action),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Park this worker until `done` reports completion, work appears, or
-    /// the timed backstop fires. For drain loops that registered for a
-    /// targeted completion wake (the scope waiter slot): the longer
-    /// backstop applies because a real wake is now expected, turning the
-    /// 1ms poll into a rare fallback instead of the primary wake source.
-    pub(crate) fn park_waiter(&self, done: impl Fn() -> bool) {
-        self.pool()
-            .sleep
-            .park_with_backstop(self.index, WAITER_PARK_TIMEOUT, || {
-                done() || self.any_work_visible()
-            });
-    }
-
-    /// The pool's idle escalation policy (for idle loops outside this
-    /// module).
-    pub(crate) fn idle_policy(&self) -> crate::sleep::IdlePolicy {
-        self.pool().idle
+        // The job was stolen: help along until its executor publishes
+        // `done` and wakes us.
+        self.help_until(done, WAITER_PARK_TIMEOUT);
     }
 }
 

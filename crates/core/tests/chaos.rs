@@ -691,7 +691,13 @@ fn batch_steal_ledger_balances_under_cas_storm() {
     // Pool section: the storm hits the batch CAS window of a SignalHalf
     // run; aborts retry hot, and nothing may be lost or doubled.
     let (executed, m) = run_with_timeout(60, || {
-        let pool = PoolBuilder::new(Variant::SignalHalf).threads(4).build();
+        // Explicit opt-in: the named composition steals one task per CAS.
+        let mut p = lcws_core::Policies::signal_half();
+        p.steal = lcws_core::StealAmount::Half;
+        let pool = PoolBuilder::new(Variant::SignalHalf)
+            .policies(p)
+            .threads(4)
+            .build();
         let executed = AtomicU64::new(0);
         let (_, m) = pool.run_measured(|| {
             scope(|s| {

@@ -131,7 +131,7 @@ fn supervision_round_reports_no_races() {
 /// get unlucky with scheduling), and the checker must stay silent.
 #[test]
 fn batch_steal_window_reports_no_races() {
-    use lcws_core::{scope, Policies, VictimSelection};
+    use lcws_core::{scope, Policies, StealAmount, VictimSelection};
 
     let _g = lock();
     hb::reset();
@@ -139,6 +139,7 @@ fn batch_steal_window_reports_no_races() {
     for _round in 0..10 {
         let mut p = Policies::signal_half();
         p.victim = VictimSelection::NearFirst;
+        p.steal = StealAmount::Half; // opt-in: the named bundle steals one
         let pool = PoolBuilder::new(Variant::SignalHalf)
             .policies(p)
             .threads(4)

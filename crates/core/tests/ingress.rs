@@ -8,7 +8,7 @@
 //! acceptance configuration (use a release build — see EXPERIMENTS.md).
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,64 +27,75 @@ fn stress_dims() -> (usize, usize) {
 /// injector push/pop accounting must balance, and the sleeper must show
 /// real wakes with a bounded spurious-wake count (parked workers are woken
 /// by submissions, not by backstop polling).
+///
+/// Loss and accounting are asserted on every window. The wake shape depends
+/// on who got the two cores while nine sibling tests share them (a helper
+/// starved through its yield rungs never parks; one whose producers were
+/// descheduled times out legitimately), so that claim gets repeated windows
+/// up to a deadline instead of one throw of the dice.
 #[test]
 fn many_producer_stress_loses_nothing() {
     let (producers, per_producer) = stress_dims();
     let total = (producers * per_producer) as u64;
     for variant in [Variant::Ws, Variant::Signal] {
         let pool = Arc::new(PoolBuilder::new(variant).threads(4).build());
-        pool.serve();
-        let executed = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..producers {
-                let pool = Arc::clone(&pool);
-                let executed = Arc::clone(&executed);
-                s.spawn(move || {
-                    for _ in 0..per_producer {
-                        let executed = Arc::clone(&executed);
-                        // Handles dropped: completion is observed through
-                        // the counter and the shutdown drain.
-                        drop(pool.spawn(move || {
-                            executed.fetch_add(1, Ordering::Relaxed);
-                        }));
-                    }
-                });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            pool.serve();
+            let executed = Arc::new(AtomicU64::new(0));
+            std::thread::scope(|s| {
+                for _ in 0..producers {
+                    let pool = Arc::clone(&pool);
+                    let executed = Arc::clone(&executed);
+                    s.spawn(move || {
+                        for _ in 0..per_producer {
+                            let executed = Arc::clone(&executed);
+                            // Handles dropped: completion is observed
+                            // through the counter and the shutdown drain.
+                            drop(pool.spawn(move || {
+                                executed.fetch_add(1, Ordering::Relaxed);
+                            }));
+                        }
+                    });
+                }
+            });
+            let snap = pool.shutdown();
+            assert_eq!(
+                executed.load(Ordering::Relaxed),
+                total,
+                "{variant}: tasks lost in the many-producer stress"
+            );
+            // Every submission went through the injector (no faults forced)
+            // and every queued task left it through a worker batch pop.
+            assert_eq!(
+                snap.get(Counter::InjectorPush),
+                total,
+                "{variant}: injector push accounting broken"
+            );
+            assert_eq!(
+                snap.get(Counter::InjectorPop),
+                total,
+                "{variant}: injector pop accounting broken"
+            );
+            // Wake accounting, read on the *sleeper's* side: a park ends
+            // either by a delivered wake or by its backstop (counted
+            // spurious). The waker-side `unparks` cannot serve here — the
+            // wakers are the producer threads, which have no counters the
+            // pool could collect. If anyone parked mid-stress, some park
+            // must have ended by a real wake, and the spurious count must
+            // stay far below one-per-task — the bound that separates "woken
+            // by submissions" from "found the work by polling".
+            let (parks, spurious) = (snap.parks(), snap.get(Counter::SpuriousWake));
+            if (parks == 0 || parks > spurious) && spurious < total / 4 + 500 {
+                break;
             }
-        });
-        let snap = pool.shutdown();
-        assert_eq!(
-            executed.load(Ordering::Relaxed),
-            total,
-            "{variant}: tasks lost in the many-producer stress"
-        );
-        // Every submission went through the injector (no faults forced) and
-        // every queued task left it through a worker batch pop.
-        assert_eq!(
-            snap.get(Counter::InjectorPush),
-            total,
-            "{variant}: injector push accounting broken"
-        );
-        assert_eq!(
-            snap.get(Counter::InjectorPop),
-            total,
-            "{variant}: injector pop accounting broken"
-        );
-        // Wake accounting: if anyone parked mid-stress, real wakes must
-        // have been delivered, and the spurious (timed-backstop) count must
-        // stay far below one-per-task — the bound that separates "woken by
-        // submissions" from "found the work by polling".
-        if snap.parks() > 0 {
             assert!(
-                snap.unparks() > 0,
-                "{variant}: workers parked but no wake was ever delivered"
+                Instant::now() < deadline,
+                "{variant}: {parks} parks, {spurious} of them ended by the \
+                 backstop, for {total} tasks — parked workers are \
+                 backstop-polling, not being woken"
             );
         }
-        let spurious = snap.get(Counter::SpuriousWake);
-        assert!(
-            spurious < total / 4 + 500,
-            "{variant}: {spurious} spurious wakes for {total} tasks — \
-             parked workers are backstop-polling, not being woken"
-        );
     }
 }
 
@@ -121,22 +132,31 @@ fn spawn_batch_returns_handles_in_submission_order() {
 #[test]
 fn external_submit_wakes_parked_workers() {
     let pool = ThreadPool::new(Variant::Ws, 4);
-    pool.serve();
-    // Give every helper time to escalate into a park.
-    std::thread::sleep(Duration::from_millis(30));
-    let t0 = Instant::now();
-    let h = pool.spawn(|| 123u32);
-    assert_eq!(h.join(), 123);
-    let latency = t0.elapsed();
-    let snap = pool.shutdown();
-    assert!(
-        snap.parks() > 0,
-        "helpers never parked in a 30ms idle window"
-    );
-    assert!(
-        latency < Duration::from_secs(5),
-        "external submit took {latency:?} to complete against a parked pool"
-    );
+    // Whether 30 ms is enough for a helper to climb its ladder into a park
+    // depends on how long its `yield_now` rungs take, i.e. on what else
+    // wants the cores; counters only surface when a window closes. So idle
+    // a window, submit, close, and look — again until helpers did park.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        pool.serve();
+        std::thread::sleep(Duration::from_millis(30));
+        let t0 = Instant::now();
+        let h = pool.spawn(|| 123u32);
+        assert_eq!(h.join(), 123);
+        let latency = t0.elapsed();
+        let snap = pool.shutdown();
+        assert!(
+            latency < Duration::from_secs(5),
+            "external submit took {latency:?} to complete against a parked pool"
+        );
+        if snap.parks() > 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "helpers never parked in any 30ms idle window"
+        );
+    }
 }
 
 /// `join` from inside a task (i.e. on a worker thread) must help run work
@@ -152,6 +172,80 @@ fn worker_side_join_helps_instead_of_blocking() {
         inner.join() + 2
     });
     assert_eq!(h.join(), 42);
+    pool.shutdown();
+}
+
+/// A worker waiting on a stolen `join` arm runs the same loop as an idle
+/// helper, injector included: with both other helpers held inside stolen
+/// arms, an external batch is served by the waiter. The tail it requeues
+/// can outlive the inner wait, so the enclosing `join` finds it in the
+/// deque where its own (stolen) arm used to be and runs it as ordinary work.
+#[test]
+fn join_waiter_serves_the_injector() {
+    fn wait(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !flag.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "the serve window is stuck");
+            std::thread::yield_now();
+        }
+    }
+    let flag = || Arc::new(AtomicBool::new(false));
+    let (outer_stolen, inner_stolen, batch_started) = (flag(), flag(), flag());
+    let (release_outer, release_inner, release_batch) = (flag(), flag(), flag());
+
+    // ABP deques: thieves need no exposure from the spinning owner.
+    let pool = ThreadPool::new(Variant::Ws, 4);
+    pool.serve();
+    let task = {
+        let (outer_stolen, inner_stolen) = (outer_stolen.clone(), inner_stolen.clone());
+        let (release_outer, release_inner) = (release_outer.clone(), release_inner.clone());
+        pool.spawn(move || {
+            lcws_core::join(
+                || {
+                    lcws_core::join(
+                        // Holds the owner until a thief has the inner arm
+                        // (and so, top first, the outer one too).
+                        || wait(&inner_stolen),
+                        || {
+                            inner_stolen.store(true, Ordering::SeqCst);
+                            wait(&release_inner);
+                        },
+                    )
+                },
+                || {
+                    outer_stolen.store(true, Ordering::SeqCst);
+                    wait(&release_outer);
+                },
+            );
+        })
+    };
+    wait(&outer_stolen);
+    wait(&inner_stolen);
+    // Two helpers sit in the arms; the third waits on the inner join and is
+    // the only one who can take this batch: it runs the head and requeues
+    // the tail, which nobody is free to steal.
+    let batch = pool.spawn_batch((0..4).map(|i| {
+        let (batch_started, release_batch) = (batch_started.clone(), release_batch.clone());
+        move || {
+            if i == 0 {
+                batch_started.store(true, Ordering::SeqCst);
+            }
+            wait(&release_batch);
+            if i != 0 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+    }));
+    wait(&batch_started);
+    // End the inner wait while the head still runs, then the head: the
+    // waiter returns to the outer join with tail tasks still queued.
+    release_inner.store(true, Ordering::SeqCst);
+    std::thread::sleep(Duration::from_millis(1));
+    release_batch.store(true, Ordering::SeqCst);
+    std::thread::sleep(Duration::from_millis(1));
+    release_outer.store(true, Ordering::SeqCst);
+    task.join();
+    batch.into_iter().for_each(|h| h.join());
     pool.shutdown();
 }
 

@@ -55,6 +55,11 @@ fn sound_matrix() -> Vec<(String, Variant, Policies)> {
     let mut p = Policies::signal();
     p.steal = StealAmount::Half;
     out.push(("signal+steal-half".into(), Variant::Signal, p));
+    // ...and with it: the pairing the batch axis was built for (opt-in
+    // since the named composition went back to the paper's one per CAS).
+    let mut p = Policies::signal_half();
+    p.steal = StealAmount::Half;
+    out.push(("half+steal-half".into(), Variant::SignalHalf, p));
     // Flag exposure over the signal-safe pop: owner-synchronous, so sound.
     let mut p = Policies::uslcws();
     p.pop_bottom = PopBottomMode::SignalSafe;
@@ -205,8 +210,14 @@ fn near_first_victims_sustain_a_steal_heavy_run() {
 fn expose_half_batches_transfer_more_than_one_task_per_cas() {
     const TASKS: u64 = 3_000;
     let mut best = (0u64, 0u64);
+    // Explicit opt-in: the named composition steals one task per CAS.
+    let mut p = Policies::signal_half();
+    p.steal = StealAmount::Half;
     for _attempt in 0..25 {
-        let pool = PoolBuilder::new(Variant::SignalHalf).threads(4).build();
+        let pool = PoolBuilder::new(Variant::SignalHalf)
+            .policies(p)
+            .threads(4)
+            .build();
         let executed = AtomicU64::new(0);
         let (_, snap) = pool.run_measured(|| {
             scope(|s| {

@@ -9,6 +9,15 @@ use std::time::{Duration, Instant};
 
 use lcws_core::{scope, Counter, IdlePolicy, PoolBuilder, Variant};
 
+/// The tests below that assert on wall-clock shapes (idle-iteration
+/// ratios, spurious-wake counts, per-round latency) take this lock: two of
+/// them at once on a two-core host starve each other's helpers through
+/// their `yield_now` rungs and measure that instead.
+fn timing_sensitive() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Burn CPU (not sleep — the worker must look busy to the scheduler) for
 /// roughly `d`.
 fn busy_for(d: Duration) {
@@ -93,6 +102,7 @@ fn teardown_joins_workers_that_were_parked() {
 /// run with `--nocapture` to see them.)
 #[test]
 fn adaptive_idle_cuts_idle_iters_10x_on_sequential_task() {
+    let _serial = timing_sensitive();
     let measure = |policy: IdlePolicy| {
         let pool = PoolBuilder::new(Variant::Ws)
             .threads(2)
@@ -125,12 +135,13 @@ fn adaptive_idle_cuts_idle_iters_10x_on_sequential_task() {
 /// Regression (PR 8 satellite): a join waiter parked on a stolen arm used
 /// to be woken by nothing but the 1ms timed-park backstop — an 80ms stolen
 /// arm meant ~80 spurious timeout wakes while the joiner polled `done`.
-/// Completion now delivers a targeted wake through the job's waiter slot
-/// (and registered waiters park with the longer 50ms backstop), so the
+/// Completion now delivers a targeted wake to the arm's owner (and workers
+/// waiting on a completion park with the longer 50ms backstop), so the
 /// spurious count collapses: the joiner eats at most a couple of backstop
 /// expiries plus scheduling noise, not one per millisecond.
 #[test]
 fn join_completion_wake_is_targeted_not_polled() {
+    let _serial = timing_sensitive();
     let pool = PoolBuilder::new(Variant::Ws).threads(2).build();
     let (_, snap) = pool.run_measured(|| {
         lcws_core::join(
@@ -156,17 +167,17 @@ fn join_completion_wake_is_targeted_not_polled() {
     );
 }
 
-/// Regression (this PR's headline bugfix): `JoinHandle::join` from *inside*
-/// a pool worker goes through `help_until`, which used to park under the
-/// plain 1ms backstop with no targeted completion wake — the task's
-/// completer had nowhere to record who was waiting, so a worker joining an
-/// 80ms spawned task burned ~80 spurious backstop expiries polling `done`.
-/// `TaskState` now carries a waiter slot mirroring `Job::waiter` (PR 8):
-/// the joiner registers its index, parks with the lazy 50ms waiter
-/// backstop, and `complete` delivers a targeted `wake_worker`. The
-/// spurious count across the 70ms wait collapses to scheduling noise.
+/// Regression (PR 10's headline bugfix): `JoinHandle::join` from *inside*
+/// a pool worker used to park under the plain 1ms backstop with no
+/// targeted completion wake — the task's completer had nowhere to record
+/// who was waiting, so a worker joining an 80ms spawned task burned ~80
+/// spurious backstop expiries polling `done`. `TaskState` carries a waiter
+/// slot: the joiner names itself, parks with the lazy 50ms waiter backstop,
+/// and `complete` delivers a targeted `wake_worker`. The spurious count
+/// across the 70ms wait collapses to scheduling noise.
 #[test]
 fn worker_side_handle_join_wake_is_targeted_not_polled() {
+    let _serial = timing_sensitive();
     // threads(3) ⇒ two serve-mode helpers: one to sleep inside the slow
     // task, one to run the joiner. (With a single helper the two tasks
     // would serialize and the join would never wait at all.)
@@ -198,6 +209,117 @@ fn worker_side_handle_join_wake_is_targeted_not_polled() {
         "worker-side join still poll-waking: {spurious} spurious wakes across \
          an 80ms spawned task (the untargeted 1ms-backstop regime produced ~80)"
     );
+}
+
+/// Regression (lost completion wake): a thief used to publish a stolen
+/// `join` arm's `done` with a Release store and then look for the owner in
+/// the sleeper mask — store-buffering, so the store could still be in flight
+/// when the mask read missed an owner who was just then announcing itself
+/// and rechecking `done`. Both sides missed, and the owner slept out its
+/// whole 50 ms waiter backstop: PBBS rounds under `uslcws` came in steps of
+/// exactly 50 ms. Completion is now a SeqCst publish followed by the wake,
+/// against the waiter's SeqCst announce followed by a SeqCst recheck.
+///
+/// Each round hands the second arm to the other worker and sizes it so the
+/// owner has climbed to `IdleAction::Park` by the time it finishes, with
+/// private work left in the thief's deque until the very end — under USLCWS
+/// that keeps the owner cycling announce → recheck → abort, so completion
+/// keeps landing inside that window. A lost wake shows as one round taking
+/// a backstop instead of a few hundred microseconds, and as a timeout
+/// counted in `SpuriousWake`. The scope drain and the worker-side
+/// `JoinHandle::join` wait through the same loop and are further inputs.
+///
+/// The window is a property of optimized code: with the old protocol one
+/// round in a hundred stalled under `cargo test --release`, about one in
+/// 15 000 in a debug build (whose spills keep the store buffer too full for
+/// the mask read to overtake the `done` store). CI runs this in release.
+#[test]
+fn completion_wakes_are_never_lost() {
+    let _serial = timing_sensitive();
+    const ROUNDS: usize = 3_000;
+    // Half the waiter backstop: far above a round (~0.4 ms), far below a
+    // slept-out backstop.
+    const STALL: Duration = Duration::from_millis(25);
+    let us = Duration::from_micros;
+    // The arm the waiter does *not* run: an inner join keeps one private
+    // task in the executor's deque while the long half runs.
+    let longer = move || {
+        lcws_core::join(|| busy_for(us(250)), || ());
+    };
+    // What the waiter does first: the inner join is the task boundary at
+    // which a USLCWS owner serves the thief's exposure request, and its
+    // second half gives the thief time to take what was exposed.
+    let short = move || {
+        lcws_core::join(|| busy_for(us(20)), || busy_for(us(80)));
+    };
+    // `batch` runs ROUNDS rounds and returns the slowest one with the
+    // batch's counters. A lost wake recurs in every batch (dozens of rounds
+    // each); a neighbour taking the core for 25 ms does not, so a batch
+    // that shows a stall gets two more tries before it counts.
+    let check = |shape: &str, batch: &dyn Fn() -> (Duration, lcws_core::Snapshot)| {
+        let mut seen = Vec::new();
+        for _attempt in 0..3 {
+            let (worst, snap) = batch();
+            assert!(
+                snap.parks() > 0,
+                "{shape}: no waiter ever parked — the shape guards nothing"
+            );
+            let spurious = snap.get(Counter::SpuriousWake);
+            if worst < STALL && spurious <= 30 {
+                return;
+            }
+            seen.push((worst, spurious));
+        }
+        panic!(
+            "{shape}: completion wakes are being lost — (slowest round, parks \
+             ended by their backstop) over three batches of {ROUNDS} \
+             sub-millisecond waits: {seen:?}"
+        );
+    };
+    let timed = |round: &dyn Fn()| {
+        let mut worst = Duration::ZERO;
+        for _ in 0..ROUNDS {
+            let t0 = Instant::now();
+            round();
+            worst = worst.max(t0.elapsed());
+        }
+        worst
+    };
+
+    let pool = PoolBuilder::new(Variant::UsLcws).threads(2).build();
+    check("join", &|| {
+        pool.run_measured(|| {
+            timed(&|| {
+                lcws_core::join(short, longer);
+            })
+        })
+    });
+    check("scope drain", &|| {
+        pool.run_measured(|| {
+            timed(&|| {
+                scope(|s| {
+                    s.spawn(longer);
+                    short();
+                })
+            })
+        })
+    });
+    // A serve window runs on helpers only: three workers give the joiner a
+    // peer to wait for.
+    let pool = std::sync::Arc::new(PoolBuilder::new(Variant::UsLcws).threads(3).build());
+    check("handle join", &|| {
+        pool.serve();
+        let worst = timed(&|| {
+            let inner_pool = std::sync::Arc::clone(&pool);
+            pool.spawn(move || {
+                let h = inner_pool.spawn(move || busy_for(us(250)));
+                busy_for(us(100));
+                h.join()
+            })
+            .join()
+        });
+        (worst, pool.shutdown())
+    });
 }
 
 /// Parks must not perturb correctness-critical accounting: a run that

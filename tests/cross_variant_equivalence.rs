@@ -98,6 +98,9 @@ fn checksums_agree_across_policy_compositions() {
         let mut p = Policies::signal();
         p.steal = StealAmount::Half;
         check("signal+steal-half", Variant::Signal, p);
+        let mut p = Policies::signal_half();
+        p.steal = StealAmount::Half;
+        check("half+steal-half", Variant::SignalHalf, p);
     }
 }
 
