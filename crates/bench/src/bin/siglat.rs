@@ -18,7 +18,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lcws_core::{par_for_grain, EventKind, PoolBuilder, Trace, Variant};
+use lcws_core::{par_for_grain, Event, PoolBuilder, Trace, Variant};
 
 struct Config {
     threads: usize,
@@ -115,8 +115,8 @@ fn main() {
         );
         let trace = pool.take_trace().expect("traced run must leave a trace");
         latencies.extend(trace.signal_latencies_ns());
-        let signal_events = trace.of_kind(EventKind::SignalSend).count()
-            + trace.of_kind(EventKind::HandlerEntry).count();
+        let signal_events =
+            trace.of_kind(Event::SignalSend).count() + trace.of_kind(Event::HandlerEntry).count();
         if signal_events >= best_signal_events {
             best_signal_events = signal_events;
             best_trace = Some(trace);

@@ -5,7 +5,7 @@
 //! sweep and derive every artifact from the same data (cheaper and more
 //! internally consistent than per-figure sweeps).
 
-use lcws_core::{Counter, Variant};
+use lcws_core::{Event, Variant};
 
 use crate::report::Report;
 use crate::stats::{fraction_above, geomean, BoxStats};
@@ -40,19 +40,19 @@ pub fn fig3(ms: &[Measurement]) -> Report {
         &mut r,
         "fig3a_fence_ratio",
         "(a) USLCWS memory fences / WS memory fences",
-        &metric_ratios(ms, Variant::UsLcws, Variant::Ws, Counter::Fence),
+        &metric_ratios(ms, Variant::UsLcws, Variant::Ws, Event::Fence),
     );
     box_section(
         &mut r,
         "fig3b_cas_ratio",
         "(b) USLCWS CAS / WS CAS",
-        &metric_ratios(ms, Variant::UsLcws, Variant::Ws, Counter::Cas),
+        &metric_ratios(ms, Variant::UsLcws, Variant::Ws, Event::Cas),
     );
     box_section(
         &mut r,
         "fig3c_steal_ratio",
         "(c) successful steals USLCWS / successful steals WS",
-        &metric_ratios(ms, Variant::UsLcws, Variant::Ws, Counter::StealOk),
+        &metric_ratios(ms, Variant::UsLcws, Variant::Ws, Event::StealOk),
     );
     box_section(
         &mut r,
@@ -141,19 +141,19 @@ pub fn fig8(ms: &[Measurement]) -> Report {
         &mut r,
         "fig8a_fence_ratio_ws",
         "(a) Signal memory fences / WS memory fences",
-        &metric_ratios(ms, Variant::Signal, Variant::Ws, Counter::Fence),
+        &metric_ratios(ms, Variant::Signal, Variant::Ws, Event::Fence),
     );
     box_section(
         &mut r,
         "fig8b_cas_ratio_ws",
         "(b) Signal CAS / WS CAS",
-        &metric_ratios(ms, Variant::Signal, Variant::Ws, Counter::Cas),
+        &metric_ratios(ms, Variant::Signal, Variant::Ws, Event::Cas),
     );
     box_section(
         &mut r,
         "fig8c_steals_ratio_ws",
         "(c) Signal successful steals / WS successful steals",
-        &metric_ratios(ms, Variant::Signal, Variant::Ws, Counter::StealOk),
+        &metric_ratios(ms, Variant::Signal, Variant::Ws, Event::StealOk),
     );
     box_section(
         &mut r,
@@ -165,19 +165,19 @@ pub fn fig8(ms: &[Measurement]) -> Report {
         &mut r,
         "fig8e_fence_ratio_uslcws",
         "(e) Signal memory fences / USLCWS memory fences",
-        &metric_ratios(ms, Variant::Signal, Variant::UsLcws, Counter::Fence),
+        &metric_ratios(ms, Variant::Signal, Variant::UsLcws, Event::Fence),
     );
     box_section(
         &mut r,
         "fig8f_cas_ratio_uslcws",
         "(f) Signal CAS / USLCWS CAS",
-        &metric_ratios(ms, Variant::Signal, Variant::UsLcws, Counter::Cas),
+        &metric_ratios(ms, Variant::Signal, Variant::UsLcws, Event::Cas),
     );
     box_section(
         &mut r,
         "fig8g_steals_ratio_uslcws",
         "(g) Signal successful steals / USLCWS successful steals",
-        &metric_ratios(ms, Variant::Signal, Variant::UsLcws, Counter::StealOk),
+        &metric_ratios(ms, Variant::Signal, Variant::UsLcws, Event::StealOk),
     );
     // (h): unstolen-exposure ratio Signal / USLCWS per configuration.
     {

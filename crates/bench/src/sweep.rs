@@ -338,7 +338,7 @@ pub fn metric_ratios(
     ms: &[Measurement],
     variant: Variant,
     base: Variant,
-    counter: lcws_core::Counter,
+    counter: lcws_core::Event,
 ) -> std::collections::BTreeMap<usize, Vec<f64>> {
     let idx = by_config(ms);
     let mut out: std::collections::BTreeMap<usize, Vec<f64>> = Default::default();

@@ -5,15 +5,15 @@
 use lcws_bench::figures;
 use lcws_bench::sweep::{by_config, metric_ratios, speedups_vs_ws, Measurement};
 use lcws_core::Variant;
-use lcws_metrics::{Collector, Counter, Snapshot};
+use lcws_metrics::{Collector, Event, Snapshot};
 
 fn snap(fences: u64, cas: u64, steals: u64, exposures: u64, owner_pops: u64) -> Snapshot {
     let c = Collector::new();
-    c.add(Counter::Fence, fences);
-    c.add(Counter::Cas, cas);
-    c.add(Counter::StealOk, steals);
-    c.add(Counter::Exposure, exposures);
-    c.add(Counter::OwnerPublicPop, owner_pops);
+    c.add(Event::Fence, fences);
+    c.add(Event::Cas, cas);
+    c.add(Event::StealOk, steals);
+    c.add(Event::Exposure, exposures);
+    c.add(Event::OwnerPublicPop, owner_pops);
     c.snapshot()
 }
 
@@ -136,7 +136,7 @@ fn speedups_join_on_config_and_threads() {
 #[test]
 fn metric_ratios_match_hand_computation() {
     let ms = sample_measurements();
-    let r = metric_ratios(&ms, Variant::UsLcws, Variant::Ws, Counter::Fence);
+    let r = metric_ratios(&ms, Variant::UsLcws, Variant::Ws, Event::Fence);
     let mut p2 = r[&2].clone();
     p2.sort_by(f64::total_cmp);
     assert!((p2[0] - 100.0 / 10_000.0).abs() < 1e-12);

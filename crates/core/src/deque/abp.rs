@@ -14,7 +14,7 @@
 use std::sync::atomic::Ordering;
 
 use crossbeam_utils::CachePadded;
-use lcws_metrics as metrics;
+use lcws_metrics::{self as metrics, Event};
 
 use crate::age::{Age, AtomicAge};
 use crate::deque::ring::GrowableRing;
@@ -90,8 +90,7 @@ impl AbpDeque {
         });
         self.bot.store(b.wrapping_add(1), Ordering::Release);
         shim::fence_seq_cst();
-        metrics::bump(metrics::Counter::Push);
-        trace::record(trace::EventKind::Push, b.wrapping_add(1));
+        trace::emit(Event::Push, 1, b.wrapping_add(1));
         Ok(())
     }
 
@@ -128,8 +127,7 @@ impl AbpDeque {
         let task = self.ring.owner().slot(b1).load(Ordering::Relaxed);
         let old_age = self.age.load(Ordering::Relaxed);
         if sdist(b1, old_age.top) > 0 {
-            metrics::bump(metrics::Counter::LocalPop);
-            trace::record(trace::EventKind::LocalPop, b1);
+            trace::emit(Event::LocalPop, 1, b1);
             return Some(task);
         }
         // Zero or one task left: reset and possibly race thieves for it.
@@ -149,8 +147,7 @@ impl AbpDeque {
                 .compare_exchange(old_age, new_age, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                metrics::bump(metrics::Counter::LocalPop);
-                trace::record(trace::EventKind::LocalPop, 0);
+                trace::emit(Event::LocalPop, 1, 0);
                 return Some(task);
             }
         }
@@ -161,7 +158,7 @@ impl AbpDeque {
     /// Thief: steal the top-most task.
     pub fn pop_top(&self) -> Steal {
         fault::point(Site::PopTop);
-        metrics::bump(metrics::Counter::StealAttempt);
+        metrics::bump(Event::StealAttempt);
         let old_age = self.age.load(Ordering::Acquire);
         let b = self.bot.load(Ordering::Acquire);
         if sdist(b, old_age.top) > 0 {
@@ -180,7 +177,7 @@ impl AbpDeque {
             // Forced fire: lose the CAS race outright (chaos tests use this
             // to exercise the Abort path deterministically).
             if fault::fail_at(Site::PopTop) {
-                metrics::bump(metrics::Counter::StealAbort);
+                metrics::bump(Event::StealAbort);
                 return Steal::Abort;
             }
             metrics::record_cas();
@@ -191,10 +188,10 @@ impl AbpDeque {
                 .compare_exchange(old_age, new_age, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                metrics::bump(metrics::Counter::StealOk);
+                metrics::bump(Event::StealOk);
                 return Steal::Ok(task);
             }
-            metrics::bump(metrics::Counter::StealAbort);
+            metrics::bump(Event::StealAbort);
             return Steal::Abort;
         }
         Steal::Empty

@@ -47,7 +47,7 @@
 use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::Ordering;
 
-use lcws_metrics as metrics;
+use lcws_metrics::Event;
 
 use crate::deque::{sdist, DequeFull};
 use crate::fault::{self, Site};
@@ -232,8 +232,7 @@ impl GrowableRing {
             .store(new_ptr, hb::negative::grow_publish_order());
         // Retired rings stay readable (never written) until quiescence.
         unsafe { (*self.retired.get()).push(old as *const RingBuffer as *mut RingBuffer) };
-        metrics::bump(metrics::Counter::DequeGrow);
-        trace::record(trace::EventKind::DequeGrow, new_buf.capacity());
+        trace::emit(Event::DequeGrow, 1, new_buf.capacity());
         Ok(new_buf)
     }
 

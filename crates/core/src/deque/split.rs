@@ -57,7 +57,7 @@
 use std::sync::atomic::Ordering;
 
 use crossbeam_utils::CachePadded;
-use lcws_metrics as metrics;
+use lcws_metrics::{self as metrics, Event};
 
 use crate::age::{Age, AtomicAge};
 use crate::deque::ring::GrowableRing;
@@ -196,8 +196,7 @@ impl SplitDeque {
         hb::on_write(buf.slot(b) as *const _ as usize, "split slot (push_bottom)");
         buf.slot(b).store(task, Ordering::Relaxed);
         self.bot.store(b.wrapping_add(1), Ordering::Relaxed);
-        metrics::bump(metrics::Counter::Push);
-        trace::record(trace::EventKind::Push, b.wrapping_add(1));
+        trace::emit(Event::Push, 1, b.wrapping_add(1));
         Ok(())
     }
 
@@ -234,8 +233,7 @@ impl SplitDeque {
                 let b1 = b.wrapping_sub(1);
                 self.bot.store(b1, Ordering::Relaxed);
                 let task = self.ring.owner().slot(b1).load(Ordering::Relaxed);
-                metrics::bump(metrics::Counter::LocalPop);
-                trace::record(trace::EventKind::LocalPop, b1);
+                trace::emit(Event::LocalPop, 1, b1);
                 Some(task)
             }
             PopBottomMode::SignalSafe => {
@@ -258,8 +256,7 @@ impl SplitDeque {
                     return None;
                 }
                 let task = self.ring.owner().slot(b1).load(Ordering::Relaxed);
-                metrics::bump(metrics::Counter::LocalPop);
-                trace::record(trace::EventKind::LocalPop, b1);
+                trace::emit(Event::LocalPop, 1, b1);
                 Some(task)
             }
         }
@@ -301,8 +298,7 @@ impl SplitDeque {
             // method is only called when pop_bottom failed), so `bot`
             // follows the boundary.
             self.bot.store(pb, Ordering::Relaxed);
-            metrics::bump(metrics::Counter::OwnerPublicPop);
-            trace::record(trace::EventKind::PublicPop, pb);
+            trace::emit(Event::OwnerPublicPop, 1, pb);
             return Some(task);
         }
         // At most one public task remains and thieves may be racing for it:
@@ -332,8 +328,7 @@ impl SplitDeque {
             false
         };
         let result = if won {
-            metrics::bump(metrics::Counter::OwnerPublicPop);
-            trace::record(trace::EventKind::PublicPop, 0);
+            trace::emit(Event::OwnerPublicPop, 1, 0);
             Some(task)
         } else {
             // A thief took it (or top had already moved past us): make the
@@ -357,7 +352,7 @@ impl SplitDeque {
     /// returns PRIVATE_WORK"); we implement the specified semantics.
     pub fn pop_top(&self) -> Steal {
         fault::point(Site::PopTop);
-        metrics::bump(metrics::Counter::StealAttempt);
+        metrics::bump(Event::StealAttempt);
         let old_age = self.age.load(Ordering::Acquire);
         let pb = self.public_bot.load(Ordering::Acquire);
         if sdist(pb, old_age.top) > 0 {
@@ -375,7 +370,7 @@ impl SplitDeque {
             // forced fire models losing the race outright (the chaos tests
             // use it to exercise the Abort path deterministically).
             if fault::fail_at(Site::PopTop) {
-                metrics::bump(metrics::Counter::StealAbort);
+                metrics::bump(Event::StealAbort);
                 return Steal::Abort;
             }
             metrics::record_cas();
@@ -385,17 +380,17 @@ impl SplitDeque {
                 .is_ok()
             {
                 hb::commit_read(pending);
-                metrics::bump(metrics::Counter::StealOk);
+                metrics::bump(Event::StealOk);
                 return Steal::Ok(task);
             }
-            metrics::bump(metrics::Counter::StealAbort);
+            metrics::bump(Event::StealAbort);
             return Steal::Abort;
         }
         // Public part empty: report whether private work exists so the thief
         // can request exposure. `bot` is an owner-local field read racily —
         // a stale value only costs a wasted notification or a retry.
         if sdist(pb, self.bot.load(Ordering::Relaxed)) < 0 {
-            metrics::bump(metrics::Counter::StealPrivate);
+            metrics::bump(Event::StealPrivate);
             Steal::PrivateWork
         } else {
             Steal::Empty
@@ -439,7 +434,7 @@ impl SplitDeque {
     /// the paper's steal-half fairness argument on the thief side.
     pub fn pop_top_batch(&self, extras: &mut Vec<*mut Job>, max_extra: usize) -> Steal {
         fault::point(Site::PopTop);
-        metrics::bump(metrics::Counter::StealAttempt);
+        metrics::bump(Event::StealAttempt);
         let old_age = self.age.load(Ordering::Acquire);
         let pb = self.public_bot.load(Ordering::Acquire);
         let avail = sdist(pb, old_age.top);
@@ -472,7 +467,7 @@ impl SplitDeque {
             let new_age = old_age.with_top_advanced(k as u32);
             // Same stretchable read-age → CAS window as the scalar steal.
             if fault::fail_at(Site::PopTop) {
-                metrics::bump(metrics::Counter::StealAbort);
+                metrics::bump(Event::StealAbort);
                 return Steal::Abort;
             }
             metrics::record_cas();
@@ -484,18 +479,18 @@ impl SplitDeque {
                 for pend in pending.iter_mut().take(k) {
                     hb::commit_read(pend.take().expect("pending read recorded above"));
                 }
-                metrics::bump(metrics::Counter::StealOk);
+                metrics::bump(Event::StealOk);
                 if k > 1 {
-                    metrics::bump_by(metrics::Counter::StealBatchTask, (k - 1) as u64);
+                    metrics::bump_by(Event::StealBatchTask, (k - 1) as u64);
                     extras.extend_from_slice(&tasks[1..k]);
                 }
                 return Steal::Ok(tasks[0]);
             }
-            metrics::bump(metrics::Counter::StealAbort);
+            metrics::bump(Event::StealAbort);
             return Steal::Abort;
         }
         if sdist(pb, self.bot.load(Ordering::Relaxed)) < 0 {
-            metrics::bump(metrics::Counter::StealPrivate);
+            metrics::bump(Event::StealPrivate);
             Steal::PrivateWork
         } else {
             Steal::Empty
@@ -549,10 +544,9 @@ impl SplitDeque {
             // slot contents before the moved boundary.
             self.public_bot
                 .store(pb.wrapping_add(exposed), Ordering::Release);
-            metrics::bump_by(metrics::Counter::Exposure, exposed as u64);
-            // May run in signal-handler context; the trace record is
-            // async-signal-safe by design (see `crate::trace`).
-            trace::record(trace::EventKind::Expose, exposed);
+            // May run in signal-handler context; both halves of the call
+            // are async-signal-safe by design (see `crate::trace`).
+            trace::emit(Event::Exposure, exposed as u64, exposed);
         }
         exposed
     }
@@ -576,8 +570,7 @@ impl SplitDeque {
             // update_public_bottom: thieves must see the slot contents
             // before the moved boundary.
             self.public_bot.store(b, Ordering::Release);
-            metrics::bump_by(metrics::Counter::Exposure, exposed as u64);
-            trace::record(trace::EventKind::Expose, exposed);
+            trace::emit(Event::Exposure, exposed as u64, exposed);
         }
         exposed
     }

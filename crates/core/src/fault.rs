@@ -297,7 +297,7 @@ mod active {
                 return false;
             }
             self.fires[s].fetch_add(1, Ordering::Relaxed);
-            lcws_metrics::bump(lcws_metrics::Counter::FaultInjected);
+            lcws_metrics::bump(lcws_metrics::Event::FaultInjected);
             for _ in 0..cfg.delay_spins {
                 std::hint::spin_loop();
             }

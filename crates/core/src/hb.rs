@@ -347,7 +347,7 @@ mod imp {
             );
             eprintln!("{msg}");
             self.reports.push(msg);
-            lcws_metrics::bump(lcws_metrics::Counter::HbReport);
+            lcws_metrics::bump(lcws_metrics::Event::HbReport);
         }
 
         /// The conflict scan for a read of `addr`; returns the racing write

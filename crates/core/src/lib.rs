@@ -92,8 +92,8 @@ pub use signal::EXPOSE_SIGNAL;
 pub use sleep::IdlePolicy;
 #[cfg(feature = "trace")]
 pub use trace::Trace;
-pub use trace::{EventKind, TraceEvent};
+pub use trace::TraceEvent;
 pub use variant::{ParseVariantError, Variant};
 
 // Re-export the metrics surface users need to interpret `run_measured`.
-pub use lcws_metrics::{Counter, Snapshot};
+pub use lcws_metrics::{Event, Snapshot};

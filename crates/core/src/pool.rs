@@ -27,7 +27,7 @@ use std::thread::JoinHandle as ThreadJoinHandle;
 use std::time::Duration;
 
 use crossbeam_utils::CachePadded;
-use lcws_metrics::{Collector, Counter, Snapshot};
+use lcws_metrics::{Collector, Event, Snapshot};
 use parking_lot::{Condvar, Mutex};
 
 use crate::deque::{AbpDeque, SplitDeque, DEFAULT_DEQUE_CAPACITY};
@@ -36,8 +36,7 @@ use crate::injector::{Injector, JoinHandle, TaskState};
 use crate::job::{HeapJob, Job, NO_WORKER};
 use crate::policy::Policies;
 use crate::signal;
-use crate::sleep::{IdlePolicy, Sleep, PARK_TIMEOUT};
-#[cfg(feature = "trace")]
+use crate::sleep::{Sleep, PARK_TIMEOUT};
 use crate::trace;
 use crate::variant::Variant;
 use crate::worker::{current_ctx, WorkerCtx};
@@ -118,12 +117,11 @@ pub(crate) struct WorkerShared {
 }
 
 impl WorkerShared {
-    fn new(
-        policies: &Policies,
-        capacity: usize,
-        #[cfg(feature = "trace")] index: usize,
-        #[cfg(feature = "trace")] trace_capacity: usize,
-    ) -> WorkerShared {
+    /// Slot `index` of a pool built from `builder` (only the trace ring
+    /// needs to know which slot it is).
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+    fn new(policies: &Policies, builder: &PoolBuilder, index: usize) -> WorkerShared {
+        let capacity = builder.deque_capacity;
         let deque = if policies.uses_split_deque() {
             AnyDeque::Split(SplitDeque::new(capacity))
         } else {
@@ -137,7 +135,7 @@ impl WorkerShared {
             fallback_expose: CachePadded::new(AtomicBool::new(false)),
             dead: AtomicBool::new(false),
             #[cfg(feature = "trace")]
-            trace: trace::TraceRing::new(index as u16, trace_capacity),
+            trace: trace::TraceRing::new(index as u16, builder.trace_capacity),
         }
     }
 }
@@ -196,6 +194,17 @@ pub(crate) struct PoolInner {
 }
 
 impl PoolInner {
+    /// `n` submitted jobs reached the injector: account them and wake a
+    /// worker. External threads have no TLS metrics cells to flush, so
+    /// the ingress count goes to the collector directly (this is why the
+    /// site is not a `trace::emit`); the trace half is a no-op unless the
+    /// submitter is itself a worker thread.
+    fn published(&self, n: usize) {
+        self.collector.add(Event::InjectorPush, n as u64);
+        trace::record(Event::InjectorPush, n as u32);
+        self.sleep.wake_one();
+    }
+
     /// Completion side of the serve window's outstanding count, called by
     /// every spawned task's wrapper (and by `spawn`'s validation undo).
     ///
@@ -224,8 +233,6 @@ pub struct PoolBuilder {
     policies: Option<Policies>,
     threads: Option<usize>,
     deque_capacity: usize,
-    /// Explicit idle-policy override; `None` defers to the bundle's choice.
-    idle: Option<IdlePolicy>,
     stall_timeout: Option<Duration>,
     #[cfg(feature = "trace")]
     trace_capacity: usize,
@@ -239,7 +246,6 @@ impl PoolBuilder {
             policies: None,
             threads: None,
             deque_capacity: DEFAULT_DEQUE_CAPACITY,
-            idle: None,
             stall_timeout: None,
             #[cfg(feature = "trace")]
             trace_capacity: trace::DEFAULT_TRACE_CAPACITY,
@@ -272,14 +278,6 @@ impl PoolBuilder {
     /// pays — it is no longer a hard limit.
     pub fn deque_capacity(mut self, capacity: usize) -> PoolBuilder {
         self.deque_capacity = capacity;
-        self
-    }
-
-    /// How idle workers behave: [`IdlePolicy::Adaptive`] (default) parks
-    /// fully-escalated idlers; [`IdlePolicy::SpinOnly`] reproduces the
-    /// old always-runnable busy-wait for idle-cost comparisons.
-    pub fn idle_policy(mut self, idle: IdlePolicy) -> PoolBuilder {
-        self.idle = Some(idle);
         self
     }
 
@@ -316,26 +314,16 @@ impl PoolBuilder {
                 .unwrap_or(1)
         });
         // Resolve the policy bundle: explicit override, else the variant's
-        // composition; the idle override folds in so workers consult one
-        // place. An unsound bundle never reaches a worker.
-        let mut policies = self.policies.unwrap_or_else(|| self.variant.policies());
-        if let Some(idle) = self.idle {
-            policies.idle = idle;
-        }
+        // composition. An unsound bundle never reaches a worker.
+        let policies = self.policies.unwrap_or_else(|| self.variant.policies());
         if let Err(e) = policies.validate() {
             panic!("invalid policy bundle for {} pool: {e}", self.variant);
         }
         if policies.uses_signals() {
             signal::install_handler();
         }
-        #[cfg(not(feature = "trace"))]
         let workers = (0..threads)
-            .map(|_| WorkerShared::new(&policies, self.deque_capacity))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        #[cfg(feature = "trace")]
-        let workers = (0..threads)
-            .map(|i| WorkerShared::new(&policies, self.deque_capacity, i, self.trace_capacity))
+            .map(|index| WorkerShared::new(&policies, &self, index))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let inner = Arc::new(PoolInner {
@@ -365,22 +353,7 @@ impl PoolBuilder {
         });
         let mut handles = Vec::with_capacity(threads.saturating_sub(1));
         for index in 1..threads {
-            let worker_inner = Arc::clone(&inner);
-            let builder =
-                std::thread::Builder::new().name(format!("lcws-{}-{index}", self.variant.name()));
-            let spawned = if crate::fault::fail_at(crate::fault::Site::ThreadSpawn) {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::WouldBlock,
-                    "injected worker-spawn failure",
-                ))
-            } else {
-                let fork = hb::fork_token();
-                builder.spawn(move || {
-                    hb::join_token(fork);
-                    worker_main(worker_inner, index, 0)
-                })
-            };
-            match spawned {
+            match spawn_helper(&inner, index, 0) {
                 Ok(h) => handles.push(Some(h)),
                 Err(e) => {
                     // Partial-build cleanup: the workers spawned so far are
@@ -399,7 +372,7 @@ impl PoolBuilder {
                             // A helper that died before the teardown would
                             // silently vanish here; surface it instead.
                             panicked += 1;
-                            inner.collector.add(Counter::WorkerDeath, 1);
+                            inner.collector.add(Event::WorkerDeath, 1);
                             eprintln!(
                                 "lcws: worker panicked during partial-build \
                                  teardown: {}",
@@ -505,7 +478,7 @@ impl ThreadPool {
         let ctx = WorkerCtx::new(pool, 0);
         let result = {
             let _guard = ctx.install();
-            crate::trace::record(crate::trace::EventKind::RunStart, pool.workers.len() as u32);
+            trace::record(Event::RunStart, pool.workers.len() as u32);
             panic::catch_unwind(AssertUnwindSafe(f))
         };
 
@@ -536,8 +509,8 @@ impl ThreadPool {
         lcws_metrics::reset_local();
         pool.collector.reset();
         pool.collector
-            .add(Counter::WorkerRespawn, respawned.len() as u64);
-        pool.collector.add(Counter::WorkerDeath, stray_deaths);
+            .add(Event::WorkerRespawn, respawned.len() as u64);
+        pool.collector.add(Event::WorkerDeath, stray_deaths);
         // Helpers are parked between generations and the caller has not
         // installed a ctx (`serve`'s never does), so nobody records while
         // the rings reset.
@@ -551,7 +524,7 @@ impl ThreadPool {
             for &index in &respawned {
                 pool.workers[0]
                     .trace
-                    .record_now(trace::EventKind::WorkerRespawn, index);
+                    .record_now(Event::WorkerRespawn, index);
             }
         }
         // Under the lock to avoid lost wakeups. Only live helpers take part
@@ -718,17 +691,9 @@ impl ThreadPool {
     fn submit_job(&self, job: *mut Job) {
         let pool = &*self.inner;
         match pool.injector.push(job) {
-            Ok(()) => {
-                // External threads have no TLS metrics slot to flush, so
-                // ingress counters go to the collector directly; `trace` is
-                // a worker-ring no-op unless the submitter is itself a
-                // worker thread.
-                pool.collector.add(Counter::InjectorPush, 1);
-                crate::trace::record(crate::trace::EventKind::Inject, 1);
-                pool.sleep.wake_one();
-            }
+            Ok(()) => pool.published(1),
             Err(job) => {
-                pool.collector.add(Counter::OverflowInline, 1);
+                pool.collector.add(Event::OverflowInline, 1);
                 // Safety: the rejected job was never published; we are its
                 // sole owner.
                 unsafe { Job::execute(job, NO_WORKER) };
@@ -743,14 +708,9 @@ impl ThreadPool {
         }
         let pool = &*self.inner;
         match pool.injector.push_batch(jobs) {
-            Ok(()) => {
-                pool.collector.add(Counter::InjectorPush, jobs.len() as u64);
-                crate::trace::record(crate::trace::EventKind::Inject, jobs.len() as u32);
-                pool.sleep.wake_one();
-            }
+            Ok(()) => pool.published(jobs.len()),
             Err(()) => {
-                pool.collector
-                    .add(Counter::OverflowInline, jobs.len() as u64);
+                pool.collector.add(Event::OverflowInline, jobs.len() as u64);
                 for &job in jobs {
                     // Safety: rejected batch, sole ownership retained.
                     unsafe { Job::execute(job, NO_WORKER) };
@@ -876,22 +836,7 @@ impl ThreadPool {
             // it baselines at the *current* epoch (stable under the run
             // lock), so it first participates in the next opened run.
             let seen0 = pool.epoch.load(Ordering::Acquire);
-            let worker_inner = Arc::clone(&self.inner);
-            let builder =
-                std::thread::Builder::new().name(format!("lcws-{}-{index}", pool.variant.name()));
-            let spawned = if crate::fault::fail_at(crate::fault::Site::ThreadSpawn) {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::WouldBlock,
-                    "injected worker-respawn failure",
-                ))
-            } else {
-                let fork = hb::fork_token();
-                builder.spawn(move || {
-                    hb::join_token(fork);
-                    worker_main(worker_inner, index, seen0)
-                })
-            };
-            match spawned {
+            match spawn_helper(&self.inner, index, seen0) {
                 Ok(h) => {
                     handles[index - 1] = Some(h);
                     w.dead.store(false, Ordering::Release);
@@ -953,7 +898,7 @@ impl Drop for ThreadPool {
             // a panic that escaped containment; surface it instead of
             // swallowing the payload.
             if let Err(payload) = handle.join() {
-                self.inner.collector.add(Counter::WorkerDeath, 1);
+                self.inner.collector.add(Event::WorkerDeath, 1);
                 eprintln!(
                     "lcws: worker panicked during pool teardown: {}",
                     payload_msg(payload.as_ref())
@@ -1027,9 +972,7 @@ fn close_generation(pool: &PoolInner, what: &str) -> Option<Box<dyn Any + Send>>
     // is still exclusively ours, so the close marker goes in directly.
     #[cfg(feature = "trace")]
     {
-        pool.workers[0]
-            .trace
-            .record_now(trace::EventKind::RunClose, 0);
+        pool.workers[0].trace.record_now(Event::RunClose, 0);
         let merged = trace::Trace::merge(pool.workers.iter().map(|w| w.trace.drain()).collect());
         *pool.trace_last.lock() = Some(merged);
     }
@@ -1100,8 +1043,7 @@ fn handle_worker_death(pool: &PoolInner, index: usize, payload: Box<dyn Any + Se
     // The kill site can fire inside a park's recheck, after the announce.
     pool.sleep.retire(index);
     w.dead.store(true, Ordering::Release);
-    lcws_metrics::bump(Counter::WorkerDeath);
-    crate::trace::record(crate::trace::EventKind::WorkerDeath, exposed);
+    trace::emit(Event::WorkerDeath, 1, exposed);
     eprintln!(
         "lcws: worker {index} died mid-run ({} private task(s) exposed for \
          rescue): {}",
@@ -1159,8 +1101,8 @@ fn stall_report(pool: &PoolInner, waiting_for: &str) -> String {
         "  counters (flushed): tasks_run={} steals_ok={} exposures={} \
          worker_deaths={} worker_respawns={}",
         snap.tasks_run(),
-        snap.get(Counter::StealOk),
-        snap.get(Counter::Exposure),
+        snap.steals_ok(),
+        snap.exposures(),
         snap.worker_deaths(),
         snap.worker_respawns(),
     );
@@ -1172,12 +1114,41 @@ fn stall_report(pool: &PoolInner, waiting_for: &str) -> String {
         }
         let _ = write!(out, "  trace tail worker {}:", w.trace.worker_index());
         for ev in tail {
-            let _ = write!(out, " {}({})", ev.kind.name(), ev.payload);
+            let _ = write!(
+                out,
+                " {}({})",
+                ev.kind.trace_name().unwrap_or("?"),
+                ev.payload
+            );
         }
         let _ = writeln!(out);
     }
     out.pop(); // drop the trailing newline; eprintln! adds one
     out
+}
+
+/// Start helper `index`'s thread (at build, and again when the healer
+/// replaces a dead one). The helper first joins the generation opened
+/// after epoch `seen0`.
+fn spawn_helper(
+    inner: &Arc<PoolInner>,
+    index: usize,
+    seen0: u64,
+) -> std::io::Result<ThreadJoinHandle<()>> {
+    if crate::fault::fail_at(crate::fault::Site::ThreadSpawn) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::WouldBlock,
+            "injected worker-spawn failure",
+        ));
+    }
+    let inner = Arc::clone(inner);
+    let fork = hb::fork_token();
+    std::thread::Builder::new()
+        .name(format!("lcws-{}-{index}", inner.variant.name()))
+        .spawn(move || {
+            hb::join_token(fork);
+            worker_main(inner, index, seen0)
+        })
 }
 
 fn worker_main(pool: Arc<PoolInner>, index: usize, seen0: u64) {

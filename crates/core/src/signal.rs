@@ -27,7 +27,7 @@ use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Once;
 
-use lcws_metrics as metrics;
+use lcws_metrics::{self as metrics, Event};
 
 use crate::deque::{ExposurePolicy, SplitDeque};
 use crate::fault::{self, Site};
@@ -70,7 +70,7 @@ extern "C" fn expose_handler(
 ) {
     // Signal-handler context: injected actions must be spin delays only.
     fault::point(Site::HandlerEntry);
-    trace::record(trace::EventKind::HandlerEntry, 0);
+    trace::record(Event::HandlerEntry, 0);
     let ctx = HANDLER_CTX.with(|c| c.get());
     if ctx.is_null() {
         return;
@@ -80,9 +80,9 @@ extern "C" fn expose_handler(
     // handler runs on the owning thread, so `update_public_bottom`'s
     // owner-only contract holds.
     unsafe {
-        metrics::bump(metrics::Counter::ExposureRequest);
+        metrics::bump(Event::ExposureRequest);
         let exposed = (*(*ctx).deque).update_public_bottom((*ctx).policy);
-        trace::record(trace::EventKind::HandlerExpose, exposed as u32);
+        trace::record(Event::HandlerExpose, exposed);
         // Exposed work could feed a parked thief, but waking from a signal
         // handler is forbidden (see `HandlerCtx::wake_pending`): record the
         // event with a plain atomic store and let the owner wake.
@@ -163,10 +163,10 @@ pub(crate) fn notify(target: u64) -> Result<(), libc::c_int> {
     // lands in `SignalSendFailed` instead) and each EAGAIN re-send shows up
     // only in `SignalSendAttempt` (bumped per attempt in `send_once`).
     if rc == 0 {
-        metrics::bump(metrics::Counter::SignalSent);
+        metrics::bump(Event::SignalSent);
         Ok(())
     } else {
-        metrics::bump(metrics::Counter::SignalSendFailed);
+        metrics::bump(Event::SignalSendFailed);
         Err(rc)
     }
 }
@@ -174,7 +174,7 @@ pub(crate) fn notify(target: u64) -> Result<(), libc::c_int> {
 /// One raw `pthread_kill` attempt, with the fault-injection hook that lets
 /// chaos tests force the failure outcome without a racing thread exit.
 fn send_once(target: u64) -> libc::c_int {
-    metrics::bump(metrics::Counter::SignalSendAttempt);
+    metrics::bump(Event::SignalSendAttempt);
     if fault::fail_at(Site::SignalSend) {
         return libc::ESRCH;
     }

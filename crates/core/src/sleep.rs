@@ -85,8 +85,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use crossbeam_utils::CachePadded;
-use lcws_metrics as metrics;
-use lcws_metrics::Counter;
+use lcws_metrics::{self as metrics, Event};
 use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{self, Site};
@@ -275,16 +274,14 @@ impl Sleep {
             return;
         }
 
-        metrics::bump(Counter::Park);
-        trace::record(trace::EventKind::Park, 0);
+        trace::emit(Event::Park, 1, 0);
         let _ = slot.cv.wait_for(&mut woken, backstop);
         if *woken {
             *woken = false;
         } else {
             // Timeout expiry or spurious condvar return: nobody signed up
             // to wake us, so count it against the backstop.
-            metrics::bump(Counter::SpuriousWake);
-            trace::record(trace::EventKind::SpuriousWake, 0);
+            trace::emit(Event::SpuriousWake, 1, 0);
         }
         drop(woken);
         self.retire(index);
@@ -315,7 +312,7 @@ impl Sleep {
         // Counted before the empty-set gate: redundant notifications (e.g.
         // one per task of a drained injector batch) are exactly what the
         // counter exists to expose.
-        metrics::bump(Counter::WakeAttempt);
+        metrics::bump(Event::WakeAttempt);
         if !self.has_sleepers() {
             return;
         }
@@ -345,7 +342,7 @@ impl Sleep {
     /// load could be satisfied while the store still sits in the store
     /// buffer.)
     pub(crate) fn wake_worker(&self, index: usize) {
-        metrics::bump(Counter::WakeAttempt);
+        metrics::bump(Event::WakeAttempt);
         let (word, bit) = (index / 64, 1u64 << (index % 64));
         if self.mask[word].load(Ordering::SeqCst) & bit == 0 {
             return;
@@ -356,7 +353,7 @@ impl Sleep {
 
     /// Wake every sleeper (run close, teardown).
     pub(crate) fn wake_all(&self) {
-        metrics::bump(Counter::WakeAttempt);
+        metrics::bump(Event::WakeAttempt);
         self.epoch.fetch_add(1, Ordering::SeqCst);
         for (w, word) in self.mask.iter().enumerate() {
             let mut bits = word.load(Ordering::SeqCst);
@@ -382,9 +379,8 @@ impl Sleep {
         }
         *woken = true;
         slot.cv.notify_one();
-        metrics::bump(Counter::Unpark);
         // Recorded on the *waker's* ring: the wake decision is its event.
-        trace::record(trace::EventKind::Unpark, index as u32);
+        trace::emit(Event::Unpark, 1, index as u32);
         true
     }
 }

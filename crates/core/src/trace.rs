@@ -11,12 +11,23 @@
 //! the rings are drained at run close into a merged, time-ordered
 //! [`Trace`] that can be exported as Chrome trace-event JSON
 //! (chrome://tracing, Perfetto) or reduced to a signal-delivery latency
-//! distribution (thief-side [`EventKind::SignalSend`] paired with the
-//! victim's [`EventKind::HandlerEntry`]).
+//! distribution (thief-side [`Event::SignalSend`] paired with the
+//! victim's [`Event::HandlerEntry`]).
+//!
+//! ## One vocabulary, one call per site
+//!
+//! What can happen is declared once, in `lcws-metrics`' event table: a row
+//! with a `trace:` cell may be recorded here, under that name. The `kind`
+//! a ring slot stores is the row's table index — an in-process detail that
+//! is decoded again before anything leaves the ring; the Chrome-trace
+//! *names* are the stable surface. A site whose event is both counted and
+//! traced makes one call, `emit`; a site that only traces (or traces an
+//! event counted elsewhere, e.g. `steal_ok`, counted in the deque but
+//! traced where the victim index is known) calls `record`.
 //!
 //! ## Async-signal-safety
 //!
-//! [`EventKind::HandlerEntry`] and [`EventKind::HandlerExpose`] are
+//! [`Event::HandlerEntry`] and [`Event::HandlerExpose`] are
 //! recorded *inside* the `SIGUSR1` handler, so the recording path is held
 //! to the same standard as the handler itself (see `crate::signal`):
 //!
@@ -52,153 +63,10 @@ use std::cell::{Cell, UnsafeCell};
 #[cfg(feature = "trace")]
 use std::sync::atomic::Ordering;
 
+use lcws_metrics::{self as metrics, Event};
+
 #[cfg(feature = "trace")]
 use crate::hb::{self, shim::AtomicU64};
-
-/// What happened. The set spans the whole scheduling stack: deque
-/// transitions, the signal path, flag polls, the sleeper, and the run
-/// lifecycle. The numeric values are the on-ring encoding; they are
-/// append-only across versions so archived traces stay decodable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u16)]
-pub enum EventKind {
-    /// A pool run opened (worker 0; payload = number of workers).
-    RunStart = 0,
-    /// A pool run closed after quiescence (worker 0; payload = 0).
-    RunClose = 1,
-    /// Owner pushed a task (payload = deque depth after the push).
-    Push = 2,
-    /// Owner popped a private/bottom task (payload = depth after the pop).
-    LocalPop = 3,
-    /// Owner popped from the public part (payload = new public boundary).
-    PublicPop = 4,
-    /// Thief stole a task; recorded on the thief (payload = victim index).
-    StealOk = 5,
-    /// Thief found only private work; recorded on the thief
-    /// (payload = victim index) — the trigger of an exposure request.
-    StealPrivate = 6,
-    /// Tasks moved private → public (payload = how many).
-    Expose = 7,
-    /// Thief sent (or began sending) `SIGUSR1` to a victim
-    /// (payload = victim index). Recorded *before* `pthread_kill`, so the
-    /// victim's [`EventKind::HandlerEntry`] minus this timestamp is the
-    /// true delivery latency.
-    SignalSend = 8,
-    /// The send failed after retries (payload = victim index); cancels the
-    /// pending latency pairing and reroutes via the fallback flag.
-    SignalSendFailed = 9,
-    /// `SIGUSR1` handler entered on the victim (payload = 0). Recorded in
-    /// signal context.
-    HandlerEntry = 10,
-    /// Handler finished its exposure (payload = tasks exposed, possibly 0).
-    /// Recorded in signal context.
-    HandlerExpose = 11,
-    /// Owner served an exposure request at a task boundary (payload = 0
-    /// for the USLCWS `targeted` flag, 1 for the degraded-signal
-    /// `fallback_expose` flag).
-    TargetedPoll = 12,
-    /// Thief rerouted a failed signal through the fallback flag
-    /// (payload = victim index).
-    FallbackReroute = 13,
-    /// Worker blocked on its sleeper slot (payload = 0).
-    Park = 14,
-    /// A producer delivered a wakeup; recorded on the *waker*
-    /// (payload = index of the woken worker).
-    Unpark = 15,
-    /// A park returned without a wakeup (timed backstop or spurious
-    /// condvar return; payload = 0).
-    SpuriousWake = 16,
-    /// A fork degraded to inline execution on deque overflow (payload = 0).
-    OverflowInline = 17,
-    /// `push_bottom` doubled its ring buffer (payload = new capacity in
-    /// slots).
-    DequeGrow = 18,
-    /// A panic escaped this worker's work loop and the dying-owner handler
-    /// ran (payload = private tasks exposed for rescue). Recorded on the
-    /// dying worker, before it leaves the run's `active` handshake.
-    WorkerDeath = 19,
-    /// The between-run self-healing pass spawned a replacement helper
-    /// (payload = the respawned worker's index). Recorded on worker 0's
-    /// ring at the start of the run that healed the pool.
-    WorkerRespawn = 20,
-    /// A task was submitted to the pool's global injector (payload = the
-    /// injector's approximate length after the push). Only recorded when
-    /// the submitting thread is a pool worker — external producer threads
-    /// have no trace ring, so their pushes appear only in the
-    /// `injector_pushes` counter.
-    Inject = 21,
-    /// A worker's between-steals injector fallback took a batch (payload =
-    /// number of jobs taken in the batch).
-    InjectorPop = 22,
-    /// A thief's batch steal transferred more than one task with a single
-    /// validating CAS (steal-half policy; payload = total tasks taken,
-    /// including the one the steal returned directly).
-    StealBatch = 23,
-}
-
-impl EventKind {
-    /// Stable snake_case name, used for Chrome JSON and CSV output.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::RunStart => "run_start",
-            EventKind::RunClose => "run_close",
-            EventKind::Push => "push",
-            EventKind::LocalPop => "local_pop",
-            EventKind::PublicPop => "public_pop",
-            EventKind::StealOk => "steal_ok",
-            EventKind::StealPrivate => "steal_private",
-            EventKind::Expose => "expose",
-            EventKind::SignalSend => "signal_send",
-            EventKind::SignalSendFailed => "signal_send_failed",
-            EventKind::HandlerEntry => "handler_entry",
-            EventKind::HandlerExpose => "handler_expose",
-            EventKind::TargetedPoll => "targeted_poll",
-            EventKind::FallbackReroute => "fallback_reroute",
-            EventKind::Park => "park",
-            EventKind::Unpark => "unpark",
-            EventKind::SpuriousWake => "spurious_wake",
-            EventKind::OverflowInline => "overflow_inline",
-            EventKind::DequeGrow => "deque_grow",
-            EventKind::WorkerDeath => "worker_death",
-            EventKind::WorkerRespawn => "worker_respawn",
-            EventKind::Inject => "inject",
-            EventKind::InjectorPop => "injector_pop",
-            EventKind::StealBatch => "steal_batch",
-        }
-    }
-
-    /// Decode the on-ring representation (`None` for values this build
-    /// does not know, e.g. a torn slot from the bounded-loss window).
-    pub fn from_u16(v: u16) -> Option<EventKind> {
-        Some(match v {
-            0 => EventKind::RunStart,
-            1 => EventKind::RunClose,
-            2 => EventKind::Push,
-            3 => EventKind::LocalPop,
-            4 => EventKind::PublicPop,
-            5 => EventKind::StealOk,
-            6 => EventKind::StealPrivate,
-            7 => EventKind::Expose,
-            8 => EventKind::SignalSend,
-            9 => EventKind::SignalSendFailed,
-            10 => EventKind::HandlerEntry,
-            11 => EventKind::HandlerExpose,
-            12 => EventKind::TargetedPoll,
-            13 => EventKind::FallbackReroute,
-            14 => EventKind::Park,
-            15 => EventKind::Unpark,
-            16 => EventKind::SpuriousWake,
-            17 => EventKind::OverflowInline,
-            18 => EventKind::DequeGrow,
-            19 => EventKind::WorkerDeath,
-            20 => EventKind::WorkerRespawn,
-            21 => EventKind::Inject,
-            22 => EventKind::InjectorPop,
-            23 => EventKind::StealBatch,
-            _ => return None,
-        })
-    }
-}
 
 /// One decoded trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,9 +75,9 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// Worker that recorded the event.
     pub worker: u16,
-    /// What happened.
-    pub kind: EventKind,
-    /// Kind-specific payload (see [`EventKind`]).
+    /// What happened (a row of the event table with a trace name).
+    pub kind: Event,
+    /// Kind-specific payload (see [`Event`]).
     pub payload: u32,
 }
 
@@ -223,9 +91,24 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 #[derive(Clone, Copy)]
 struct RawEvent {
     ts_ns: u64,
+    /// `Event as u16`; `u16::MAX` in a never-written slot.
     kind: u16,
     worker: u16,
     payload: u32,
+}
+
+#[cfg(feature = "trace")]
+impl RawEvent {
+    /// `None` for a code past the end of the event table: a fresh slot, or
+    /// a record torn by the bounded-loss window / a racing `peek_tail`.
+    fn decode(self) -> Option<TraceEvent> {
+        Some(TraceEvent {
+            ts_ns: self.ts_ns,
+            worker: self.worker,
+            kind: Event::from_index(self.kind)?,
+            payload: self.payload,
+        })
+    }
 }
 
 /// `CLOCK_MONOTONIC` in nanoseconds. Async-signal-safe.
@@ -292,7 +175,8 @@ impl TraceRing {
     /// (overwritten when the owner resumes) — bounded loss of one event
     /// per interruption, never a corrupted ring structure.
     #[inline]
-    pub(crate) fn record_now(&self, kind: EventKind, payload: u32) {
+    pub(crate) fn record_now(&self, kind: Event, payload: u32) {
+        debug_assert!(kind.trace_name().is_some(), "{kind:?} is not traced");
         let h = self.head.load(Ordering::Relaxed);
         self.head.store(h + 1, Ordering::Relaxed);
         let idx = (h % self.slots.len() as u64) as usize;
@@ -309,12 +193,12 @@ impl TraceRing {
         }
     }
 
-    /// Forget all recorded events (between runs, owner quiesced).
     /// Which worker slot this ring belongs to.
     pub(crate) fn worker_index(&self) -> u16 {
         self.worker
     }
 
+    /// Forget all recorded events (between runs, owner quiesced).
     pub(crate) fn reset(&self) {
         self.head.store(0, Ordering::Relaxed);
     }
@@ -335,14 +219,7 @@ impl TraceRing {
             );
             // Safety: quiescent read; see above.
             let raw = unsafe { *self.slots[(i % cap) as usize].get() };
-            if let Some(kind) = EventKind::from_u16(raw.kind) {
-                out.push(TraceEvent {
-                    ts_ns: raw.ts_ns,
-                    worker: raw.worker,
-                    kind,
-                    payload: raw.payload,
-                });
-            }
+            out.extend(raw.decode());
         }
         (out, dropped)
     }
@@ -351,7 +228,7 @@ impl TraceRing {
     /// watchdog's diagnostic report. Unlike [`TraceRing::drain`], this may
     /// run while the owner is still recording: slots are read with volatile
     /// loads and a record torn by a concurrent write decodes to an unknown
-    /// kind (`from_u16` → `None`) and is skipped. Diagnostics only — never
+    /// kind (`RawEvent::decode` → `None`) and is skipped. Diagnostics only — never
     /// used for the merged run trace.
     pub(crate) fn peek_tail(&self, n: usize) -> Vec<TraceEvent> {
         let h = self.head.load(Ordering::Acquire);
@@ -365,14 +242,7 @@ impl TraceRing {
             // by design and tolerates torn records; filing it would turn
             // every watchdog report into a false positive.
             let raw = unsafe { std::ptr::read_volatile(self.slots[(i % cap) as usize].get()) };
-            if let Some(kind) = EventKind::from_u16(raw.kind) {
-                out.push(TraceEvent {
-                    ts_ns: raw.ts_ns,
-                    worker: raw.worker,
-                    kind,
-                    payload: raw.payload,
-                });
-            }
+            out.extend(raw.decode());
         }
         out
     }
@@ -411,7 +281,7 @@ pub(crate) unsafe fn set_ring(ring: *const TraceRing) {
 /// Async-signal-safe (see the module docs); a no-op outside pool runs.
 #[cfg(feature = "trace")]
 #[inline]
-pub(crate) fn record(kind: EventKind, payload: u32) {
+pub(crate) fn record(kind: Event, payload: u32) {
     let r = RING.with(|c| c.get());
     if r.is_null() {
         return;
@@ -425,7 +295,17 @@ pub(crate) fn record(kind: EventKind, payload: u32) {
 /// removes entirely — the hook sites compile to nothing.
 #[cfg(not(feature = "trace"))]
 #[inline(always)]
-pub(crate) fn record(_kind: EventKind, _payload: u32) {}
+pub(crate) fn record(_kind: Event, _payload: u32) {}
+
+/// The one call of a site whose event is both counted and traced: add
+/// `count` to `event`'s counter (1, or the payload where the payload is a
+/// number of tasks) and record it with `payload`. Async-signal-safe like
+/// its two halves; with `trace` disabled it is exactly `metrics::bump_by`.
+#[inline(always)]
+pub(crate) fn emit(event: Event, count: u64, payload: u32) {
+    metrics::bump_by(event, count);
+    record(event, payload);
+}
 
 /// The merged, time-ordered trace of one pool run.
 #[cfg(feature = "trace")]
@@ -477,7 +357,9 @@ impl Trace {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\
                  \"ts\":{}.{:03},\"args\":{{\"payload\":{}}}}}",
-                e.kind.name(),
+                e.kind
+                    .trace_name()
+                    .expect("recorded events are rows with a trace name"),
                 e.worker,
                 rel / 1_000,
                 rel % 1_000,
@@ -489,11 +371,11 @@ impl Trace {
     }
 
     /// True signal-delivery latencies: each thief-side
-    /// [`EventKind::SignalSend`] paired with the victim's next
-    /// [`EventKind::HandlerEntry`], in nanoseconds.
+    /// [`Event::SignalSend`] paired with the victim's next
+    /// [`Event::HandlerEntry`], in nanoseconds.
     ///
     /// Pairing walks the time-ordered stream keeping a FIFO of unmatched
-    /// sends per victim: a [`EventKind::SignalSendFailed`] cancels that
+    /// sends per victim: a [`Event::SignalSendFailed`] cancels that
     /// thief's pending send (the retry loop is synchronous, so a thief has
     /// at most one in flight), and a handler entry consumes the oldest
     /// pending send. Sends left unmatched at the end are coalesced signals
@@ -505,20 +387,20 @@ impl Trace {
         let mut out = Vec::new();
         for e in &self.events {
             match e.kind {
-                EventKind::SignalSend => {
+                Event::SignalSend => {
                     pending
                         .entry(e.payload)
                         .or_default()
                         .push((e.ts_ns, e.worker));
                 }
-                EventKind::SignalSendFailed => {
+                Event::SignalSendFailed => {
                     if let Some(q) = pending.get_mut(&e.payload) {
                         if let Some(pos) = q.iter().rposition(|&(_, t)| t == e.worker) {
                             q.remove(pos);
                         }
                     }
                 }
-                EventKind::HandlerEntry => {
+                Event::HandlerEntry => {
                     if let Some(q) = pending.get_mut(&(e.worker as u32)) {
                         if !q.is_empty() {
                             let (sent, _) = q.remove(0);
@@ -533,7 +415,7 @@ impl Trace {
     }
 
     /// Events of one kind, in time order (convenience for tests/tools).
-    pub fn of_kind(&self, kind: EventKind) -> impl Iterator<Item = &TraceEvent> {
+    pub fn of_kind(&self, kind: Event) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 }
@@ -542,7 +424,7 @@ impl Trace {
 mod tests {
     use super::*;
 
-    fn ev(ts_ns: u64, worker: u16, kind: EventKind, payload: u32) -> TraceEvent {
+    fn ev(ts_ns: u64, worker: u16, kind: Event, payload: u32) -> TraceEvent {
         TraceEvent {
             ts_ns,
             worker,
@@ -557,7 +439,7 @@ mod tests {
         // Safety: single-threaded test — we are the owner.
         unsafe { set_ring(&ring) };
         for i in 0..5u32 {
-            record(EventKind::Push, i);
+            record(Event::Push, i);
         }
         unsafe { set_ring(std::ptr::null()) };
         let (events, dropped) = ring.drain();
@@ -565,7 +447,7 @@ mod tests {
         assert_eq!(events.len(), 5);
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.worker, 3);
-            assert_eq!(e.kind, EventKind::Push);
+            assert_eq!(e.kind, Event::Push);
             assert_eq!(e.payload, i as u32);
         }
         assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
@@ -575,7 +457,7 @@ mod tests {
     fn ring_wrap_keeps_newest_and_counts_dropped() {
         let ring = TraceRing::new(0, 4);
         for i in 0..10u32 {
-            ring.record_now(EventKind::LocalPop, i);
+            ring.record_now(Event::LocalPop, i);
         }
         let (events, dropped) = ring.drain();
         assert_eq!(dropped, 6);
@@ -589,18 +471,7 @@ mod tests {
 
     #[test]
     fn record_without_ring_is_a_noop() {
-        record(EventKind::Park, 0); // must not crash
-    }
-
-    #[test]
-    fn kind_roundtrip() {
-        for v in 0..32u16 {
-            if let Some(k) = EventKind::from_u16(v) {
-                assert_eq!(k as u16, v);
-                assert!(!k.name().is_empty());
-            }
-        }
-        assert_eq!(EventKind::from_u16(u16::MAX), None, "fresh-slot marker");
+        record(Event::Park, 0); // must not crash
     }
 
     #[test]
@@ -609,13 +480,13 @@ mod tests {
         // one handler entry). Thief 2's failed send must not pair.
         let t = Trace {
             events: vec![
-                ev(100, 1, EventKind::SignalSend, 0),
-                ev(150, 2, EventKind::SignalSend, 0),
-                ev(160, 2, EventKind::SignalSendFailed, 0),
-                ev(400, 0, EventKind::HandlerEntry, 0),
-                ev(500, 1, EventKind::SignalSend, 0),
-                ev(900, 0, EventKind::HandlerEntry, 0),
-                ev(950, 1, EventKind::SignalSend, 0), // coalesced: unmatched
+                ev(100, 1, Event::SignalSend, 0),
+                ev(150, 2, Event::SignalSend, 0),
+                ev(160, 2, Event::SignalSendFailed, 0),
+                ev(400, 0, Event::HandlerEntry, 0),
+                ev(500, 1, Event::SignalSend, 0),
+                ev(900, 0, Event::HandlerEntry, 0),
+                ev(950, 1, Event::SignalSend, 0), // coalesced: unmatched
             ],
             workers: 3,
             dropped: 0,
@@ -627,8 +498,8 @@ mod tests {
     fn chrome_json_is_well_formed_and_relative() {
         let t = Trace {
             events: vec![
-                ev(1_000_000, 0, EventKind::RunStart, 2),
-                ev(1_002_500, 1, EventKind::StealOk, 0),
+                ev(1_000_000, 0, Event::RunStart, 2),
+                ev(1_002_500, 1, Event::StealOk, 0),
             ],
             workers: 2,
             dropped: 0,

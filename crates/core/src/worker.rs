@@ -8,8 +8,7 @@ use std::ptr;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use lcws_metrics as metrics;
-use lcws_metrics::Counter;
+use lcws_metrics::{self as metrics, Event};
 
 use crate::deque::{AbpSteal, DequeFull, SplitDeque, Steal, STEAL_BATCH_MAX};
 use crate::fault::{self, Site};
@@ -243,8 +242,7 @@ impl WorkerCtx {
                  only report DequeFull when forced (Site::PushBottom / \
                  Site::DequeResize) or at MAX_DEQUE_CAPACITY"
             );
-            metrics::bump(Counter::OverflowInline);
-            trace::record(trace::EventKind::OverflowInline, 0);
+            trace::emit(Event::OverflowInline, 1, 0);
             self.execute(job);
         }
         if queued {
@@ -287,8 +285,7 @@ impl WorkerCtx {
             Some(s) => s,
             None => return false,
         };
-        metrics::bump_by(Counter::InjectorPop, batch.len() as u64);
-        trace::record(trace::EventKind::InjectorPop, batch.len() as u32);
+        trace::emit(Event::InjectorPop, batch.len() as u64, batch.len() as u32);
         self.push_or_run_inline(rest);
         self.execute(first);
         true
@@ -310,9 +307,9 @@ impl WorkerCtx {
                 // requests whose signal already failed).
                 if policies.uses_signals() && w.fallback_expose.load(Ordering::Relaxed) {
                     fault::point(Site::TargetedPoll);
-                    trace::record(trace::EventKind::TargetedPoll, 1);
+                    trace::record(Event::TargetedPoll, 1);
                     w.fallback_expose.store(false, Ordering::Relaxed);
-                    metrics::bump(Counter::ExposureRequest);
+                    metrics::bump(Event::ExposureRequest);
                     if d.update_public_bottom(policies.exposure) > 0 {
                         self.pool().sleep.wake_one();
                     }
@@ -325,9 +322,9 @@ impl WorkerCtx {
                     if policies.notify == NotifyChannel::Flag && w.targeted.load(Ordering::Relaxed)
                     {
                         fault::point(Site::TargetedPoll);
-                        trace::record(trace::EventKind::TargetedPoll, 0);
+                        trace::record(Event::TargetedPoll, 0);
                         w.targeted.store(false, Ordering::Relaxed);
-                        metrics::bump(Counter::ExposureRequest);
+                        metrics::bump(Event::ExposureRequest);
                         if d.update_public_bottom(policies.exposure) > 0 {
                             // Freshly public work: wake a thief for it.
                             self.pool().sleep.wake_one();
@@ -375,7 +372,7 @@ impl WorkerCtx {
         match &victim.deque {
             AnyDeque::Abp(d) => match d.pop_top() {
                 AbpSteal::Ok(task) => {
-                    trace::record(trace::EventKind::StealOk, victim_idx as u32);
+                    trace::record(Event::StealOk, victim_idx as u32);
                     self.note_steal_success();
                     StealAttempt::Taken(task)
                 }
@@ -390,7 +387,7 @@ impl WorkerCtx {
                 };
                 match outcome {
                     Steal::Ok(task) => {
-                        trace::record(trace::EventKind::StealOk, victim_idx as u32);
+                        trace::record(Event::StealOk, victim_idx as u32);
                         self.note_steal_success();
                         // Stealing removed a task from the victim's public
                         // part: future thieves may request exposure again.
@@ -398,7 +395,7 @@ impl WorkerCtx {
                         StealAttempt::Taken(task)
                     }
                     Steal::PrivateWork => {
-                        trace::record(trace::EventKind::StealPrivate, victim_idx as u32);
+                        trace::record(Event::StealPrivate, victim_idx as u32);
                         self.notify_victim(victim_idx, victim, d);
                         StealAttempt::NoWork
                     }
@@ -419,7 +416,7 @@ impl WorkerCtx {
         let mut extras: Vec<*mut Job> = Vec::new();
         let outcome = d.pop_top_batch(&mut extras, STEAL_BATCH_MAX - 1);
         if !extras.is_empty() {
-            trace::record(trace::EventKind::StealBatch, (extras.len() + 1) as u32);
+            trace::record(Event::StealBatch, (extras.len() + 1) as u32);
             self.push_or_run_inline(&extras);
         }
         outcome
@@ -474,25 +471,23 @@ impl WorkerCtx {
         // boundary, so the request survives.
         let handle = victim.pthread.load(Ordering::Acquire);
         if handle == 0 {
-            trace::record(trace::EventKind::FallbackReroute, victim_idx as u32);
-            self.reroute_to_fallback(victim);
+            self.reroute_to_fallback(victim_idx, victim);
             return;
         }
         // Timestamp *before* pthread_kill: the victim's HandlerEntry minus
         // this record is the true signal-delivery latency.
-        trace::record(trace::EventKind::SignalSend, victim_idx as u32);
+        trace::record(Event::SignalSend, victim_idx as u32);
         if signal::notify(handle).is_err() {
-            trace::record(trace::EventKind::SignalSendFailed, victim_idx as u32);
-            trace::record(trace::EventKind::FallbackReroute, victim_idx as u32);
-            self.reroute_to_fallback(victim);
+            trace::record(Event::SignalSendFailed, victim_idx as u32);
+            self.reroute_to_fallback(victim_idx, victim);
         }
     }
 
     /// The degraded-notification path shared by the zero-handle guard and
     /// the failed-send case.
-    fn reroute_to_fallback(&self, victim: &WorkerShared) {
+    fn reroute_to_fallback(&self, victim_idx: usize, victim: &WorkerShared) {
+        trace::emit(Event::SignalFallbackFlag, 1, victim_idx as u32);
         victim.fallback_expose.store(true, Ordering::Relaxed);
-        metrics::bump(Counter::SignalFallbackFlag);
         // The victim may be between task boundaries for a while and
         // other thieves are gated by `targeted`; waking a sleeper keeps
         // someone retrying in the meantime.
@@ -502,7 +497,7 @@ impl WorkerCtx {
     /// Execute a job taken from a deque, with task accounting.
     #[inline]
     pub(crate) fn execute(&self, job: *mut Job) {
-        metrics::bump(Counter::TaskRun);
+        metrics::bump(Event::TaskRun);
         // Safety: deque ownership transfer — exactly one taker per job.
         unsafe { Job::execute(job, self.index as u32) };
     }
@@ -549,7 +544,7 @@ impl WorkerCtx {
                 StealAttempt::Contended => {
                     // Lost a race on a non-empty victim: work exists, so
                     // retry hot instead of escalating toward a park.
-                    metrics::bump(Counter::IdleIter);
+                    metrics::bump(Event::IdleIter);
                     backoff.reset();
                     std::hint::spin_loop();
                 }
@@ -558,7 +553,7 @@ impl WorkerCtx {
                         backoff.reset();
                         continue;
                     }
-                    metrics::bump(Counter::IdleIter);
+                    metrics::bump(Event::IdleIter);
                     match backoff.next() {
                         IdleAction::Park => self
                             .pool()

@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lcws_core::{hb, join, par_for_grain, Counter, PoolBuilder, ThreadPool, Variant};
+use lcws_core::{hb, join, par_for_grain, PoolBuilder, ThreadPool, Variant};
 
 /// One hb scenario at a time, process-wide (the checker state is global).
 static HB: Mutex<()> = Mutex::new(());
@@ -205,7 +205,7 @@ fn trimmed_ingress_stress_reports_no_races() {
     );
     // The checker's verdict and the metrics pipeline must agree: the
     // counter is how sweep CSVs surface hb findings.
-    assert_eq!(snap.get(Counter::HbReport), 0, "hb_reports counter nonzero");
+    assert_eq!(snap.hb_reports(), 0, "hb_reports counter nonzero");
     assert_eq!(snap.hb_reports(), 0);
     assert_clean("trimmed ingress stress");
 }

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lcws_core::{Counter, PoolBuilder, ThreadPool, Variant};
+use lcws_core::{PoolBuilder, ThreadPool, Variant};
 
 fn stress_dims() -> (usize, usize) {
     if std::env::var("LCWS_INGRESS_FULL").is_ok_and(|v| v == "1") {
@@ -68,12 +68,12 @@ fn many_producer_stress_loses_nothing() {
             // Every submission went through the injector (no faults forced)
             // and every queued task left it through a worker batch pop.
             assert_eq!(
-                snap.get(Counter::InjectorPush),
+                snap.injector_pushes(),
                 total,
                 "{variant}: injector push accounting broken"
             );
             assert_eq!(
-                snap.get(Counter::InjectorPop),
+                snap.injector_pops(),
                 total,
                 "{variant}: injector pop accounting broken"
             );
@@ -85,7 +85,7 @@ fn many_producer_stress_loses_nothing() {
             // must have ended by a real wake, and the spurious count must
             // stay far below one-per-task — the bound that separates "woken
             // by submissions" from "found the work by polling".
-            let (parks, spurious) = (snap.parks(), snap.get(Counter::SpuriousWake));
+            let (parks, spurious) = (snap.parks(), snap.spurious_wakes());
             if (parks == 0 || parks > spurious) && spurious < total / 4 + 500 {
                 break;
             }
@@ -122,7 +122,7 @@ fn spawn_batch_returns_handles_in_submission_order() {
     let values: Vec<u64> = handles.into_iter().map(|h| h.join()).collect();
     assert_eq!(values, (0..64u64).map(|i| i * i).collect::<Vec<_>>());
     let snap = pool.shutdown();
-    assert_eq!(snap.get(Counter::InjectorPush), 64);
+    assert_eq!(snap.injector_pushes(), 64);
 }
 
 /// Parked workers must wake for an external submission promptly — through
@@ -295,7 +295,7 @@ fn single_worker_pool_drains_on_shutdown() {
     }
     let snap = pool.shutdown();
     assert_eq!(executed.load(Ordering::Relaxed), 100);
-    assert_eq!(snap.get(Counter::InjectorPush), 100);
+    assert_eq!(snap.injector_pushes(), 100);
 }
 
 /// Dropping a pool with an open serve window must drain it (tasks are
@@ -390,8 +390,8 @@ fn injector_push_fault_storm_degrades_to_inline() {
         "the storm never fired — plan not installed?"
     );
     // Rejected pushes ran inline; accepted ones flowed through the queue.
-    let pushed = snap.get(Counter::InjectorPush);
-    let inline = snap.get(Counter::OverflowInline);
+    let pushed = snap.injector_pushes();
+    let inline = snap.overflow_inline();
     assert_eq!(
         pushed + inline,
         TASKS,
@@ -399,7 +399,7 @@ fn injector_push_fault_storm_degrades_to_inline() {
     );
     assert!(pushed > 0 && inline > 0, "storm should split both ways");
     assert_eq!(
-        snap.get(Counter::InjectorPop),
+        snap.injector_pops(),
         pushed,
         "every accepted push must leave through a pop"
     );
@@ -411,7 +411,7 @@ fn injector_push_fault_storm_degrades_to_inline() {
 #[cfg(feature = "trace")]
 #[test]
 fn trace_records_injector_pops() {
-    use lcws_core::EventKind;
+    use lcws_core::Event;
 
     let pool = ThreadPool::new(Variant::Signal, 3);
     pool.serve();
@@ -421,7 +421,7 @@ fn trace_records_injector_pops() {
     }
     pool.shutdown();
     let trace = pool.take_trace().expect("serve window must leave a trace");
-    let pops = trace.of_kind(EventKind::InjectorPop).count();
+    let pops = trace.of_kind(Event::InjectorPop).count();
     assert!(
         pops > 0,
         "no InjectorPop events in the serve-window trace ({} events total)",

@@ -279,6 +279,6 @@ fn metrics_task_accounting_counts_forked_jobs() {
     });
     // 1024/8 = 128 leaves → 127 forks; each fork pushes one job. Every
     // pushed job is executed exactly once (inline, reclaimed, or stolen).
-    assert!(m.get(lcws_core::Counter::Push) >= 127);
-    assert!(m.tasks_run() <= m.get(lcws_core::Counter::Push));
+    assert!(m.pushes() >= 127);
+    assert!(m.tasks_run() <= m.pushes());
 }

@@ -7,7 +7,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use lcws_core::{scope, Counter, IdlePolicy, PoolBuilder, Variant};
+use lcws_core::{scope, IdlePolicy, Policies, PoolBuilder, Variant};
 
 /// The tests below that assert on wall-clock shapes (idle-iteration
 /// ratios, spurious-wake counts, per-round latency) take this lock: two of
@@ -106,7 +106,10 @@ fn adaptive_idle_cuts_idle_iters_10x_on_sequential_task() {
     let measure = |policy: IdlePolicy| {
         let pool = PoolBuilder::new(Variant::Ws)
             .threads(2)
-            .idle_policy(policy)
+            .policies(Policies {
+                idle: policy,
+                ..Variant::Ws.policies()
+            })
             .build();
         let (_, snap) = pool.run_measured(|| std::thread::sleep(Duration::from_millis(80)));
         snap
@@ -120,7 +123,7 @@ fn adaptive_idle_cuts_idle_iters_10x_on_sequential_task() {
         adaptive.idle_iters(),
         adaptive.parks(),
         adaptive.unparks(),
-        adaptive.get(Counter::SpuriousWake),
+        adaptive.spurious_wakes(),
     );
     assert_eq!(spin.parks(), 0, "spin-only must never park");
     assert!(adaptive.parks() > 0, "adaptive idler never parked");
@@ -159,7 +162,7 @@ fn join_completion_wake_is_targeted_not_polled() {
         snap.unparks() > 0,
         "no wake was delivered — completion wake not wired?"
     );
-    let spurious = snap.get(Counter::SpuriousWake);
+    let spurious = snap.spurious_wakes();
     assert!(
         spurious <= 15,
         "join waiter still poll-waking: {spurious} spurious wakes across an \
@@ -203,7 +206,7 @@ fn worker_side_handle_join_wake_is_targeted_not_polled() {
         snap.unparks() > 0,
         "no wake was delivered — TaskState completion wake not wired?"
     );
-    let spurious = snap.get(Counter::SpuriousWake);
+    let spurious = snap.spurious_wakes();
     assert!(
         spurious <= 25,
         "worker-side join still poll-waking: {spurious} spurious wakes across \
@@ -264,7 +267,7 @@ fn completion_wakes_are_never_lost() {
                 snap.parks() > 0,
                 "{shape}: no waiter ever parked — the shape guards nothing"
             );
-            let spurious = snap.get(Counter::SpuriousWake);
+            let spurious = snap.spurious_wakes();
             if worst < STALL && spurious <= 30 {
                 return;
             }

@@ -99,6 +99,7 @@ fn watchdog_silent_on_healthy_runs() {
 mod faulted {
     use super::*;
     use lcws_core::fault::{install, FaultPlan, Site, SiteAction};
+    use std::time::Instant;
 
     /// The issue's acceptance scenario: a seeded `Site::WorkerLoop` plan
     /// kills helpers mid-run on a capacity-4 pool. The run must terminate
@@ -123,18 +124,30 @@ mod faulted {
                 SiteAction::fail_always().after(30).max_fires(2),
             ));
             let done = AtomicU64::new(0);
+            let mut rounds = 0;
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
                 pool.run(|| {
-                    par_for_grain(0..8192, 1, |_| {
-                        done.fetch_add(1, Ordering::Relaxed);
-                    });
+                    // On two shared cores one 8192-task loop can finish
+                    // before any helper reaches its 31st loop-top probe, so
+                    // keep the generation open until the plan has killed a
+                    // helper (or a deadline shows it never will).
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    loop {
+                        par_for_grain(0..8192, 1, |_| {
+                            done.fetch_add(1, Ordering::Relaxed);
+                        });
+                        rounds += 1;
+                        if guard.fires(Site::WorkerLoop) >= 1 || Instant::now() >= deadline {
+                            break;
+                        }
+                    }
                 });
             }));
             let fires = guard.fires(Site::WorkerLoop);
             drop(guard);
             assert!(fires >= 1, "the plan never killed a helper");
             // Zero loss: every task ran exactly once despite the deaths.
-            assert_eq!(done.into_inner(), 8192);
+            assert_eq!(done.into_inner(), 8192 * rounds);
             // The escaped payload resumed on the caller...
             let payload = result.expect_err("worker death must resume on the caller");
             let msg = payload

@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lcws_core::{par_for_grain, EventKind, PoolBuilder, ThreadPool, Trace, Variant};
+use lcws_core::{par_for_grain, Event, PoolBuilder, ThreadPool, Trace, Variant};
 
 // ---------------------------------------------------------------------------
 // Minimal JSON parser — just enough to validate the Chrome export without
@@ -237,13 +237,13 @@ fn pool_run_produces_coherent_trace() {
         "merged trace must be time-ordered"
     );
     // Exactly one run lifecycle, bracketing everything else.
-    let starts: Vec<_> = trace.of_kind(EventKind::RunStart).collect();
+    let starts: Vec<_> = trace.of_kind(Event::RunStart).collect();
     assert_eq!(starts.len(), 1);
     assert_eq!(starts[0].payload, 4, "RunStart payload = worker count");
-    assert_eq!(trace.of_kind(EventKind::RunClose).count(), 1);
+    assert_eq!(trace.of_kind(Event::RunClose).count(), 1);
     // The workload forks ~n/grain leaves: pushes and local pops must show.
-    assert!(trace.of_kind(EventKind::Push).next().is_some());
-    assert!(trace.of_kind(EventKind::LocalPop).next().is_some());
+    assert!(trace.of_kind(Event::Push).next().is_some());
+    assert!(trace.of_kind(Event::LocalPop).next().is_some());
     // A second take is empty until the next run.
     assert!(pool.take_trace().is_none());
 
@@ -267,8 +267,8 @@ fn rings_reset_between_runs() {
     let second = traced_run(&pool, 1 << 12, 4);
     // The second trace covers only the second run: one lifecycle, and no
     // event older than the second run's start.
-    assert_eq!(second.of_kind(EventKind::RunStart).count(), 1);
-    let first_close = first.of_kind(EventKind::RunClose).next().unwrap().ts_ns;
+    assert_eq!(second.of_kind(Event::RunStart).count(), 1);
+    let first_close = first.of_kind(Event::RunClose).next().unwrap().ts_ns;
     assert!(
         second.events.iter().all(|e| e.ts_ns >= first_close),
         "stale events leaked across runs"
@@ -280,12 +280,12 @@ fn ws_variant_emits_no_signal_events() {
     let pool = PoolBuilder::new(Variant::Ws).threads(4).build();
     let trace = traced_run(&pool, 1 << 13, 4);
     for kind in [
-        EventKind::SignalSend,
-        EventKind::SignalSendFailed,
-        EventKind::HandlerEntry,
-        EventKind::HandlerExpose,
-        EventKind::Expose,
-        EventKind::TargetedPoll,
+        Event::SignalSend,
+        Event::SignalSendFailed,
+        Event::HandlerEntry,
+        Event::HandlerExpose,
+        Event::Exposure,
+        Event::TargetedPoll,
     ] {
         assert_eq!(
             trace.of_kind(kind).count(),
@@ -293,7 +293,7 @@ fn ws_variant_emits_no_signal_events() {
             "classic WS must not record {kind:?}"
         );
     }
-    assert!(trace.of_kind(EventKind::Push).next().is_some());
+    assert!(trace.of_kind(Event::Push).next().is_some());
 }
 
 #[test]
@@ -304,7 +304,7 @@ fn signal_variant_yields_latency_samples() {
     let mut sends = 0usize;
     for _ in 0..50 {
         let trace = traced_run(&pool, 1 << 14, 1);
-        sends += trace.of_kind(EventKind::SignalSend).count();
+        sends += trace.of_kind(Event::SignalSend).count();
         let latencies = trace.signal_latencies_ns();
         if !latencies.is_empty() {
             assert!(
@@ -336,6 +336,47 @@ fn tiny_ring_reports_dropped_events() {
     );
 }
 
+/// Both sides of a table row agree: for every event that is counted *and*
+/// traced, the run's trace holds as many records as the counter counted —
+/// or, for the rows whose count adds a number of tasks, the same payload
+/// sum. A site that counts without tracing (or the reverse) disagrees on
+/// every run. A correct build can disagree on a rare one: a handler that
+/// lands inside `record_now`'s head update costs the ring an event (the
+/// bounded-loss window in `trace.rs`), never the counter — so the
+/// assertion is one fully agreeing run in a few attempts.
+#[test]
+fn counted_and_traced_rows_agree() {
+    let adds_payload = [Event::Exposure, Event::InjectorPop, Event::InjectorPush];
+    let pool = PoolBuilder::new(Variant::Signal)
+        .threads(2)
+        .trace_capacity(1 << 18)
+        .build();
+    let mut disagree = Vec::new();
+    for _ in 0..10 {
+        let trace = traced_run(&pool, 1 << 14, 1);
+        let snap = pool.metrics();
+        assert_eq!(trace.dropped, 0, "rings must hold the whole run");
+        assert!(snap.pushes() > 0 && snap.local_pops() > 0, "{snap}");
+        disagree = Event::ALL
+            .iter()
+            .filter(|e| e.counter_name().is_some() && e.trace_name().is_some())
+            .filter_map(|&event| {
+                let records = trace.of_kind(event);
+                let traced: u64 = if adds_payload.contains(&event) {
+                    records.map(|e| u64::from(e.payload)).sum()
+                } else {
+                    records.count() as u64
+                };
+                (traced != snap.get(event)).then_some((event, traced, snap.get(event)))
+            })
+            .collect();
+        if disagree.is_empty() {
+            return;
+        }
+    }
+    panic!("(event, traced, counted) disagree on every run: {disagree:?}");
+}
+
 #[test]
 fn chrome_export_parses_and_matches_the_trace() {
     let pool = PoolBuilder::new(Variant::Signal).threads(4).build();
@@ -356,15 +397,13 @@ fn chrome_export_parses_and_matches_the_trace() {
         "one JSON object per event"
     );
 
-    let known: std::collections::HashSet<&str> = (0..32u16)
-        .filter_map(EventKind::from_u16)
-        .map(EventKind::name)
-        .collect();
+    let known: std::collections::HashSet<&str> =
+        Event::ALL.iter().filter_map(|e| e.trace_name()).collect();
     let mut last_ts = f64::MIN;
     for (obj, src) in events.iter().zip(&trace.events) {
         let name = obj.get("name").and_then(Json::as_str).expect("name");
         assert!(known.contains(name), "unknown event name {name:?}");
-        assert_eq!(name, src.kind.name());
+        assert_eq!(Some(name), src.kind.trace_name());
         assert_eq!(obj.get("ph").and_then(Json::as_str), Some("i"));
         assert_eq!(obj.get("s").and_then(Json::as_str), Some("t"));
         assert_eq!(obj.get("pid").and_then(Json::as_f64), Some(1.0));

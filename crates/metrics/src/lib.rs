@@ -21,6 +21,10 @@
 //! the paper's C++ listings execute the corresponding instruction, so the
 //! per-run [`Snapshot`] reproduces the paper's profile plots.
 //!
+//! What can be counted is declared once, in this file's event table
+//! (`event_table!`): the same [`Event`] names a counter here and a trace
+//! record in `lcws-core`, so the two can never drift apart.
+//!
 //! Signal-handler safety: the signal-based schedulers bump these counters
 //! from inside a `SIGUSR1` handler. That is sound because the increments
 //! touch only a `Cell` in the *interrupted thread's own* TLS block (already
@@ -32,218 +36,266 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The individual event kinds tracked by the instrumentation.
+/// Builds `Some(name)` from a table cell, `None` from an empty one.
+macro_rules! cell_name {
+    () => {
+        None
+    };
+    ($name:ident) => {
+        Some(stringify!($name))
+    };
+}
+
+/// Emits the [`Snapshot`] getter of a counted row; nothing for a row
+/// without a `count:` cell.
+macro_rules! counter_getter {
+    ($(#[$doc:meta])* $variant:ident) => {};
+    ($(#[$doc:meta])* $variant:ident $csv:ident) => {
+        $(#[$doc])*
+        pub fn $csv(&self) -> u64 {
+            self.get(Event::$variant)
+        }
+    };
+}
+
+/// The event table: every scheduling event is declared here exactly once.
 ///
-/// The discriminants index into [`Collector`]'s totals array and
-/// [`Snapshot`]'s fields; keep `COUNTER_KINDS` in sync.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Counter {
+/// A row is the variant, its doc comment, a `count:` cell (the CSV column
+/// and [`Snapshot`] getter name; empty = never counted) and a `trace:` cell
+/// (the Chrome-trace name; empty = never traced). From the rows the macro
+/// generates [`Event`], [`Event::ALL`], [`Event::COUNT`], both name
+/// lookups, [`Event::from_index`] and one `Snapshot` getter per counted
+/// row. Adding an event is one row here plus its call site.
+///
+/// CSV columns are the counted rows in table order, so a new counted row
+/// goes below the last one (archived CSVs keep their column positions).
+macro_rules! event_table {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident { $(count: $csv:ident)? $(,)? $(trace: $trace:ident)? }
+    )*) => {
+        /// A scheduling event: something the instrumentation counts, traces,
+        /// or both. One vocabulary for `lcws-metrics` counters and
+        /// `lcws-core`'s trace rings.
+        ///
+        /// The discriminant is the row's index in the event table. It
+        /// indexes [`Collector`]/[`Snapshot`] storage and is the code a
+        /// trace ring stores; it never leaves the process, so rows may be
+        /// reordered — the *names* are the stable surface.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u16)]
+        pub enum Event {
+            $( $(#[$doc])* $variant, )*
+        }
+
+        impl Event {
+            /// Every event, in table order (`ALL[e as usize] == e`).
+            pub const ALL: &'static [Event] = &[$(Event::$variant),*];
+
+            /// Number of rows in the table.
+            pub const COUNT: usize = Self::ALL.len();
+
+            /// CSV column / [`Snapshot`] getter name; `None` for an event
+            /// that is only traced.
+            pub const fn counter_name(self) -> Option<&'static str> {
+                match self {
+                    $( Event::$variant => cell_name!($($csv)?), )*
+                }
+            }
+
+            /// Chrome-trace event name; `None` for an event that is only
+            /// counted.
+            pub const fn trace_name(self) -> Option<&'static str> {
+                match self {
+                    $( Event::$variant => cell_name!($($trace)?), )*
+                }
+            }
+
+            /// Decode a table index (`None` past the end of the table, e.g.
+            /// a trace ring's never-written slot marker).
+            pub fn from_index(index: u16) -> Option<Event> {
+                Self::ALL.get(index as usize).copied()
+            }
+        }
+
+        impl Snapshot {
+            $( counter_getter! { $(#[$doc])* $variant $($csv)? } )*
+        }
+    };
+}
+
+event_table! {
     /// Sequentially-consistent memory fences (`atomic_thread_fence(seq_cst)`
     /// in the paper's Listing 2, and the fence the WS baseline deque pays on
     /// every local `pop_bottom`).
-    Fence = 0,
+    Fence { count: fences }
     /// Compare-and-swap instructions (successful or failed).
-    Cas = 1,
+    Cas { count: cas }
     /// Steal attempts: every `pop_top` invocation by a thief.
-    StealAttempt = 2,
-    /// Successful steals: `pop_top` returned a task to a thief.
-    StealOk = 3,
+    StealAttempt { count: steal_attempts }
+    /// Successful steals: `pop_top` returned a task to a thief. Counted in
+    /// the deque, traced by the thief's steal loop (payload = victim index).
+    StealOk { count: steals_ok, trace: steal_ok }
     /// Steal attempts answered with `PRIVATE_WORK` (the victim had only
-    /// private tasks, so the thief requested exposure).
-    StealPrivate = 4,
+    /// private tasks, so the thief requested exposure). Counted in the
+    /// deque, traced by the thief's steal loop (payload = victim index).
+    StealPrivate { count: steals_private, trace: steal_private }
     /// Tasks transferred from the private to the public part of a split
-    /// deque (`update_public_bottom` moved the boundary by one per task).
-    Exposure = 5,
+    /// deque (`update_public_bottom` moved the boundary by one per task;
+    /// payload = how many this call moved, and the count adds the payload).
+    Exposure { count: exposures, trace: expose }
     /// Exposed tasks that were re-taken by their owner via
-    /// `pop_public_bottom` — the paper's "exposed work that is not stolen".
-    OwnerPublicPop = 6,
-    /// `pthread_kill(SIGUSR1)` notifications sent by thieves.
-    SignalSent = 7,
+    /// `pop_public_bottom` — the paper's "exposed work that is not stolen"
+    /// (payload = new public boundary).
+    OwnerPublicPop { count: owner_public_pops, trace: public_pop }
+    /// `pthread_kill(SIGUSR1)` notifications that reached a victim.
+    SignalSent { count: signals_sent }
     /// Work-exposure requests handled (signal-handler activations or
     /// user-space `targeted`-flag observations that led to an exposure
     /// check).
-    ExposureRequest = 8,
+    ExposureRequest { count: exposure_requests }
     /// Iterations of the thief loop that yielded no task.
-    IdleIter = 9,
+    IdleIter { count: idle_iters }
     /// Tasks executed (both locally popped and stolen).
-    TaskRun = 10,
-    /// Local bottom pushes (`push_bottom`).
-    Push = 11,
-    /// Successful local bottom pops (`pop_bottom` returned a task).
-    LocalPop = 12,
+    TaskRun { count: tasks_run }
+    /// Local bottom pushes (`push_bottom`; payload = deque depth after the
+    /// push).
+    Push { count: pushes, trace: push }
+    /// Successful local bottom pops (`pop_bottom` returned a task;
+    /// payload = depth after the pop).
+    LocalPop { count: local_pops, trace: local_pop }
     /// Times a worker fully escalated its idle backoff and blocked on its
-    /// sleeper slot (condvar park).
-    Park = 13,
+    /// sleeper slot (condvar park; payload = 0).
+    Park { count: parks, trace: park }
     /// Wakeups delivered to parked workers by producers (push, exposure,
-    /// run close).
-    Unpark = 14,
+    /// run close). Counted and traced on the *waker* (payload = index of
+    /// the woken worker).
+    Unpark { count: unparks, trace: unpark }
     /// Parks that ended without a matching wakeup: timed-park backstop
-    /// expiry or a spurious condvar return.
-    SpuriousWake = 15,
+    /// expiry or a spurious condvar return (payload = 0).
+    SpuriousWake { count: spurious_wakes, trace: spurious_wake }
     /// Fork/spawn requests that found the worker's deque full and degraded
-    /// to inline execution on the owner instead of aborting.
-    OverflowInline = 16,
+    /// to inline execution on the owner instead of aborting (payload = 0).
+    OverflowInline { count: overflow_inline, trace: overflow_inline }
     /// `pthread_kill` notifications that returned a nonzero status (e.g.
     /// ESRCH from a racing thread exit) after exhausting the capped retry.
-    SignalSendFailed = 17,
+    /// Counted in the sender, traced by the thief (payload = victim index),
+    /// where it cancels the pending latency pairing.
+    SignalSendFailed { count: signal_send_failed, trace: signal_send_failed }
     /// Failed signal notifications that were rerouted through the
-    /// user-space `targeted`-flag path so the steal request is not lost.
-    SignalFallbackFlag = 18,
+    /// user-space `targeted`-flag path so the steal request is not lost
+    /// (payload = victim index).
+    SignalFallbackFlag { count: signal_fallback_flag, trace: fallback_reroute }
     /// Fault-injection sites that fired (delay, yield storm, or forced
     /// failure). Always zero unless the `faultpoints` feature of
     /// `lcws-core` is enabled and a plan is installed.
-    FaultInjected = 19,
+    FaultInjected { count: faults_injected }
     /// Individual `pthread_kill` invocations, successful or not, including
     /// EAGAIN re-sends. The paper's Figure 8 counts *deliveries*
-    /// ([`Counter::SignalSent`]); this counts the attempts behind them, so
+    /// ([`Event::SignalSent`]); this counts the attempts behind them, so
     /// `signal_send_attempts ≥ signals_sent + signal_send_failed`, with
     /// equality when no EAGAIN retry was needed.
-    SignalSendAttempt = 20,
+    SignalSendAttempt { count: signal_send_attempts }
     /// Steal attempts that lost the `age` CAS race to another taker
     /// (`Steal::Abort`). Distinct from an empty victim: an abort proves the
     /// victim held work an instant ago, so thieves must not treat it as
     /// emptiness when escalating their idle backoff.
-    StealAbort = 21,
+    StealAbort { count: steal_aborts }
     /// Deque ring-buffer growths: `push_bottom` found the current ring full
-    /// and doubled it. One bump per successful doubling, so the final
-    /// capacity of a worker's deque is `initial << grows` (per deque; this
-    /// counter aggregates across workers like every other counter).
-    DequeGrow = 22,
+    /// and doubled it (payload = new capacity in slots). One count per
+    /// successful doubling, so the final capacity of a worker's deque is
+    /// `initial << grows` (per deque; this counter aggregates across
+    /// workers like every other counter).
+    DequeGrow { count: deque_grows, trace: deque_grow }
     /// Worker threads that died: a panic escaped a helper's work loop (the
     /// job-level `catch_unwind` contains task panics, so this counts
     /// scheduler-internal failures and injected `WorkerLoop` faults), or a
-    /// join at teardown surfaced a panic payload.
-    WorkerDeath = 23,
+    /// join at teardown surfaced a panic payload. Traced on the dying
+    /// worker, before it leaves the run's `active` handshake (payload =
+    /// private tasks exposed for rescue).
+    WorkerDeath { count: worker_deaths, trace: worker_death }
     /// Replacement helper threads spawned by the pool's between-run
     /// self-healing pass (one per dead worker successfully respawned).
-    WorkerRespawn = 24,
+    /// Traced on worker 0's ring at the start of the run that healed the
+    /// pool (payload = the respawned worker's index).
+    WorkerRespawn { count: worker_respawns, trace: worker_respawn }
     /// Tasks submitted to the pool's global injector
-    /// (`ThreadPool::spawn`/`spawn_batch`). External producer threads
-    /// account these directly into the pool collector (they have no
-    /// flushed thread-local cells).
-    InjectorPush = 25,
+    /// (`ThreadPool::spawn`/`spawn_batch`; payload = tasks in the
+    /// submission). External producer threads account these directly into
+    /// the pool collector (they have no flushed thread-local cells) and
+    /// have no trace ring, so their pushes appear only in the counter.
+    InjectorPush { count: injector_pushes, trace: inject }
     /// Tasks taken out of the global injector by workers falling back to
-    /// it between steal attempts. `injector_pushes == injector_pops +
+    /// it between steal attempts (payload = jobs in the batch, and the
+    /// count adds the payload). `injector_pushes == injector_pops +
     /// inline-degraded submissions` once a serve generation drains.
-    InjectorPop = 26,
+    InjectorPop { count: injector_pops, trace: injector_pop }
     /// Race reports emitted by the happens-before checker (`hb` feature of
     /// `lcws-core`). Always zero in default builds; any nonzero value under
     /// `--features hb` is a detected data race (two accesses to a tracked
     /// location unordered by happens-before).
-    HbReport = 27,
+    HbReport { count: hb_reports }
     /// **Extra** tasks transferred by a batch steal (`pop_top_batch` under
     /// the steal-half policy), beyond the one task every successful steal
-    /// returns. A batch that took `k` tasks bumps [`Counter::StealOk`] once
-    /// and this counter by `k - 1`, so total tasks migrated by thieves is
+    /// returns. A batch that took `k` tasks counts [`Event::StealOk`] once
+    /// and this event `k - 1` times, so total tasks migrated by thieves is
     /// `steals_ok + steal_batch_tasks` and `steal_batch_tasks > steals_ok`
     /// proves the average batch moved more than two tasks per CAS.
-    StealBatchTask = 28,
+    StealBatchTask { count: steal_batch_tasks }
     /// Producer-side wake attempts: every `wake_one` / `wake_worker` /
     /// `wake_all` call, counted *before* the has-sleepers fast-path exit, so
     /// redundant notifications are visible even when nobody was parked.
-    WakeAttempt = 29,
-}
+    WakeAttempt { count: wake_attempts }
 
-/// All counter kinds, in discriminant order.
-pub const COUNTER_KINDS: [Counter; NUM_COUNTERS] = [
-    Counter::Fence,
-    Counter::Cas,
-    Counter::StealAttempt,
-    Counter::StealOk,
-    Counter::StealPrivate,
-    Counter::Exposure,
-    Counter::OwnerPublicPop,
-    Counter::SignalSent,
-    Counter::ExposureRequest,
-    Counter::IdleIter,
-    Counter::TaskRun,
-    Counter::Push,
-    Counter::LocalPop,
-    Counter::Park,
-    Counter::Unpark,
-    Counter::SpuriousWake,
-    Counter::OverflowInline,
-    Counter::SignalSendFailed,
-    Counter::SignalFallbackFlag,
-    Counter::FaultInjected,
-    Counter::SignalSendAttempt,
-    Counter::StealAbort,
-    Counter::DequeGrow,
-    Counter::WorkerDeath,
-    Counter::WorkerRespawn,
-    Counter::InjectorPush,
-    Counter::InjectorPop,
-    Counter::HbReport,
-    Counter::StealBatchTask,
-    Counter::WakeAttempt,
-];
+    // Traced only: no CSV column.
 
-/// Number of distinct counters.
-pub const NUM_COUNTERS: usize = 30;
-
-impl Counter {
-    /// Short, stable name used in CSV headers.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::Fence => "fences",
-            Counter::Cas => "cas",
-            Counter::StealAttempt => "steal_attempts",
-            Counter::StealOk => "steals_ok",
-            Counter::StealPrivate => "steals_private",
-            Counter::Exposure => "exposures",
-            Counter::OwnerPublicPop => "owner_public_pops",
-            Counter::SignalSent => "signals_sent",
-            Counter::ExposureRequest => "exposure_requests",
-            Counter::IdleIter => "idle_iters",
-            Counter::TaskRun => "tasks_run",
-            Counter::Push => "pushes",
-            Counter::LocalPop => "local_pops",
-            Counter::Park => "parks",
-            Counter::Unpark => "unparks",
-            Counter::SpuriousWake => "spurious_wakes",
-            Counter::OverflowInline => "overflow_inline",
-            Counter::SignalSendFailed => "signal_send_failed",
-            Counter::SignalFallbackFlag => "signal_fallback_flag",
-            Counter::FaultInjected => "faults_injected",
-            Counter::SignalSendAttempt => "signal_send_attempts",
-            Counter::StealAbort => "steal_aborts",
-            Counter::DequeGrow => "deque_grows",
-            Counter::WorkerDeath => "worker_deaths",
-            Counter::WorkerRespawn => "worker_respawns",
-            Counter::InjectorPush => "injector_pushes",
-            Counter::InjectorPop => "injector_pops",
-            Counter::HbReport => "hb_reports",
-            Counter::StealBatchTask => "steal_batch_tasks",
-            Counter::WakeAttempt => "wake_attempts",
-        }
-    }
+    /// A pool run opened (worker 0; payload = number of workers).
+    RunStart { trace: run_start }
+    /// A pool run closed after quiescence (worker 0; payload = 0).
+    RunClose { trace: run_close }
+    /// Thief began sending `SIGUSR1` to a victim (payload = victim index).
+    /// Recorded *before* `pthread_kill`, so the victim's
+    /// [`Event::HandlerEntry`] minus this timestamp is the true delivery
+    /// latency.
+    SignalSend { trace: signal_send }
+    /// `SIGUSR1` handler entered on the victim (payload = 0). Recorded in
+    /// signal context.
+    HandlerEntry { trace: handler_entry }
+    /// Handler finished its exposure (payload = tasks exposed, possibly 0).
+    /// Recorded in signal context.
+    HandlerExpose { trace: handler_expose }
+    /// Owner served an exposure request at a task boundary (payload = 0
+    /// for the USLCWS `targeted` flag, 1 for the degraded-signal
+    /// `fallback_expose` flag).
+    TargetedPoll { trace: targeted_poll }
+    /// A thief's batch steal transferred more than one task with a single
+    /// validating CAS (steal-half policy; payload = total tasks taken,
+    /// including the one the steal returned directly).
+    StealBatch { trace: steal_batch }
 }
 
 thread_local! {
-    static LOCAL: [Cell<u64>; NUM_COUNTERS] = const {
-        [const { Cell::new(0) }; NUM_COUNTERS]
+    static LOCAL: [Cell<u64>; Event::COUNT] = const {
+        [const { Cell::new(0) }; Event::COUNT]
     };
 }
 
-/// Increment a counter by one on the current thread.
+/// Count `event` once on the current thread.
 ///
 /// Cost: one non-atomic TLS add. Safe to call from a signal handler once the
 /// thread has touched its counters at least once (worker prologues call
 /// [`touch`] to guarantee this).
 #[inline]
-pub fn bump(counter: Counter) {
-    LOCAL.with(|c| {
-        let cell = &c[counter as usize];
-        cell.set(cell.get().wrapping_add(1));
-    });
+pub fn bump(event: Event) {
+    bump_by(event, 1);
 }
 
-/// Increment a counter by `n` on the current thread.
+/// Count `event` `n` times on the current thread.
 #[inline]
-pub fn bump_by(counter: Counter, n: u64) {
+pub fn bump_by(event: Event, n: u64) {
+    debug_assert!(event.counter_name().is_some(), "{event:?} is not counted");
     LOCAL.with(|c| {
-        let cell = &c[counter as usize];
+        let cell = &c[event as usize];
         cell.set(cell.get().wrapping_add(n));
     });
 }
@@ -265,13 +317,13 @@ pub fn touch() {
 #[inline]
 pub fn fence_seq_cst() {
     std::sync::atomic::fence(Ordering::SeqCst);
-    bump(Counter::Fence);
+    bump(Event::Fence);
 }
 
 /// Account for one compare-and-swap instruction (call adjacent to the CAS).
 #[inline]
 pub fn record_cas() {
-    bump(Counter::Cas);
+    bump(Event::Cas);
 }
 
 /// Flush this thread's counters into `collector`, resetting them to zero.
@@ -302,9 +354,17 @@ pub fn reset_local() {
 ///
 /// A scheduler owns one `Collector`; its workers flush into it at quiescence.
 /// `Collector` is cheap to share (`Arc` internally-atomic totals).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Collector {
-    totals: [AtomicU64; NUM_COUNTERS],
+    totals: [AtomicU64; Event::COUNT],
+}
+
+impl Default for Collector {
+    fn default() -> Self {
+        Collector {
+            totals: [const { AtomicU64::new(0) }; Event::COUNT],
+        }
+    }
 }
 
 impl Collector {
@@ -331,147 +391,38 @@ impl Collector {
 
     /// Add `v` to one total directly (used by tests and by flushes from
     /// threads that are about to exit).
-    pub fn add(&self, counter: Counter, v: u64) {
-        self.totals[counter as usize].fetch_add(v, Ordering::Relaxed);
+    pub fn add(&self, event: Event, v: u64) {
+        self.totals[event as usize].fetch_add(v, Ordering::Relaxed);
     }
 }
 
-/// A point-in-time copy of a [`Collector`]'s totals.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// A point-in-time copy of a [`Collector`]'s totals. Every counted row of
+/// the event table has a getter named after its CSV column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
-    counts: [u64; NUM_COUNTERS],
+    counts: [u64; Event::COUNT],
+}
+
+impl Default for Snapshot {
+    fn default() -> Self {
+        Snapshot {
+            counts: [0; Event::COUNT],
+        }
+    }
 }
 
 impl Snapshot {
     /// Value of one counter.
     #[inline]
-    pub fn get(&self, counter: Counter) -> u64 {
-        self.counts[counter as usize]
+    pub fn get(&self, event: Event) -> u64 {
+        self.counts[event as usize]
     }
 
-    /// Seq-cst fences executed.
-    pub fn fences(&self) -> u64 {
-        self.get(Counter::Fence)
-    }
-
-    /// CAS instructions executed.
-    pub fn cas(&self) -> u64 {
-        self.get(Counter::Cas)
-    }
-
-    /// Steal attempts (thief `pop_top` calls).
-    pub fn steal_attempts(&self) -> u64 {
-        self.get(Counter::StealAttempt)
-    }
-
-    /// Successful steals.
-    pub fn steals_ok(&self) -> u64 {
-        self.get(Counter::StealOk)
-    }
-
-    /// Tasks moved from private to public deque parts.
-    pub fn exposures(&self) -> u64 {
-        self.get(Counter::Exposure)
-    }
-
-    /// Exposed tasks re-taken by their owner rather than stolen.
-    pub fn owner_public_pops(&self) -> u64 {
-        self.get(Counter::OwnerPublicPop)
-    }
-
-    /// `pthread_kill` notifications sent.
-    pub fn signals_sent(&self) -> u64 {
-        self.get(Counter::SignalSent)
-    }
-
-    /// Tasks executed.
-    pub fn tasks_run(&self) -> u64 {
-        self.get(Counter::TaskRun)
-    }
-
-    /// Idle thief-loop iterations that yielded no task.
-    pub fn idle_iters(&self) -> u64 {
-        self.get(Counter::IdleIter)
-    }
-
-    /// Condvar parks entered by idle workers.
-    pub fn parks(&self) -> u64 {
-        self.get(Counter::Park)
-    }
-
-    /// Wakeups delivered to parked workers.
-    pub fn unparks(&self) -> u64 {
-        self.get(Counter::Unpark)
-    }
-
-    /// Forks/spawns that degraded to inline execution on deque overflow.
-    pub fn overflow_inline(&self) -> u64 {
-        self.get(Counter::OverflowInline)
-    }
-
-    /// `pthread_kill` notifications that failed after the capped retry.
-    pub fn signal_send_failed(&self) -> u64 {
-        self.get(Counter::SignalSendFailed)
-    }
-
-    /// Raw `pthread_kill` invocations, including EAGAIN re-sends.
-    pub fn signal_send_attempts(&self) -> u64 {
-        self.get(Counter::SignalSendAttempt)
-    }
-
-    /// Steal attempts that lost the CAS race to another taker.
-    pub fn steal_aborts(&self) -> u64 {
-        self.get(Counter::StealAbort)
-    }
-
-    /// Deque ring-buffer doublings performed by `push_bottom`.
-    pub fn deque_grows(&self) -> u64 {
-        self.get(Counter::DequeGrow)
-    }
-
-    /// Worker threads lost to a panic escaping their work loop.
-    pub fn worker_deaths(&self) -> u64 {
-        self.get(Counter::WorkerDeath)
-    }
-
-    /// Replacement helper threads spawned by the self-healing pass.
-    pub fn worker_respawns(&self) -> u64 {
-        self.get(Counter::WorkerRespawn)
-    }
-
-    /// Tasks submitted to the global injector.
-    pub fn injector_pushes(&self) -> u64 {
-        self.get(Counter::InjectorPush)
-    }
-
-    /// Tasks workers took out of the global injector.
-    pub fn injector_pops(&self) -> u64 {
-        self.get(Counter::InjectorPop)
-    }
-
-    /// Race reports from the happens-before checker (`hb` feature).
-    pub fn hb_reports(&self) -> u64 {
-        self.get(Counter::HbReport)
-    }
-
-    /// Extra tasks moved by batch steals beyond the per-steal first task.
-    pub fn steal_batch_tasks(&self) -> u64 {
-        self.get(Counter::StealBatchTask)
-    }
-
-    /// Producer-side wake attempts (before the has-sleepers fast path).
-    pub fn wake_attempts(&self) -> u64 {
-        self.get(Counter::WakeAttempt)
-    }
-
-    /// Failed notifications rerouted through the `targeted`-flag fallback.
-    pub fn signal_fallback_flag(&self) -> u64 {
-        self.get(Counter::SignalFallbackFlag)
-    }
-
-    /// Fault-injection sites that fired (requires `faultpoints`).
-    pub fn faults_injected(&self) -> u64 {
-        self.get(Counter::FaultInjected)
+    /// `(column name, value)` of every counted row, in CSV column order.
+    fn columns(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Event::ALL
+            .iter()
+            .filter_map(|&e| Some((e.counter_name()?, self.get(e))))
     }
 
     /// Fraction of exposed tasks that were **not** stolen (taken back by the
@@ -487,18 +438,18 @@ impl Snapshot {
 
     /// Ratio of one snapshot's counter to another's (paper plots e.g.
     /// "USLCWS fences / WS fences"). `None` when the denominator is zero.
-    pub fn ratio(&self, other: &Snapshot, counter: Counter) -> Option<f64> {
-        let d = other.get(counter);
+    pub fn ratio(&self, other: &Snapshot, event: Event) -> Option<f64> {
+        let d = other.get(event);
         if d == 0 {
             return None;
         }
-        Some(self.get(counter) as f64 / d as f64)
+        Some(self.get(event) as f64 / d as f64)
     }
 
     /// Element-wise sum of two snapshots.
     pub fn merged(&self, other: &Snapshot) -> Snapshot {
         let mut out = *self;
-        for i in 0..NUM_COUNTERS {
+        for i in 0..Event::COUNT {
             out.counts[i] = out.counts[i].wrapping_add(other.counts[i]);
         }
         out
@@ -507,43 +458,35 @@ impl Snapshot {
     /// Element-wise difference (`self - other`), saturating at zero.
     pub fn since(&self, other: &Snapshot) -> Snapshot {
         let mut out = *self;
-        for i in 0..NUM_COUNTERS {
+        for i in 0..Event::COUNT {
             out.counts[i] = out.counts[i].saturating_sub(other.counts[i]);
         }
         out
     }
 
-    /// CSV header matching [`Snapshot::to_csv_row`].
+    /// CSV header matching [`Snapshot::to_csv_row`]: the counted rows of
+    /// the event table, in table order.
     pub fn csv_header() -> String {
-        COUNTER_KINDS
-            .iter()
-            .map(|c| c.name())
-            .collect::<Vec<_>>()
-            .join(",")
+        let names: Vec<_> = Event::ALL.iter().filter_map(|e| e.counter_name()).collect();
+        names.join(",")
     }
 
-    /// Comma-separated counter values in `COUNTER_KINDS` order.
+    /// Comma-separated counter values in [`Snapshot::csv_header`] order.
     pub fn to_csv_row(&self) -> String {
-        self.counts
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
+        let values: Vec<_> = self.columns().map(|(_, v)| v.to_string()).collect();
+        values.join(",")
     }
 }
 
 impl fmt::Display for Snapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for kind in COUNTER_KINDS {
-            let v = self.get(kind);
-            if v != 0 {
-                if !first {
-                    write!(f, " ")?;
-                }
-                write!(f, "{}={}", kind.name(), v)?;
-                first = false;
+        for (name, v) in self.columns().filter(|&(_, v)| v != 0) {
+            if !first {
+                write!(f, " ")?;
             }
+            write!(f, "{name}={v}")?;
+            first = false;
         }
         if first {
             write!(f, "(all zero)")?;
@@ -560,9 +503,9 @@ mod tests {
     fn bump_and_flush_accumulate() {
         reset_local();
         let c = Collector::new();
-        bump(Counter::Fence);
-        bump(Counter::Fence);
-        bump_by(Counter::Cas, 5);
+        bump(Event::Fence);
+        bump(Event::Fence);
+        bump_by(Event::Cas, 5);
         flush_into(&c);
         let s = c.snapshot();
         assert_eq!(s.fences(), 2);
@@ -584,15 +527,15 @@ mod tests {
     #[test]
     fn snapshot_ratio_and_unstolen() {
         let c = Collector::new();
-        c.add(Counter::Exposure, 10);
-        c.add(Counter::OwnerPublicPop, 4);
+        c.add(Event::Exposure, 10);
+        c.add(Event::OwnerPublicPop, 4);
         let s = c.snapshot();
         assert_eq!(s.unstolen_exposure_ratio(), Some(0.4));
 
         let d = Collector::new();
-        d.add(Counter::Fence, 100);
-        c.add(Counter::Fence, 25);
-        let r = c.snapshot().ratio(&d.snapshot(), Counter::Fence);
+        d.add(Event::Fence, 100);
+        c.add(Event::Fence, 25);
+        let r = c.snapshot().ratio(&d.snapshot(), Event::Fence);
         assert_eq!(r, Some(0.25));
     }
 
@@ -600,7 +543,7 @@ mod tests {
     fn ratio_none_on_zero_denominator() {
         let a = Collector::new().snapshot();
         let b = Collector::new().snapshot();
-        assert_eq!(a.ratio(&b, Counter::Fence), None);
+        assert_eq!(a.ratio(&b, Event::Fence), None);
         assert_eq!(a.unstolen_exposure_ratio(), None);
     }
 
@@ -613,7 +556,7 @@ mod tests {
                 s.spawn(move || {
                     reset_local();
                     for _ in 0..100 {
-                        bump(Counter::TaskRun);
+                        bump(Event::TaskRun);
                     }
                     flush_into(c);
                 });
@@ -625,32 +568,71 @@ mod tests {
     #[test]
     fn merged_and_since() {
         let c = Collector::new();
-        c.add(Counter::Push, 7);
-        c.add(Counter::LocalPop, 3);
+        c.add(Event::Push, 7);
+        c.add(Event::LocalPop, 3);
         let s1 = c.snapshot();
-        c.add(Counter::Push, 5);
+        c.add(Event::Push, 5);
         let s2 = c.snapshot();
-        assert_eq!(s2.since(&s1).get(Counter::Push), 5);
-        assert_eq!(s2.since(&s1).get(Counter::LocalPop), 0);
-        assert_eq!(s1.merged(&s2).get(Counter::Push), 19);
+        assert_eq!(s2.since(&s1).pushes(), 5);
+        assert_eq!(s2.since(&s1).local_pops(), 0);
+        assert_eq!(s1.merged(&s2).pushes(), 19);
     }
 
+    /// The table is the only list: indices decode back, no name is used
+    /// twice in a column, every row has a name, and both frozen name lists
+    /// (CSV header, Chrome-trace names) still read as they did before the
+    /// table existed.
     #[test]
-    fn csv_round_trip_shape() {
-        let header = Snapshot::csv_header();
-        let row = Collector::new().snapshot().to_csv_row();
+    fn event_table_is_the_only_list() {
+        for (i, &e) in Event::ALL.iter().enumerate() {
+            assert_eq!(e as usize, i);
+            assert_eq!(Event::from_index(i as u16), Some(e));
+            assert!(
+                e.counter_name().is_some() || e.trace_name().is_some(),
+                "{e:?} is neither counted nor traced"
+            );
+        }
+        assert_eq!(Event::from_index(Event::COUNT as u16), None);
+        assert_eq!(Event::from_index(u16::MAX), None, "fresh-slot marker");
+
+        let column = |name: fn(Event) -> Option<&'static str>| -> Vec<&'static str> {
+            let mut names: Vec<_> = Event::ALL.iter().filter_map(|&e| name(e)).collect();
+            let listed = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), listed, "a name is used twice: {names:?}");
+            names
+        };
+        // Frozen: the sweep CSVs' columns, in this order.
         assert_eq!(
-            header.split(',').count(),
-            row.split(',').count(),
+            Snapshot::csv_header(),
+            "fences,cas,steal_attempts,steals_ok,steals_private,exposures,\
+             owner_public_pops,signals_sent,exposure_requests,idle_iters,tasks_run,\
+             pushes,local_pops,parks,unparks,spurious_wakes,overflow_inline,\
+             signal_send_failed,signal_fallback_flag,faults_injected,\
+             signal_send_attempts,steal_aborts,deque_grows,worker_deaths,\
+             worker_respawns,injector_pushes,injector_pops,hb_reports,\
+             steal_batch_tasks,wake_attempts"
+        );
+        assert_eq!(
+            column(Event::counter_name).len(),
+            Snapshot::default().to_csv_row().split(',').count(),
             "header and row column counts must match"
         );
-        assert_eq!(header.split(',').count(), NUM_COUNTERS);
+        // Frozen: the Chrome-trace event names (any order).
+        assert_eq!(
+            column(Event::trace_name).join(","),
+            "deque_grow,expose,fallback_reroute,handler_entry,handler_expose,inject,\
+             injector_pop,local_pop,overflow_inline,park,public_pop,push,run_close,\
+             run_start,signal_send,signal_send_failed,spurious_wake,steal_batch,\
+             steal_ok,steal_private,targeted_poll,unpark,worker_death,worker_respawn"
+        );
     }
 
     #[test]
     fn display_skips_zeros() {
         let c = Collector::new();
-        c.add(Counter::SignalSent, 2);
+        c.add(Event::SignalSent, 2);
         let txt = format!("{}", c.snapshot());
         assert!(txt.contains("signals_sent=2"));
         assert!(!txt.contains("fences"));
@@ -658,17 +640,9 @@ mod tests {
     }
 
     #[test]
-    fn counter_names_unique() {
-        let mut names: Vec<_> = COUNTER_KINDS.iter().map(|c| c.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), NUM_COUNTERS);
-    }
-
-    #[test]
     fn reset_clears_collector() {
         let c = Collector::new();
-        c.add(Counter::Fence, 9);
+        c.add(Event::Fence, 9);
         c.reset();
         assert_eq!(c.snapshot().fences(), 0);
     }

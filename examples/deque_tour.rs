@@ -76,8 +76,8 @@ fn main() {
         "note: {} pushes and {} private pops executed ZERO fences; the {} fences\n\
          all came from pop_public_bottom on the exposed-but-unstolen tasks —\n\
          exactly the Figure 3d effect the paper discusses.",
-        snap.get(metrics::Counter::Push),
-        snap.get(metrics::Counter::LocalPop),
+        snap.pushes(),
+        snap.local_pops(),
         snap.fences(),
     );
 }

@@ -18,7 +18,7 @@
 
 pub use lcws_core::{
     default_grain, in_pool, join, num_workers, par_for, par_for_grain, scope, worker_index,
-    Counter, DequeKind, ExposurePolicy, IdlePolicy, NotifyChannel, ParseVariantError, Policies,
+    DequeKind, Event, ExposurePolicy, IdlePolicy, NotifyChannel, ParseVariantError, Policies,
     PolicyError, PoolBuilder, PopBottomMode, Scope, Snapshot, SplitDeque, StealAmount, ThreadPool,
     Variant, VictimSelection,
 };

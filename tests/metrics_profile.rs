@@ -45,7 +45,7 @@ fn ws_never_exposes_or_signals() {
     let ws = profile(Variant::Ws, 4);
     assert_eq!(ws.exposures(), 0);
     assert_eq!(ws.signals_sent(), 0);
-    assert_eq!(ws.get(lcws::Counter::StealPrivate), 0);
+    assert_eq!(ws.steals_private(), 0);
 }
 
 #[test]
@@ -101,7 +101,7 @@ fn signals_flow_only_under_signal_variants_with_thieves() {
                 std::hint::black_box(i);
             });
         });
-        if m.get(lcws::Counter::StealAttempt) > 0 {
+        if m.steal_attempts() > 0 {
             return;
         }
     }
