@@ -8,7 +8,7 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::model::shim::{self, AtomicU64};
+use crate::shim::{self, AtomicU64};
 
 /// Packed `{tag, top}` value. `top` lives in the low 32 bits so that the
 /// common "bump top by one" update is an add on the raw word.
@@ -76,7 +76,7 @@ impl Age {
 
 /// An atomic [`Age`] cell.
 ///
-/// Backed by the [`crate::model::shim`] atomic so that, under the opt-in
+/// Backed by the `crate::shim` atomic so that, under the opt-in
 /// `model` feature, every `age` access is a scheduling point of the
 /// interleaving explorer; the default build is a plain `AtomicU64`.
 #[derive(Debug)]

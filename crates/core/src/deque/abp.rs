@@ -26,7 +26,7 @@ use crate::hb;
 use crate::job::Job;
 // Index/age words go through the shim atomics: plain std atomics in normal
 // builds, DFS scheduling points under the opt-in `model` feature.
-use crate::model::shim::{self, AtomicU32};
+use crate::shim::{self, AtomicU32};
 use crate::trace;
 
 /// ABP deque: `age = {tag, top}` at the top, `bot` at the bottom, slots in

@@ -6,7 +6,7 @@
 //! power-of-two ring as `index & mask`. When `push_bottom` finds the ring
 //! full it allocates a double-size ring, copies the old ring's slots to the
 //! same absolute indices, and publishes the new buffer pointer with a
-//! Release store ([`crate::model::shim::SchedPtr`]). Cross-thread readers
+//! Release store (`crate::shim::SchedPtr`). Cross-thread readers
 //! capture the pointer **once per operation** with an Acquire load and index
 //! modulo the captured ring's own capacity.
 //!
@@ -45,7 +45,7 @@
 //! inline fallback.
 
 use std::cell::{Cell, UnsafeCell};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicPtr, Ordering};
 
 use lcws_metrics::Event;
 
@@ -53,7 +53,7 @@ use crate::deque::{sdist, DequeFull};
 use crate::fault::{self, Site};
 use crate::hb;
 use crate::job::Job;
-use crate::model::shim::{AtomicPtr, SchedPtr};
+use crate::shim::SchedPtr;
 use crate::trace;
 
 /// Hard ceiling on a ring's slot count: 2³⁰ slots (8 GiB of task pointers).

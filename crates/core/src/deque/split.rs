@@ -22,8 +22,18 @@
 //!   synchronization event (Figure 3d discussion), consistent with this.
 //! * In `pop_top`, `age` is loaded with Acquire so the subsequent
 //!   `public_bot` load cannot be hoisted above it on weak ISAs (free on
-//!   x86). None of these strengthen the *fence/CAS counts* the evaluation
-//!   measures.
+//!   x86).
+//! * **Slot reuse.** A thief's steal CAS on `age` is **Release** on
+//!   success, and every owner read of `age` that can observe it — the
+//!   push's top-bound refresh, both loads in `pop_public_bottom`, the
+//!   failed reset CAS — is **Acquire**. The owner overwrites a stolen
+//!   slot's physical cell (ring wrap, or the next era after a reset) only
+//!   after learning through one of those reads that `top` moved past it;
+//!   the pair orders that overwrite after the thief's slot read. The
+//!   listing's plain accesses get this from x86-TSO (same instructions:
+//!   `lock cmpxchg`, `mov`); ABP's steal CAS is SeqCst for the same reason.
+//!
+//! None of these strengthen the *fence/CAS counts* the evaluation measures.
 //!
 //! ## The §4 owner-vs-handler race
 //!
@@ -67,7 +77,7 @@ use crate::hb;
 use crate::job::Job;
 // All index/age words go through the shim atomics: plain std atomics in
 // normal builds, DFS scheduling points under the opt-in `model` feature.
-use crate::model::shim::{self, AtomicU32};
+use crate::shim::{self, AtomicU32};
 use crate::trace;
 
 /// How the owner's `pop_bottom` guards against concurrent exposure from a
@@ -190,9 +200,11 @@ impl SplitDeque {
         if fault::fail_at(Site::PushBottom) {
             return Err(DequeFull);
         }
+        // Acquire: a `top` that moved frees cells for the write below,
+        // which must come after the thief's read of them (*Slot reuse*).
         let buf = self
             .ring
-            .for_push(b, || self.age.load(Ordering::Relaxed).top)?;
+            .for_push(b, || self.age.load(Ordering::Acquire).top)?;
         hb::on_write(buf.slot(b) as *const _ as usize, "split slot (push_bottom)");
         buf.slot(b).store(task, Ordering::Relaxed);
         self.bot.store(b.wrapping_add(1), Ordering::Relaxed);
@@ -270,7 +282,9 @@ impl SplitDeque {
     pub fn pop_public_bottom(&self) -> Option<*mut Job> {
         fault::point(Site::PopPublicBottom);
         let pb0 = self.public_bot.load(Ordering::Relaxed);
-        if pb0 == 0 && self.age.load(Ordering::Relaxed).top == 0 {
+        // Every owner read of `age` that can observe a thief's CAS is an
+        // Acquire: it is how the owner learns slots below `top` are free.
+        if pb0 == 0 && self.age.load(Ordering::Acquire).top == 0 {
             // §4 modification: repair `bot` (the SignalSafe pop_bottom may
             // have left it decremented below a now-empty deque). The guard
             // requires `top == 0` too: on a wrapped era `public_bot == 0`
@@ -291,7 +305,7 @@ impl SplitDeque {
         // read an up-to-date `age`.
         shim::fence_seq_cst();
         let task = self.ring.owner().slot(pb).load(Ordering::Relaxed);
-        let old_age = self.age.load(Ordering::Relaxed);
+        let old_age = self.age.load(Ordering::Acquire);
         if sdist(pb, old_age.top) > 0 {
             // More than one public task remained: the bottom-most one is
             // ours without contention. Private part is empty here (this
@@ -321,8 +335,10 @@ impl SplitDeque {
         self.public_bot.store(0, Ordering::Release);
         let won = if local_bot == old_age.top {
             metrics::record_cas();
+            // Failure Acquire: losing means a thief's CAS took the last
+            // task; the next era reuses the slot that thief read.
             self.age
-                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Relaxed)
+                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Acquire)
                 .is_ok()
         } else {
             false
@@ -374,9 +390,12 @@ impl SplitDeque {
                 return Steal::Abort;
             }
             metrics::record_cas();
+            // Success Release: commits the slot read above, ordering it
+            // before the owner's reuse of the cell (module docs, *Slot
+            // reuse*).
             if self
                 .age
-                .compare_exchange(old_age, new_age, Ordering::Relaxed, Ordering::Relaxed)
+                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Relaxed)
                 .is_ok()
             {
                 hb::commit_read(pending);
@@ -471,9 +490,11 @@ impl SplitDeque {
                 return Steal::Abort;
             }
             metrics::record_cas();
+            // Success Release, as in `pop_top`: orders the `k` slot reads
+            // before the owner's reuse of those slots.
             if self
                 .age
-                .compare_exchange(old_age, new_age, Ordering::Relaxed, Ordering::Relaxed)
+                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Relaxed)
                 .is_ok()
             {
                 for pend in pending.iter_mut().take(k) {

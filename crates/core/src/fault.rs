@@ -19,8 +19,8 @@
 //! Everything here is gated on the `faultpoints` cargo feature. Without it,
 //! [`point`] and [`fail_at`] are empty `#[inline(always)]` stubs that the
 //! compiler folds away entirely — the default build contains no faultpoint
-//! code, which CI asserts and the `fork_join` / `deque_ops` benches guard
-//! (±3% vs. the pre-faultpoint baseline).
+//! code, which CI asserts and the owner-path metrics of `lcws-e2e --trace 1`
+//! guard (`core.api.join_ns.<s>`, `core.deque.*_push_pop_ns`).
 //!
 //! ## Determinism
 //!

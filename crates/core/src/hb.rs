@@ -12,8 +12,8 @@
 //! ## Algorithm
 //!
 //! Every participating thread `t` carries a vector clock `C_t` (its slot is
-//! assigned lazily on first instrumented access). The shim atomics in
-//! [`crate::model::shim`] call into this module on every operation:
+//! assigned lazily on first instrumented access). The instrumented
+//! atomics of `crate::shim` report every operation here:
 //!
 //! * store with a Release component: the atomic's *release clock* `L_a`
 //!   becomes a copy of `C_t`; a `Relaxed` store **resets** `L_a` (C++20
@@ -45,7 +45,7 @@
 //!
 //! With the feature off, every hook in this module is an empty
 //! `#[inline(always)]` stub and the shim atomics are plain `std` aliases
-//! (TypeId-asserted in `model::tests`), so default builds are bit-identical
+//! (TypeId-asserted in `shim::tests`), so default builds are bit-identical
 //! to pre-`hb` ones. With the feature on, every hook serializes through one
 //! global mutex — the checker is a correctness instrument, not a
 //! performance configuration. Hooks block `SIGUSR1` for the lock's
@@ -385,12 +385,12 @@ mod imp {
         ck.sc.join(&t);
     }
 
-    /// Run `op` under the checker lock and feed the clock update `f`. The
-    /// lock makes the real access and its clock bookkeeping one step, so
-    /// hook/op interleavings cannot fabricate or hide edges. Re-entrant
-    /// calls run uninstrumented (backstop; `SigBlock` keeps the expose
-    /// handler from ever re-entering).
-    fn with_op<T>(op: impl FnOnce() -> T, f: impl FnOnce(&mut Checker, usize)) -> T {
+    /// Run `op` under the checker lock and feed its result to the clock
+    /// update `f`. The lock makes the real access and its clock bookkeeping
+    /// one step, so hook/op interleavings cannot fabricate or hide edges.
+    /// Re-entrant calls run uninstrumented (backstop; `SigBlock` keeps the
+    /// expose handler from ever re-entering).
+    fn with_op<T>(op: impl FnOnce() -> T, f: impl FnOnce(&mut Checker, usize, &T)) -> T {
         let _sig = SigBlock::new();
         if IN_HOOK.with(|c| c.replace(true)) {
             return op();
@@ -400,7 +400,7 @@ mod imp {
             let ck = g.get_or_insert_with(Checker::default);
             let tid = register(ck);
             let v = op();
-            f(ck, tid);
+            f(ck, tid, &v);
             v
         };
         IN_HOOK.with(|c| c.set(false));
@@ -439,12 +439,12 @@ mod imp {
 
     /// Atomic load through a shim type.
     pub(crate) fn atomic_load<T>(addr: usize, order: Ordering, op: impl FnOnce() -> T) -> T {
-        with_op(op, |ck, tid| load_clocks(ck, tid, addr, order))
+        with_op(op, |ck, tid, _| load_clocks(ck, tid, addr, order))
     }
 
     /// Atomic store through a shim type.
     pub(crate) fn atomic_store<T>(addr: usize, order: Ordering, op: impl FnOnce() -> T) -> T {
-        with_op(op, |ck, tid| {
+        with_op(op, |ck, tid, _| {
             ck.bump_epoch(tid);
             if order == Ordering::SeqCst {
                 sc_sync(ck, tid);
@@ -462,7 +462,7 @@ mod imp {
 
     /// Atomic read-modify-write (swap, `fetch_*`).
     pub(crate) fn atomic_rmw<T>(addr: usize, order: Ordering, op: impl FnOnce() -> T) -> T {
-        with_op(op, |ck, tid| rmw_clocks(ck, tid, addr, order))
+        with_op(op, |ck, tid, _| rmw_clocks(ck, tid, addr, order))
     }
 
     /// Compare-exchange: RMW semantics on success, plain-load semantics
@@ -473,28 +473,15 @@ mod imp {
         failure: Ordering,
         op: impl FnOnce() -> Result<V, V>,
     ) -> Result<V, V> {
-        let _sig = SigBlock::new();
-        if IN_HOOK.with(|c| c.replace(true)) {
-            return op();
-        }
-        let result = {
-            let mut g = lock();
-            let ck = g.get_or_insert_with(Checker::default);
-            let tid = register(ck);
-            let r = op();
-            match &r {
-                Ok(_) => rmw_clocks(ck, tid, addr, success),
-                Err(_) => load_clocks(ck, tid, addr, failure),
-            }
-            r
-        };
-        IN_HOOK.with(|c| c.set(false));
-        result
+        with_op(op, |ck, tid, r| match r {
+            Ok(_) => rmw_clocks(ck, tid, addr, success),
+            Err(_) => load_clocks(ck, tid, addr, failure),
+        })
     }
 
     /// `fence(SeqCst)` (the only fence the schedulers use).
     pub(crate) fn fence_seq_cst<T>(op: impl FnOnce() -> T) -> T {
-        with_op(op, |ck, tid| {
+        with_op(op, |ck, tid, _| {
             ck.bump_epoch(tid);
             sc_sync(ck, tid);
         })
@@ -684,26 +671,6 @@ mod stub {
         op()
     }
     #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn atomic_rmw<T>(_addr: usize, _order: Ordering, op: impl FnOnce() -> T) -> T {
-        op()
-    }
-    #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn atomic_cas<V>(
-        _addr: usize,
-        _success: Ordering,
-        _failure: Ordering,
-        op: impl FnOnce() -> Result<V, V>,
-    ) -> Result<V, V> {
-        op()
-    }
-    #[inline(always)]
-    #[allow(dead_code)]
-    pub(crate) fn fence_seq_cst<T>(op: impl FnOnce() -> T) -> T {
-        op()
-    }
-    #[inline(always)]
     pub(crate) fn on_read(_addr: usize, _site: &'static str) {}
     #[inline(always)]
     pub(crate) fn on_write(_addr: usize, _site: &'static str) {}
@@ -746,243 +713,14 @@ pub(crate) use stub::PendingRead;
 #[cfg(not(feature = "hb"))]
 #[allow(unused_imports)]
 pub(crate) use stub::{
-    atomic_cas, atomic_load, atomic_rmw, atomic_store, commit_read, fence_seq_cst, forget_range,
-    fork_token, join_token, lock_acquired, lock_releasing, on_read, on_write, speculative_read,
+    atomic_load, atomic_store, commit_read, forget_range, fork_token, join_token, lock_acquired,
+    lock_releasing, on_read, on_write, speculative_read,
 };
 #[cfg(not(feature = "hb"))]
 pub use stub::{report_count, reset, take_reports};
 
-/// Shim atomics for the scheduler files outside the deque protocols
-/// (`pool`, `sleep`, `injector`, `job`, `signal`, `trace`): drop-in
-/// `std::sync::atomic` replacements that route every access through the
-/// happens-before checker when `hb` is on, and are plain `std` re-exports
-/// otherwise (including under `model`, whose DFS explorer never schedules
-/// these words — it covers the deque words via [`crate::model::shim`]).
-#[cfg(all(feature = "hb", not(feature = "model")))]
-pub(crate) mod shim {
-    use std::sync::atomic::Ordering;
-
-    macro_rules! hb_atomic {
-        ($(#[$doc:meta])* $Name:ident, $Std:ty, $T:ty) => {
-            $(#[$doc])*
-            #[derive(Debug)]
-            #[repr(transparent)]
-            pub struct $Name($Std);
-
-            impl $Name {
-                #[inline]
-                pub fn new(v: $T) -> Self {
-                    Self(<$Std>::new(v))
-                }
-
-                #[inline]
-                fn addr(&self) -> usize {
-                    self as *const _ as usize
-                }
-
-                #[inline]
-                #[allow(dead_code)]
-                pub fn load(&self, order: Ordering) -> $T {
-                    super::atomic_load(self.addr(), order, || self.0.load(order))
-                }
-
-                #[inline]
-                #[allow(dead_code)]
-                pub fn store(&self, v: $T, order: Ordering) {
-                    super::atomic_store(self.addr(), order, || self.0.store(v, order))
-                }
-
-                #[inline]
-                #[allow(dead_code)]
-                pub fn swap(&self, v: $T, order: Ordering) -> $T {
-                    super::atomic_rmw(self.addr(), order, || self.0.swap(v, order))
-                }
-
-                #[inline]
-                #[allow(dead_code)]
-                pub fn compare_exchange(
-                    &self,
-                    current: $T,
-                    new: $T,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$T, $T> {
-                    super::atomic_cas(self.addr(), success, failure, || {
-                        self.0.compare_exchange(current, new, success, failure)
-                    })
-                }
-            }
-        };
-    }
-
-    hb_atomic!(
-        /// Checker-instrumented `AtomicBool`.
-        AtomicBool, std::sync::atomic::AtomicBool, bool
-    );
-    hb_atomic!(
-        /// Checker-instrumented `AtomicU8`.
-        AtomicU8, std::sync::atomic::AtomicU8, u8
-    );
-    hb_atomic!(
-        /// Checker-instrumented `AtomicU32`.
-        AtomicU32, std::sync::atomic::AtomicU32, u32
-    );
-    hb_atomic!(
-        /// Checker-instrumented `AtomicU64`.
-        AtomicU64, std::sync::atomic::AtomicU64, u64
-    );
-    hb_atomic!(
-        /// Checker-instrumented `AtomicUsize`.
-        AtomicUsize, std::sync::atomic::AtomicUsize, usize
-    );
-
-    impl AtomicU64 {
-        #[inline]
-        pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
-            super::atomic_rmw(self.addr(), order, || self.0.fetch_add(v, order))
-        }
-
-        #[inline]
-        pub fn fetch_or(&self, v: u64, order: Ordering) -> u64 {
-            super::atomic_rmw(self.addr(), order, || self.0.fetch_or(v, order))
-        }
-
-        #[inline]
-        pub fn fetch_and(&self, v: u64, order: Ordering) -> u64 {
-            super::atomic_rmw(self.addr(), order, || self.0.fetch_and(v, order))
-        }
-    }
-
-    impl AtomicUsize {
-        #[inline]
-        pub fn fetch_add(&self, v: usize, order: Ordering) -> usize {
-            super::atomic_rmw(self.addr(), order, || self.0.fetch_add(v, order))
-        }
-
-        #[inline]
-        pub fn fetch_sub(&self, v: usize, order: Ordering) -> usize {
-            super::atomic_rmw(self.addr(), order, || self.0.fetch_sub(v, order))
-        }
-    }
-
-    /// Checker-instrumented `AtomicPtr` (the injector's Treiber head and
-    /// job chain links).
-    #[derive(Debug)]
-    #[repr(transparent)]
-    pub struct AtomicPtr<T>(std::sync::atomic::AtomicPtr<T>);
-
-    impl<T> AtomicPtr<T> {
-        #[inline]
-        pub fn new(p: *mut T) -> Self {
-            Self(std::sync::atomic::AtomicPtr::new(p))
-        }
-
-        #[inline]
-        fn addr(&self) -> usize {
-            self as *const _ as usize
-        }
-
-        #[inline]
-        pub fn load(&self, order: Ordering) -> *mut T {
-            super::atomic_load(self.addr(), order, || self.0.load(order))
-        }
-
-        #[inline]
-        pub fn store(&self, p: *mut T, order: Ordering) {
-            super::atomic_store(self.addr(), order, || self.0.store(p, order))
-        }
-
-        #[inline]
-        pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
-            super::atomic_rmw(self.addr(), order, || self.0.swap(p, order))
-        }
-
-        #[inline]
-        #[allow(dead_code)]
-        pub fn compare_exchange(
-            &self,
-            current: *mut T,
-            new: *mut T,
-            success: Ordering,
-            failure: Ordering,
-        ) -> Result<*mut T, *mut T> {
-            super::atomic_cas(self.addr(), success, failure, || {
-                self.0.compare_exchange(current, new, success, failure)
-            })
-        }
-
-        #[inline]
-        #[allow(dead_code)]
-        pub fn compare_exchange_weak(
-            &self,
-            current: *mut T,
-            new: *mut T,
-            success: Ordering,
-            failure: Ordering,
-        ) -> Result<*mut T, *mut T> {
-            super::atomic_cas(self.addr(), success, failure, || {
-                self.0.compare_exchange_weak(current, new, success, failure)
-            })
-        }
-    }
-}
-
-/// Plain std re-exports whenever the checker is compiled out (default and
-/// `model` builds): the scheduler files pay exactly what they paid before
-/// the shim threading (TypeId-asserted below).
-#[cfg(not(all(feature = "hb", not(feature = "model"))))]
-pub(crate) mod shim {
-    pub use std::sync::atomic::{
-        AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize,
-    };
-}
-
 #[cfg(test)]
 mod tests {
-    #[cfg(not(all(feature = "hb", not(feature = "model"))))]
-    #[test]
-    fn shims_are_std_aliases_when_hb_is_off() {
-        use std::any::TypeId;
-        assert_eq!(
-            TypeId::of::<super::shim::AtomicBool>(),
-            TypeId::of::<std::sync::atomic::AtomicBool>()
-        );
-        assert_eq!(
-            TypeId::of::<super::shim::AtomicU8>(),
-            TypeId::of::<std::sync::atomic::AtomicU8>()
-        );
-        assert_eq!(
-            TypeId::of::<super::shim::AtomicU64>(),
-            TypeId::of::<std::sync::atomic::AtomicU64>()
-        );
-        assert_eq!(
-            TypeId::of::<super::shim::AtomicUsize>(),
-            TypeId::of::<std::sync::atomic::AtomicUsize>()
-        );
-        assert_eq!(
-            TypeId::of::<super::shim::AtomicPtr<u8>>(),
-            TypeId::of::<std::sync::atomic::AtomicPtr<u8>>()
-        );
-    }
-
-    #[cfg(all(feature = "hb", not(feature = "model")))]
-    #[test]
-    fn hb_shims_are_transparent() {
-        // `#[repr(transparent)]`: instrumented wrappers add no bytes, so
-        // struct layouts (CachePadded fields, Job headers) are unchanged.
-        use std::mem::{align_of, size_of};
-        assert_eq!(size_of::<super::shim::AtomicU64>(), size_of::<u64>());
-        assert_eq!(
-            align_of::<super::shim::AtomicU64>(),
-            align_of::<std::sync::atomic::AtomicU64>()
-        );
-        assert_eq!(size_of::<super::shim::AtomicBool>(), size_of::<bool>());
-        assert_eq!(
-            size_of::<super::shim::AtomicPtr<u8>>(),
-            size_of::<*mut u8>()
-        );
-    }
-
     /// Negative-test harness: seeded broken orderings the checker MUST
     /// report (mirroring how `tests/model.rs` keeps the known-unsound
     /// pairings as negative tests). Each test first runs the *sound*

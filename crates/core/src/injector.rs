@@ -10,10 +10,9 @@
 //! spirit by splitting producer and consumer sides:
 //!
 //! * **Producer side** (`incoming`): a Treiber stack of intrusively-linked
-//!   jobs ([`crate::job::Job::next_ptr`]). One CAS per push, no allocation
-//!   beyond the job itself, and [`Injector::push_batch`] links a whole
-//!   chain locally and publishes it with a *single* CAS regardless of batch
-//!   size.
+//!   jobs ([`crate::job::Job::next_ptr`]). No allocation beyond the job
+//!   itself: [`Injector::push_batch`] links a whole chain locally and
+//!   publishes it with a *single* CAS regardless of batch size.
 //! * **Consumer side** (`ready`): a plain `VecDeque` under a mutex that
 //!   only workers touch, and only when the advisory `len` gate says work
 //!   exists. A worker that wins the lock and finds `ready` empty grabs the
@@ -55,8 +54,9 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{self, Site};
-use crate::hb::{self, shim::AtomicPtr, shim::AtomicU32, shim::AtomicU8, shim::AtomicUsize};
+use crate::hb;
 use crate::job::{Job, NO_WORKER};
+use crate::shim::{AtomicPtr, AtomicU32, AtomicU8, AtomicUsize};
 
 /// How many tasks a worker takes from the injector per visit: the first
 /// runs immediately, the rest go into the worker's own deque. Amortizes the
@@ -104,23 +104,15 @@ impl Injector {
         self.len.load(Ordering::Relaxed)
     }
 
-    /// Push one job. One CAS on the uncontended path. On a `faultpoints`-
-    /// forced [`Site::InjectorPush`] fire the job is **not** enqueued and
-    /// ownership stays with the caller, which degrades to running it
-    /// inline — submissions are never lost.
-    pub(crate) fn push(&self, job: *mut Job) -> Result<(), *mut Job> {
-        if fault::fail_at(Site::InjectorPush) {
-            return Err(job);
-        }
-        self.push_chain(job, job, 1);
-        Ok(())
-    }
-
-    /// Push `jobs` as one chain with a single CAS. The slice order is
-    /// submission order (restored on the consumer side by the reversal).
-    /// Fault-forced rejection returns the whole batch to the caller.
+    /// Push `jobs` as one chain with a single CAS on the uncontended path,
+    /// whatever the batch size (a lone `spawn` is a slice of one). The
+    /// slice order is submission order (restored on the consumer side by
+    /// the reversal). On a `faultpoints`-forced [`Site::InjectorPush`] fire
+    /// nothing is enqueued and ownership of the whole batch stays with the
+    /// caller, which degrades to running it inline — submissions are never
+    /// lost.
     pub(crate) fn push_batch(&self, jobs: &[*mut Job]) -> Result<(), ()> {
-        let (&first, rest) = match jobs.split_first() {
+        let (&tail, rest) = match jobs.split_first() {
             Some(s) => s,
             None => return Ok(()),
         };
@@ -129,18 +121,12 @@ impl Injector {
         }
         // Link locally: stack order is reversed submission order, so chain
         // the slice back-to-front and publish the *last* element as head.
-        let mut head = first;
+        let mut head = tail;
         for &job in rest {
             // Safety: the caller owns every job until the CAS publishes.
             unsafe { (*job).next_ptr().store(head, Ordering::Relaxed) };
             head = job;
         }
-        self.push_chain(head, first, jobs.len());
-        Ok(())
-    }
-
-    /// Publish a pre-linked chain (`head` newest … `tail` oldest).
-    fn push_chain(&self, head: *mut Job, tail: *mut Job, n: usize) {
         let mut cur = self.incoming.load(Ordering::Relaxed);
         loop {
             // Safety: `tail` is caller-owned until the CAS below succeeds.
@@ -156,7 +142,8 @@ impl Injector {
                 Err(actual) => cur = actual,
             }
         }
-        self.len.fetch_add(n, Ordering::Release);
+        self.len.fetch_add(jobs.len(), Ordering::Release);
+        Ok(())
     }
 
     /// Worker-side batch pop: up to `max` jobs in FIFO submission order.
@@ -401,9 +388,9 @@ mod tests {
         let b = real_job();
         let c = real_job();
         let d = real_job();
-        inj.push(a).unwrap();
+        inj.push_batch(&[a]).unwrap();
         inj.push_batch(&[b, c]).unwrap();
-        inj.push(d).unwrap();
+        inj.push_batch(&[d]).unwrap();
         assert_eq!(inj.approx_len(), 4);
         let got = inj.pop_batch(16);
         assert_eq!(got, vec![a, b, c, d], "submission order must survive");
@@ -460,7 +447,7 @@ mod tests {
                     for i in 0..PER {
                         let j = real_job();
                         ids.lock().insert(j as usize, p * PER + i);
-                        inj.push(j).unwrap();
+                        inj.push_batch(&[j]).unwrap();
                     }
                     producing.fetch_sub(1, Ordering::Release);
                 });
@@ -516,5 +503,84 @@ mod tests {
         let h = JoinHandle { state };
         assert!(h.is_finished());
         assert_eq!(h.join(), "done");
+    }
+}
+
+/// The injector under the DFS explorer (ROADMAP item 4(b)): its words are
+/// shim atomics like the deques', so every `incoming`/`len`/`next` access of
+/// a registered model thread is a scheduling point.
+#[cfg(all(test, feature = "model"))]
+mod model_tests {
+    use super::*;
+    use crate::model::{explore, Execution, Options};
+
+    /// Two producers (a lone push, a batch of two) race one consumer's
+    /// `pop_batch` over real heap jobs; the explorer thread drains whatever
+    /// the consumer left and then executes (frees) every job. Properties,
+    /// after SNIPPETS.md's `WorkStealing.tla`: **W1** every pushed job is
+    /// popped, **W2** none is popped twice, and a producer's own jobs come
+    /// out in the order it submitted them.
+    ///
+    /// While `incoming`, `len` and the job links were `std` aliases under
+    /// `model` (every PR before the shim fold), this same script explored
+    /// exactly **1** schedule: no access of it was a scheduling point.
+    #[test]
+    fn injector_loses_and_duplicates_nothing() {
+        let report = explore(Options::default(), || {
+            let inj = Injector::new();
+            // Addresses, not pointers: the thread closures must be `Send`.
+            let [a, b1, b2] = [0; 3].map(|_| crate::job::HeapJob::push_new(|| {}) as usize);
+            let popped = Mutex::new(Vec::new());
+            Execution::new()
+                .thread("producer-a", || {
+                    inj.push_batch(&[a as *mut Job]).unwrap();
+                })
+                .thread("producer-b", || {
+                    inj.push_batch(&[b1 as *mut Job, b2 as *mut Job]).unwrap();
+                })
+                .thread("consumer", || {
+                    let batch = inj.pop_batch(INJECTOR_BATCH);
+                    popped.lock().extend(batch.into_iter().map(|j| j as usize));
+                })
+                .run();
+            let mut popped = popped.into_inner();
+            loop {
+                let batch = inj.pop_batch(INJECTOR_BATCH);
+                if batch.is_empty() {
+                    break;
+                }
+                popped.extend(batch.into_iter().map(|j| j as usize));
+            }
+            // The three jobs are ours to free whatever the injector did
+            // with them; judge its answer afterwards.
+            for j in [a, b1, b2] {
+                // Safety: published at most once and drained above, or
+                // never handed out; executed exactly once, here.
+                unsafe { Job::execute(j as *const Job, NO_WORKER) };
+            }
+            let mut sorted = popped.clone();
+            sorted.sort_unstable();
+            let mut expect = vec![a, b1, b2];
+            expect.sort_unstable();
+            if sorted != expect {
+                return Err(format!(
+                    "task loss/duplication: popped {popped:x?}, pushed {expect:x?}"
+                ));
+            }
+            let at = |j| popped.iter().position(|&p| p == j);
+            if at(b1) > at(b2) {
+                return Err(format!("producer-b's batch came out reversed: {popped:x?}"));
+            }
+            if !inj.is_empty() {
+                return Err(format!("len gate reads {} when empty", inj.approx_len()));
+            }
+            Ok(())
+        });
+        report.assert_exhaustive_pass("injector push/push_batch vs pop_batch");
+        assert!(
+            report.schedules >= 100,
+            "the injector's words must be scheduling points, got {} schedules",
+            report.schedules
+        );
     }
 }

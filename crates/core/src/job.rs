@@ -25,7 +25,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::Ordering;
 
-use crate::hb::{self, shim::AtomicBool, shim::AtomicPtr};
+use crate::hb;
+use crate::shim::{AtomicBool, AtomicPtr};
 
 /// "Not a pool worker": the executor index of a job run outside any pool
 /// run, the owner of a scope opened there, and the empty state of a spawn

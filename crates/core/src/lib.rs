@@ -73,6 +73,7 @@ mod job;
 pub mod model;
 mod policy;
 mod pool;
+mod shim;
 mod signal;
 mod sleep;
 pub mod trace;
@@ -86,7 +87,7 @@ pub use api::{
 pub use deque::{double2int, ExposurePolicy, PopBottomMode, SplitDeque};
 pub use injector::JoinHandle;
 pub use job::Job;
-pub use policy::{DequeKind, NotifyChannel, Policies, PolicyError, StealAmount, VictimSelection};
+pub use policy::{NotifyChannel, Policies, PolicyError, StealAmount, VictimSelection};
 pub use pool::{PoolBuilder, ThreadPool};
 pub use signal::EXPOSE_SIGNAL;
 pub use sleep::IdlePolicy;

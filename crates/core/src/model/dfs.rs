@@ -539,8 +539,8 @@ pub fn explore(opts: Options, mut body: impl FnMut() -> Result<(), String>) -> R
 
 #[cfg(test)]
 mod tests {
-    use super::super::shim;
     use super::*;
+    use crate::shim;
     use std::sync::atomic::Ordering as O;
 
     #[test]

@@ -13,13 +13,12 @@
 //!
 //! ## How
 //!
-//! The deques perform every atomic access through the shim types in
-//! [`shim`]. With the feature off, the shims are type aliases for
-//! `std::sync::atomic` plus `#[inline(always)]` passthrough constructors —
-//! release codegen is unchanged. With the feature on, each access first
-//! parks the calling thread on a central scheduler that grants exactly one
-//! thread at a time, so a whole execution is a deterministic sequence of
-//! scheduler decisions. [`explore`] then drives a depth-first search over
+//! The scheduler performs every atomic access through the shim types of
+//! `crate::shim`. With the feature off, the shims are `std::sync::atomic`
+//! re-exports — release codegen is unchanged. With the feature on, each
+//! access first parks the calling thread on a central scheduler that
+//! grants exactly one thread at a time, so a whole execution is a
+//! deterministic sequence of scheduler decisions. [`explore`] then drives a depth-first search over
 //! that decision tree: replay a recorded prefix, extend it with
 //! first-choice decisions to completion, check the user's invariants,
 //! backtrack.
@@ -48,7 +47,7 @@
 //!   written during single-threaded setup in every script, so their reads
 //!   commute with everything — removing them from the schedule loses no
 //!   behaviours while shrinking the tree by orders of magnitude.
-//! * The growable rings' *buffer pointer* ([`shim::SchedPtr`]) is the
+//! * The growable rings' *buffer pointer* (`shim::SchedPtr`) is the
 //!   exception — the `Resize` decision point. The owner's grow-publish
 //!   store and every thief-side capture are scheduling points, so
 //!   owner-grow vs. thief-steal vs. handler-expose interleavings are
@@ -60,11 +59,11 @@
 //! * Threads not registered with the scheduler (the explorer thread doing
 //!   setup/drain, ordinary test threads) pass through the shims directly.
 
-pub(crate) mod shim;
-
 #[cfg(feature = "model")]
 mod dfs;
 
+#[cfg(feature = "model")]
+pub(crate) use dfs::access;
 #[cfg(feature = "model")]
 pub use dfs::{explore, pause, Execution, Options, Report, Violation};
 
@@ -76,44 +75,3 @@ pub use dfs::{explore, pause, Execution, Options, Report, Violation};
 #[cfg(not(feature = "model"))]
 #[inline(always)]
 pub fn pause() {}
-
-#[cfg(test)]
-mod tests {
-    #[cfg(not(any(feature = "model", feature = "hb")))]
-    #[test]
-    fn shims_are_std_aliases_when_model_is_off() {
-        use std::any::TypeId;
-        // The zero-cost claim, statically: with the feature off the shim
-        // types *are* the std atomics, so deque codegen cannot differ.
-        assert_eq!(
-            TypeId::of::<super::shim::AtomicU32>(),
-            TypeId::of::<std::sync::atomic::AtomicU32>()
-        );
-        assert_eq!(
-            TypeId::of::<super::shim::AtomicU64>(),
-            TypeId::of::<std::sync::atomic::AtomicU64>()
-        );
-        assert_eq!(
-            TypeId::of::<super::shim::AtomicPtr<u8>>(),
-            TypeId::of::<std::sync::atomic::AtomicPtr<u8>>()
-        );
-    }
-
-    #[cfg(not(feature = "model"))]
-    #[test]
-    fn sched_ptr_is_transparent_when_model_is_off() {
-        // Holds under `hb` too: the instrumented wrapper is also
-        // `#[repr(transparent)]`.
-        // `SchedPtr` cannot be a bare alias (it must also compile under
-        // `model`), but with the feature off it is a `#[repr(transparent)]`
-        // wrapper over the std atomic — same size, same layout.
-        assert_eq!(
-            std::mem::size_of::<super::shim::SchedPtr<u8>>(),
-            std::mem::size_of::<std::sync::atomic::AtomicPtr<u8>>()
-        );
-        assert_eq!(
-            std::mem::align_of::<super::shim::SchedPtr<u8>>(),
-            std::mem::align_of::<std::sync::atomic::AtomicPtr<u8>>()
-        );
-    }
-}

@@ -13,12 +13,14 @@
 //! returns the composition each one denotes), while
 //! [`crate::PoolBuilder::policies`] accepts any *sound* bundle — e.g. the
 //! base signal scheduler with near-first victim order, or Expose Half with
-//! single-task steals. Soundness is checked by [`Policies::validate`]:
-//! the §4 pop-bottom rule and the deque/notification pairing are
-//! constraints *between* axes, and an unsound bundle (say, asynchronous
-//! unconstrained exposure over the standard `pop_bottom`) would reintroduce
-//! exactly the lost-task race §4 exists to prevent. Construction through
-//! the named compositions or the builder can therefore never produce one.
+//! single-task steals. Only the free axes are fields. The deque and the
+//! owner's `pop_bottom` flavour are *consequences* of them — no exposure
+//! channel means everything must be public (ABP), and asynchronous
+//! unconstrained exposure needs the §4 decrement-then-compare — so a
+//! bundle pairing, say, signal-driven exposure with the standard
+//! `pop_bottom` (the lost-task race §4 exists to prevent) cannot be
+//! written down. The one cross-axis rule left is checked by
+//! [`Policies::validate`].
 
 use std::fmt;
 
@@ -26,22 +28,15 @@ use crate::deque::{ExposurePolicy, PopBottomMode};
 use crate::sleep::IdlePolicy;
 use crate::variant::Variant;
 
-/// Which deque implementation backs each worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DequeKind {
-    /// Fully-concurrent ABP deque: every task is stealable, the owner pays
-    /// a seq-cst fence per pop (the WS baseline).
-    Abp,
-    /// The paper's split deque: private part synchronization-free, work
-    /// exposed on request.
-    Split,
-}
-
-/// How a thief tells a victim with only private work to expose some.
+/// How a thief tells a victim with only private work to expose some —
+/// and thereby which deque backs each worker: the paper's split deque
+/// (private part synchronization-free, work exposed on request) whenever
+/// there is a channel to request through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NotifyChannel {
-    /// No exposure requests at all. Sound only with [`DequeKind::Abp`],
-    /// where everything is public already.
+    /// No exposure requests at all, so nothing may be private: workers run
+    /// the fully-concurrent ABP deque, every task stealable, the owner
+    /// paying a seq-cst fence per pop (the WS baseline).
     None,
     /// Set the victim's `targeted` flag; the victim polls it at task
     /// boundaries (§3, USLCWS).
@@ -89,15 +84,12 @@ pub enum StealAmount {
 /// rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Policies {
-    /// Deque implementation per worker.
-    pub deque: DequeKind,
-    /// Exposure-request channel.
+    /// Exposure-request channel (and with it the deque, see
+    /// [`NotifyChannel`]).
     pub notify: NotifyChannel,
     /// Exposure amount per handled request (split deque only; ignored —
-    /// but kept, for composition equality — under [`DequeKind::Abp`]).
+    /// but kept, for composition equality — under [`NotifyChannel::None`]).
     pub exposure: ExposurePolicy,
-    /// Owner-side `pop_bottom` flavour (§4's subtlety).
-    pub pop_bottom: PopBottomMode,
     /// Victim probe order.
     pub victim: VictimSelection,
     /// Tasks transferred per successful steal CAS.
@@ -109,36 +101,16 @@ pub struct Policies {
 /// Why a [`Policies`] bundle was rejected by [`Policies::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyError {
-    /// Asynchronous (signal-driven) exposure that may publish the task the
-    /// owner is popping requires [`PopBottomMode::SignalSafe`]; running it
-    /// over `Standard` reintroduces the §4 lost-task race.
-    SignalNeedsSignalSafePop,
-    /// The ABP deque has no private part: an exposure-request channel is
-    /// protocol confusion.
-    AbpHasNoExposure,
     /// Batch steals ride the split deque's `{tag, top}` validation; the
     /// ABP protocol transfers exactly one task per CAS.
     AbpStealsOne,
-    /// The split deque keeps new work private: without an exposure-request
-    /// channel no thief could ever ask for it.
-    SplitNeedsNotify,
 }
 
 impl fmt::Display for PolicyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PolicyError::SignalNeedsSignalSafePop => f.write_str(
-                "signal-driven exposure with an unconstrained exposure policy requires \
-                 PopBottomMode::SignalSafe (the §4 decrement-then-compare)",
-            ),
-            PolicyError::AbpHasNoExposure => {
-                f.write_str("the ABP deque has no private part; NotifyChannel must be None")
-            }
             PolicyError::AbpStealsOne => f.write_str(
                 "the ABP deque transfers exactly one task per CAS; StealAmount must be One",
-            ),
-            PolicyError::SplitNeedsNotify => f.write_str(
-                "the split deque exposes work only on request; NotifyChannel must not be None",
             ),
         }
     }
@@ -151,10 +123,8 @@ impl Policies {
     /// exposure protocol, uniform victims, one task per steal.
     pub const fn ws() -> Policies {
         Policies {
-            deque: DequeKind::Abp,
             notify: NotifyChannel::None,
             exposure: ExposurePolicy::One, // unused; kept for equality
-            pop_bottom: PopBottomMode::Standard,
             victim: VictimSelection::Uniform,
             steal: StealAmount::One,
             idle: IdlePolicy::Adaptive,
@@ -165,10 +135,8 @@ impl Policies {
     /// at task boundaries, one task exposed and stolen at a time.
     pub const fn uslcws() -> Policies {
         Policies {
-            deque: DequeKind::Split,
             notify: NotifyChannel::Flag,
             exposure: ExposurePolicy::One,
-            pop_bottom: PopBottomMode::Standard,
             victim: VictimSelection::Uniform,
             steal: StealAmount::One,
             idle: IdlePolicy::Adaptive,
@@ -176,13 +144,12 @@ impl Policies {
     }
 
     /// Signal-based LCWS (§4): signal-driven exposure of one task, which
-    /// may race the owner's pop — hence the signal-safe `pop_bottom`.
+    /// may race the owner's pop — hence the signal-safe
+    /// [`Policies::pop_bottom`].
     pub const fn signal() -> Policies {
         Policies {
-            deque: DequeKind::Split,
             notify: NotifyChannel::Signal,
             exposure: ExposurePolicy::One,
-            pop_bottom: PopBottomMode::SignalSafe,
             victim: VictimSelection::Uniform,
             steal: StealAmount::One,
             idle: IdlePolicy::Adaptive,
@@ -193,10 +160,8 @@ impl Policies {
     /// bottom-most task, so the standard `pop_bottom` stays sound.
     pub const fn signal_conservative() -> Policies {
         Policies {
-            deque: DequeKind::Split,
             notify: NotifyChannel::Signal,
             exposure: ExposurePolicy::Conservative,
-            pop_bottom: PopBottomMode::Standard,
             victim: VictimSelection::Uniform,
             steal: StealAmount::One,
             idle: IdlePolicy::Adaptive,
@@ -210,20 +175,19 @@ impl Policies {
     /// the owner's `pop_public_bottom` (DESIGN.md §5h).
     pub const fn signal_half() -> Policies {
         Policies {
-            deque: DequeKind::Split,
             notify: NotifyChannel::Signal,
             exposure: ExposurePolicy::Half,
-            pop_bottom: PopBottomMode::SignalSafe,
             victim: VictimSelection::Uniform,
             steal: StealAmount::One,
             idle: IdlePolicy::Adaptive,
         }
     }
 
-    /// Does this bundle use split deques?
+    /// Does this bundle use split deques? Exactly when thieves have a
+    /// channel to request exposure through.
     #[inline]
     pub fn uses_split_deque(&self) -> bool {
-        self.deque == DequeKind::Split
+        self.notify != NotifyChannel::None
     }
 
     /// Does this bundle notify victims with POSIX signals?
@@ -232,40 +196,29 @@ impl Policies {
         self.notify == NotifyChannel::Signal
     }
 
-    /// Check the cross-axis soundness rules.
-    ///
-    /// * Signal-driven exposure may fire inside the owner's `pop_bottom`
-    ///   window. Unless the exposure policy provably leaves the bottom task
-    ///   private ([`ExposurePolicy::Conservative`]), the owner must use the
-    ///   §4 decrement-then-compare ([`PopBottomMode::SignalSafe`]).
-    /// * The ABP deque has no private part: no notification channel, no
-    ///   batch steals.
-    /// * The split deque needs one: its work is private until requested.
-    ///
-    /// Everything else composes freely (victim order and idle policy touch
-    /// no protocol invariant; flag-driven exposure happens at the owner's
-    /// own scheduling points, where either `pop_bottom` flavour is sound).
+    /// The owner-side `pop_bottom` flavour the bundle needs (§4's
+    /// subtlety). Signal-driven exposure may fire inside the owner's
+    /// `pop_bottom` window, so unless the exposure policy provably leaves
+    /// the bottom task private ([`ExposurePolicy::Conservative`]) the owner
+    /// must decrement-then-compare. Flag-driven exposure happens at the
+    /// owner's own scheduling points, where the listing's compare-then-
+    /// decrement is sound.
+    #[inline]
+    pub(crate) fn pop_bottom(&self) -> PopBottomMode {
+        if self.uses_signals() && self.exposure != ExposurePolicy::Conservative {
+            PopBottomMode::SignalSafe
+        } else {
+            PopBottomMode::Standard
+        }
+    }
+
+    /// Check the one cross-axis soundness rule: the ABP deque
+    /// ([`NotifyChannel::None`]) has no `{tag, top}` batch validation, so
+    /// it steals one task per CAS. Everything else composes freely (victim
+    /// order and idle policy touch no protocol invariant).
     pub fn validate(&self) -> Result<(), PolicyError> {
-        match self.deque {
-            DequeKind::Abp => {
-                if self.notify != NotifyChannel::None {
-                    return Err(PolicyError::AbpHasNoExposure);
-                }
-                if self.steal != StealAmount::One {
-                    return Err(PolicyError::AbpStealsOne);
-                }
-            }
-            DequeKind::Split => {
-                if self.notify == NotifyChannel::None {
-                    return Err(PolicyError::SplitNeedsNotify);
-                }
-                if self.notify == NotifyChannel::Signal
-                    && self.exposure != ExposurePolicy::Conservative
-                    && self.pop_bottom != PopBottomMode::SignalSafe
-                {
-                    return Err(PolicyError::SignalNeedsSignalSafePop);
-                }
-            }
+        if !self.uses_split_deque() && self.steal != StealAmount::One {
+            return Err(PolicyError::AbpStealsOne);
         }
         Ok(())
     }
@@ -319,28 +272,11 @@ mod tests {
 
     #[test]
     fn unsound_bundles_are_rejected() {
-        // Signal exposure of the bottom task over the standard pop: the §4
-        // race.
-        let mut p = Policies::signal();
-        p.pop_bottom = PopBottomMode::Standard;
-        assert_eq!(p.validate(), Err(PolicyError::SignalNeedsSignalSafePop));
-        let mut p = Policies::signal_half();
-        p.pop_bottom = PopBottomMode::Standard;
-        assert_eq!(p.validate(), Err(PolicyError::SignalNeedsSignalSafePop));
-        // Conservative exposure is exempt (never publishes the bottom task).
-        assert_eq!(Policies::signal_conservative().validate(), Ok(()));
-        // ABP with an exposure channel or batch steals.
-        let mut p = Policies::ws();
-        p.notify = NotifyChannel::Flag;
-        assert_eq!(p.validate(), Err(PolicyError::AbpHasNoExposure));
+        // ABP with batch steals: the one state two free axes can still
+        // make unsound.
         let mut p = Policies::ws();
         p.steal = StealAmount::Half;
         assert_eq!(p.validate(), Err(PolicyError::AbpStealsOne));
-        // A split deque nobody can ask for work: the first `PrivateWork`
-        // answer would have no channel to go through.
-        let mut p = Policies::uslcws();
-        p.notify = NotifyChannel::None;
-        assert_eq!(p.validate(), Err(PolicyError::SplitNeedsNotify));
     }
 
     #[test]
@@ -351,13 +287,19 @@ mod tests {
             p.idle = IdlePolicy::SpinOnly;
             assert_eq!(p.validate(), Ok(()), "{v} with near-first victims");
         }
-        // Flag exposure over either pop flavour is sound (owner-synchronous).
-        let mut p = Policies::uslcws();
-        p.pop_bottom = PopBottomMode::SignalSafe;
-        assert_eq!(p.validate(), Ok(()));
         // Batch steals without Expose Half: legal, just less profitable.
         let mut p = Policies::signal();
         p.steal = StealAmount::Half;
+        assert_eq!(p.validate(), Ok(()));
+        // Moving a bundle along the notify axis moves the derived axes
+        // with it: no channel means ABP, and only asynchronous
+        // unconstrained exposure needs the §4 pop.
+        let mut p = Policies::signal();
+        assert_eq!(p.pop_bottom(), PopBottomMode::SignalSafe);
+        p.notify = NotifyChannel::Flag;
+        assert_eq!(p.pop_bottom(), PopBottomMode::Standard);
+        p.notify = NotifyChannel::None;
+        assert!(!p.uses_split_deque());
         assert_eq!(p.validate(), Ok(()));
     }
 }

@@ -31,10 +31,11 @@ use lcws_metrics::{Collector, Event, Snapshot};
 use parking_lot::{Condvar, Mutex};
 
 use crate::deque::{AbpDeque, SplitDeque, DEFAULT_DEQUE_CAPACITY};
-use crate::hb::{self, shim::AtomicBool, shim::AtomicU64, shim::AtomicUsize};
+use crate::hb;
 use crate::injector::{Injector, JoinHandle, TaskState};
 use crate::job::{HeapJob, Job, NO_WORKER};
 use crate::policy::Policies;
+use crate::shim::{AtomicBool, AtomicU64, AtomicUsize};
 use crate::signal;
 use crate::sleep::{Sleep, PARK_TIMEOUT};
 use crate::trace;
@@ -619,6 +620,40 @@ impl ThreadPool {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
+        let (job, handle) = self.wrap_task(f, &[]);
+        self.submit_batch(&[job]);
+        handle
+    }
+
+    /// Submit a batch of tasks with a single injector publication (one CAS
+    /// for the whole batch) and one wake per batch. Same contract as
+    /// [`ThreadPool::spawn`], returning handles in submission order.
+    pub fn spawn_batch<F, T, I>(&self, tasks: I) -> Vec<JoinHandle<T>>
+    where
+        I: IntoIterator<Item = F>,
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
+    {
+        let mut jobs: Vec<*mut Job> = Vec::new();
+        let mut handles = Vec::new();
+        for f in tasks {
+            let (job, handle) = self.wrap_task(f, &jobs);
+            jobs.push(job);
+            handles.push(handle);
+        }
+        self.submit_batch(&jobs);
+        handles
+    }
+
+    /// Count one task into the serve window and wrap `f` as a heap job that
+    /// publishes into a fresh [`TaskState`]. `wrapped` holds the jobs this
+    /// submission has wrapped so far; it matters only when the window turns
+    /// out to be closed.
+    fn wrap_task<F, T>(&self, f: F, wrapped: &[*mut Job]) -> (*mut Job, JoinHandle<T>)
+    where
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
+    {
         let pool = &*self.inner;
         pool.outstanding.fetch_add(1, Ordering::SeqCst);
         // Validate *after* counting (and undo on failure): the increment
@@ -627,6 +662,14 @@ impl ThreadPool {
         // the generation close. See `task_done` for the SeqCst pairing.
         if !pool.serving.load(Ordering::SeqCst) || pool.draining.load(Ordering::SeqCst) {
             pool.task_done();
+            // The jobs wrapped so far are counted in `outstanding` and
+            // must not leak — but the window that would drain them is
+            // closing (or never opened), so injecting them could strand
+            // them forever. Run them inline instead, then fail.
+            for &job in wrapped {
+                // Safety: never published; sole ownership.
+                unsafe { Job::execute(job, NO_WORKER) };
+            }
             panic!("ThreadPool::spawn requires an open serve window (call serve() first)");
         }
         let state = Arc::new(TaskState::new());
@@ -640,68 +683,11 @@ impl ThreadPool {
             task_state.complete(result.map_err(|e| e as Box<dyn Any + Send>));
             inner.task_done();
         });
-        self.submit_job(job);
-        JoinHandle { state }
+        (job, JoinHandle { state })
     }
 
-    /// Submit a batch of tasks with a single injector publication (one CAS
-    /// for the whole batch) and one wake per batch. Same contract as
-    /// [`ThreadPool::spawn`], returning handles in submission order.
-    pub fn spawn_batch<F, T, I>(&self, tasks: I) -> Vec<JoinHandle<T>>
-    where
-        I: IntoIterator<Item = F>,
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        let pool = &*self.inner;
-        let mut jobs: Vec<*mut Job> = Vec::new();
-        let mut handles = Vec::new();
-        for f in tasks {
-            pool.outstanding.fetch_add(1, Ordering::SeqCst);
-            if !pool.serving.load(Ordering::SeqCst) || pool.draining.load(Ordering::SeqCst) {
-                pool.task_done();
-                // The jobs wrapped so far are counted in `outstanding` and
-                // must not leak — but the window that would drain them is
-                // closing (or never opened), so injecting them could strand
-                // them forever. Run them inline instead, then fail.
-                for &job in &jobs {
-                    // Safety: never published; sole ownership.
-                    unsafe { Job::execute(job, NO_WORKER) };
-                }
-                panic!(
-                    "ThreadPool::spawn_batch requires an open serve window (call serve() first)"
-                );
-            }
-            let state = Arc::new(TaskState::new());
-            let task_state = Arc::clone(&state);
-            let inner = Arc::clone(&self.inner);
-            jobs.push(HeapJob::push_new(move || {
-                let result = panic::catch_unwind(AssertUnwindSafe(f));
-                task_state.complete(result.map_err(|e| e as Box<dyn Any + Send>));
-                inner.task_done();
-            }));
-            handles.push(JoinHandle { state });
-        }
-        self.submit_batch(&jobs);
-        handles
-    }
-
-    /// Publish one wrapped job to the injector (inline fallback on a
-    /// forced push failure) and wake a worker for it.
-    fn submit_job(&self, job: *mut Job) {
-        let pool = &*self.inner;
-        match pool.injector.push(job) {
-            Ok(()) => pool.published(1),
-            Err(job) => {
-                pool.collector.add(Event::OverflowInline, 1);
-                // Safety: the rejected job was never published; we are its
-                // sole owner.
-                unsafe { Job::execute(job, NO_WORKER) };
-            }
-        }
-    }
-
-    /// Batch analogue of `submit_job`.
+    /// Publish wrapped jobs to the injector as one chain (inline fallback
+    /// on a forced push failure) and wake a worker for them.
     fn submit_batch(&self, jobs: &[*mut Job]) {
         if jobs.is_empty() {
             return;
@@ -1373,7 +1359,7 @@ mod tests {
         for _ in 0..crate::injector::INJECTOR_BATCH {
             pool.inner
                 .injector
-                .push(HeapJob::push_new(|| {}))
+                .push_batch(&[HeapJob::push_new(|| {})])
                 .expect("no fault plan installed");
         }
         let ctx = WorkerCtx::new(&pool.inner, 0);

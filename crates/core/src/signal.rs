@@ -31,7 +31,7 @@ use lcws_metrics::{self as metrics, Event};
 
 use crate::deque::{ExposurePolicy, SplitDeque};
 use crate::fault::{self, Site};
-use crate::hb::shim::AtomicBool;
+use crate::shim::AtomicBool;
 use crate::trace;
 
 /// The signal used for work-exposure requests, as in the paper's Listing 3.

@@ -89,7 +89,7 @@ use lcws_metrics::{self as metrics, Event};
 use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{self, Site};
-use crate::hb::shim::AtomicU64;
+use crate::shim::AtomicU64;
 use crate::trace;
 
 /// Spin-loop rounds before escalating to yields (stage 1 length).
@@ -115,8 +115,9 @@ pub enum IdlePolicy {
     #[default]
     Adaptive,
     /// Never park: spin/yield forever, as the pre-sleeper schedulers did.
-    /// Kept for A/B comparisons of idle cost (see the `idle_wakeup` bench
-    /// and the sleeper integration tests).
+    /// Kept for A/B comparisons of idle cost (`lcws-e2e --trace 1`:
+    /// `core.sleep.cpu_s_per_round.<s>` and `core.sleep.wake_p*_us`; and
+    /// the sleeper integration tests).
     SpinOnly,
 }
 

@@ -66,7 +66,9 @@ use std::sync::atomic::Ordering;
 use lcws_metrics::{self as metrics, Event};
 
 #[cfg(feature = "trace")]
-use crate::hb::{self, shim::AtomicU64};
+use crate::hb;
+#[cfg(feature = "trace")]
+use crate::shim::AtomicU64;
 
 /// One decoded trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

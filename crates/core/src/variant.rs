@@ -129,7 +129,7 @@ mod tests {
         // scheduler and Expose Half may expose the task the owner is
         // popping, so they need decrement-then-compare.
         use crate::deque::PopBottomMode as M;
-        let pop = |v: Variant| v.policies().pop_bottom;
+        let pop = |v: Variant| v.policies().pop_bottom();
         assert_eq!(pop(Variant::Ws), M::Standard);
         assert_eq!(pop(Variant::UsLcws), M::Standard);
         assert_eq!(pop(Variant::SignalConservative), M::Standard);

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use lcws_metrics::{self as metrics, Event};
 
-use crate::deque::{AbpSteal, DequeFull, SplitDeque, Steal, STEAL_BATCH_MAX};
+use crate::deque::{AbpSteal, DequeFull, PopBottomMode, SplitDeque, Steal, STEAL_BATCH_MAX};
 use crate::fault::{self, Site};
 use crate::injector::INJECTOR_BATCH;
 use crate::job::{Job, StackJob, NO_WORKER};
@@ -79,6 +79,9 @@ pub(crate) struct WorkerCtx {
     /// every successful steal so the ring restarts at the nearest
     /// neighbour.
     probe: Cell<u64>,
+    /// The bundle's `pop_bottom` flavour, derived once here so the per-task
+    /// path reads a field.
+    pop_mode: PopBottomMode,
     /// Signal-handler context pointing at this worker's split deque; armed
     /// only for signal-driven policy bundles.
     handler_ctx: HandlerCtx,
@@ -100,6 +103,7 @@ impl WorkerCtx {
             index,
             rng: Cell::new(z | 1),
             probe: Cell::new(0),
+            pop_mode: pool.policies.pop_bottom(),
             handler_ctx: HandlerCtx {
                 deque,
                 policy: pool.policies.exposure,
@@ -314,7 +318,7 @@ impl WorkerCtx {
                         self.pool().sleep.wake_one();
                     }
                 }
-                if let Some(task) = d.pop_bottom(policies.pop_bottom) {
+                if let Some(task) = d.pop_bottom(self.pop_mode) {
                     // Flag-notified bundles (USLCWS) handle exposure
                     // requests here — at task granularity, which is exactly
                     // why they lose the constant-time-exposure guarantee
@@ -445,10 +449,9 @@ impl WorkerCtx {
                     self.signal_or_flag(victim_idx, victim);
                 }
             }
-            NotifyChannel::None => unreachable!(
-                "Policies::validate rejects a split deque without a notify \
-                 channel (PolicyError::SplitNeedsNotify)"
-            ),
+            NotifyChannel::None => {
+                unreachable!("no notify channel means ABP deques, which never answer PRIVATE_WORK")
+            }
         }
     }
 

@@ -51,6 +51,27 @@ fn check_no_loss_no_dup(mut all: Vec<usize>, ntasks: usize) -> Result<(), String
     }
 }
 
+/// Post-run drain on the (unscheduled) explorer thread: take everything
+/// the owner still can, private part first.
+fn drain_owner(d: &SplitDeque, all: &mut Vec<usize>) {
+    while let Some(t) = d
+        .pop_bottom(PopBottomMode::SignalSafe)
+        .or_else(|| d.pop_public_bottom())
+    {
+        all.push(uncookie(t));
+    }
+}
+
+/// One batch steal with the full budget; everything it took goes to `taken`.
+fn steal_batch_into(d: &SplitDeque, taken: &Mutex<Vec<usize>>) {
+    let mut extras = Vec::new();
+    if let Steal::Ok(t) = d.pop_top_batch(&mut extras, STEAL_BATCH_MAX - 1) {
+        let mut g = taken.lock().unwrap();
+        g.push(uncookie(t));
+        g.extend(extras.into_iter().map(uncookie));
+    }
+}
+
 /// Who runs `update_public_bottom` in the script.
 #[derive(Clone, Copy, PartialEq)]
 enum Exposer {
@@ -113,15 +134,7 @@ fn check_split(
         // `public_bot == 1` after a Standard-mode double-take), where the
         // Standard pop would underflow instead of reporting the damage.
         let mut all = taken.into_inner().unwrap();
-        loop {
-            if let Some(t) = d.pop_bottom(PopBottomMode::SignalSafe) {
-                all.push(uncookie(t));
-            } else if let Some(t) = d.pop_public_bottom() {
-                all.push(uncookie(t));
-            } else {
-                break;
-            }
-        }
+        drain_owner(&d, &mut all);
         check_no_loss_no_dup(all, ntasks)?;
 
         let (bot, public_bot, age) = d.raw_state();
@@ -274,15 +287,7 @@ fn signalsafe_owner_vs_handler_only() {
             })
             .run();
         let mut all = taken.into_inner().unwrap();
-        loop {
-            if let Some(t) = d.pop_bottom(PopBottomMode::SignalSafe) {
-                all.push(uncookie(t));
-            } else if let Some(t) = d.pop_public_bottom() {
-                all.push(uncookie(t));
-            } else {
-                break;
-            }
-        }
+        drain_owner(&d, &mut all);
         check_no_loss_no_dup(all, 1)?;
         let (bot, public_bot, age) = d.raw_state();
         if (bot, public_bot, age.top) != (0, 0, 0) {
@@ -417,15 +422,7 @@ fn split_resize_vs_thief_and_handler() {
             ));
         }
         let mut all = taken.into_inner().unwrap();
-        loop {
-            if let Some(t) = d.pop_bottom(PopBottomMode::SignalSafe) {
-                all.push(uncookie(t));
-            } else if let Some(t) = d.pop_public_bottom() {
-                all.push(uncookie(t));
-            } else {
-                break;
-            }
-        }
+        drain_owner(&d, &mut all);
         check_no_loss_no_dup(all, ntasks)?;
         let (bot, public_bot, age) = d.raw_state();
         if (bot, public_bot, age.top) != (0, 0, 0) {
@@ -554,15 +551,7 @@ fn check_split_wrapped(
         exec.run();
 
         let mut all = taken.into_inner().unwrap();
-        loop {
-            if let Some(t) = d.pop_bottom(PopBottomMode::SignalSafe) {
-                all.push(uncookie(t));
-            } else if let Some(t) = d.pop_public_bottom() {
-                all.push(uncookie(t));
-            } else {
-                break;
-            }
-        }
+        drain_owner(&d, &mut all);
         check_no_loss_no_dup(all, ntasks)?;
 
         let (bot, public_bot, age) = d.raw_state();
@@ -668,12 +657,7 @@ fn check_split_batch(ntasks: usize, start: Option<u32>) -> Report {
                 pause();
             })
             .thread("batch-thief", || {
-                let mut extras = Vec::new();
-                if let Steal::Ok(t) = d.pop_top_batch(&mut extras, STEAL_BATCH_MAX - 1) {
-                    let mut g = taken.lock().unwrap();
-                    g.push(uncookie(t));
-                    g.extend(extras.into_iter().map(uncookie));
-                }
+                steal_batch_into(&d, &taken);
             })
             .handler_on(0, || {
                 d.update_public_bottom(ExposurePolicy::Half);
@@ -681,15 +665,7 @@ fn check_split_batch(ntasks: usize, start: Option<u32>) -> Report {
             .run();
 
         let mut all = taken.into_inner().unwrap();
-        loop {
-            if let Some(t) = d.pop_bottom(PopBottomMode::SignalSafe) {
-                all.push(uncookie(t));
-            } else if let Some(t) = d.pop_public_bottom() {
-                all.push(uncookie(t));
-            } else {
-                break;
-            }
-        }
+        drain_owner(&d, &mut all);
         check_no_loss_no_dup(all, ntasks)?;
 
         let (bot, public_bot, age) = d.raw_state();
@@ -752,12 +728,7 @@ fn batch_steal_vs_scalar_steal_single_winner_per_slot() {
             let taken = Mutex::new(Vec::new());
             Execution::new()
                 .thread("batch-thief", || {
-                    let mut extras = Vec::new();
-                    if let Steal::Ok(t) = d.pop_top_batch(&mut extras, STEAL_BATCH_MAX - 1) {
-                        let mut g = taken.lock().unwrap();
-                        g.push(uncookie(t));
-                        g.extend(extras.into_iter().map(uncookie));
-                    }
+                    steal_batch_into(&d, &taken);
                 })
                 .thread("scalar-thief", || {
                     if let Steal::Ok(t) = d.pop_top() {
@@ -783,6 +754,74 @@ fn batch_steal_vs_scalar_steal_single_winner_per_slot() {
             report.schedules
         );
     }
+}
+
+/// The batch steal's open window (ROADMAP item 1, DESIGN.md §5h): the owner
+/// pops *twice* from a fully public region of three while a batch thief
+/// validates `k = 2` slot reads with one `age` CAS. `pop_public_bottom`
+/// takes the bottom public task without touching `age` while more than one
+/// remains, so two owner pops walk `public_bot` down into `[top, top + k)`
+/// and the thief's CAS still succeeds — task 1 is delivered to both.
+/// `batch_steal_vs_owner_and_handler` cannot see it: its owner pops once.
+///
+/// A *detection* test, like `standard_half_double_take_detected`: the
+/// explorer must find the double take. Repairing the protocol (item 1(b))
+/// flips this to `assert_exhaustive_pass`.
+#[test]
+fn batch_steal_double_take_detected() {
+    const NTASKS: usize = 3;
+    let report = explore(Options::default(), || {
+        let d = SplitDeque::new(8);
+        for i in 0..NTASKS {
+            d.push_bottom(cookie(i));
+        }
+        d.expose_all();
+        let taken = Mutex::new(Vec::new());
+        Execution::new()
+            .thread("owner", || {
+                for _ in 0..2 {
+                    let job = d
+                        .pop_bottom(PopBottomMode::SignalSafe)
+                        .or_else(|| d.pop_public_bottom());
+                    if let Some(t) = job {
+                        taken.lock().unwrap().push(uncookie(t));
+                    }
+                }
+            })
+            .thread("batch-thief", || {
+                steal_batch_into(&d, &taken);
+            })
+            .run();
+        let mut all = taken.into_inner().unwrap();
+        drain_owner(&d, &mut all);
+        check_no_loss_no_dup(all, NTASKS)
+    });
+    let v = report
+        .violation
+        .expect("two owner pops vs a k=2 batch steal must double-take");
+    assert!(
+        v.message.contains("loss/duplication"),
+        "unexpected violation kind: {}",
+        v.message
+    );
+    // The window itself: both owner `public_bot` decrements land between
+    // the thief's snapshot and its still-successful CAS.
+    let cas = v
+        .trace
+        .iter()
+        .position(|l| l.starts_with("batch-thief: cas age") && l.ends_with("ok"))
+        .unwrap_or_else(|| panic!("no successful batch CAS in:\n{}", v.render()));
+    let owner_stores = v.trace[..cas]
+        .iter()
+        .filter(|l| l.starts_with("owner: store public_bot"))
+        .count();
+    assert_eq!(
+        owner_stores,
+        2,
+        "expected two owner public_bot stores before the thief's CAS:\n{}",
+        v.render()
+    );
+    eprintln!("{}", v.render());
 }
 
 // ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use lcws_core::{
-    join, scope, IdlePolicy, Policies, PoolBuilder, PopBottomMode, StealAmount, Variant,
-    VictimSelection,
+    join, scope, IdlePolicy, Policies, PoolBuilder, StealAmount, Variant, VictimSelection,
 };
 
 /// Deterministic fork-join reduction with enough fan-out to force steals.
@@ -60,10 +59,6 @@ fn sound_matrix() -> Vec<(String, Variant, Policies)> {
     let mut p = Policies::signal_half();
     p.steal = StealAmount::Half;
     out.push(("half+steal-half".into(), Variant::SignalHalf, p));
-    // Flag exposure over the signal-safe pop: owner-synchronous, so sound.
-    let mut p = Policies::uslcws();
-    p.pop_bottom = PopBottomMode::SignalSafe;
-    out.push(("uslcws+signal-safe-pop".into(), Variant::UsLcws, p));
     // Everything at once on the conservative scheduler.
     let mut p = Policies::signal_conservative();
     p.victim = VictimSelection::NearFirst;
@@ -143,17 +138,6 @@ fn explicit_policy_bundle_reproduces_the_variant() {
             );
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "invalid policy bundle")]
-fn signal_exposure_over_standard_pop_is_rejected_at_build() {
-    let mut p = Policies::signal();
-    p.pop_bottom = PopBottomMode::Standard;
-    let _pool = PoolBuilder::new(Variant::Signal)
-        .policies(p)
-        .threads(2)
-        .build();
 }
 
 #[test]

@@ -238,8 +238,9 @@ const SAMPLE_SEQ: usize = 8192;
 const OVERSAMPLE: usize = 8;
 
 /// Stable parallel **sample sort** — the algorithm PBBS's `comparisonSort`
-/// actually uses (merge sort above is the textbook alternative; the
-/// `sort_algorithms` Criterion bench compares them).
+/// actually uses (merge sort above is the textbook alternative;
+/// `lcws-e2e --trace 1` compares them as `parlay.sort.sort_melem_s` and
+/// `parlay.sort.sample_sort_melem_s`).
 ///
 /// One level of splitter-based bucketing (counts per exact block →
 /// digit-major scan → stable scatter), then buckets sorted independently
