@@ -7,7 +7,7 @@
 //! slice of those interleavings. This module lets tests *force* the rare
 //! ones: a named [`Site`] is compiled into every critical transition
 //! (`push_bottom`/`pop_bottom`/`pop_top` in both deques, exposure, signal
-//! send and handler entry, `targeted`-flag polls, sleeper park/unpark,
+//! send and handler entry, exposure-request polls, sleeper park/unpark,
 //! worker-thread spawn, the helper work loop), and a seeded [`FaultPlan`]
 //! decides, per site and
 //! deterministically in hit order, whether to perturb the schedule (busy
@@ -85,7 +85,7 @@ pub enum Site {
     SignalSend = 5,
     /// `SIGUSR1` handler entry (signal-handler context: spin delays only).
     HandlerEntry = 6,
-    /// Owner-side poll of the `targeted` / fallback-exposure flags.
+    /// Owner-side serve of a pending exposure request.
     TargetedPoll = 7,
     /// Sleeper park entry, before the worker announces itself — delays
     /// here stretch the announce-then-sleep race window.

@@ -35,12 +35,12 @@ use crate::hb;
 use crate::injector::{Injector, JoinHandle, TaskState};
 use crate::job::{HeapJob, Job, NO_WORKER};
 use crate::policy::Policies;
-use crate::shim::{AtomicBool, AtomicU64, AtomicUsize};
+use crate::shim::{self, AtomicBool, AtomicU64, AtomicUsize};
 use crate::signal;
 use crate::sleep::{Sleep, PARK_TIMEOUT};
 use crate::trace;
 use crate::variant::Variant;
-use crate::worker::{current_ctx, WorkerCtx};
+use crate::worker::{current_ctx, request_age_ns, WorkerCtx, REQUEST_SIGNALLED};
 
 /// A worker's deque: ABP for the WS baseline, split for every LCWS variant.
 pub(crate) enum AnyDeque {
@@ -90,8 +90,11 @@ impl AnyDeque {
 /// Shared, cross-thread-visible state of one worker slot.
 pub(crate) struct WorkerShared {
     pub(crate) deque: AnyDeque,
-    /// The paper's `targeted` flag (one per processor).
-    pub(crate) targeted: CachePadded<AtomicBool>,
+    /// The paper's `targeted` flag (one per processor), widened to say
+    /// *when*: 0 while no exposure request is pending, else the
+    /// [`crate::worker::request_word`] of the thief that was answered
+    /// `PRIVATE_WORK`. Protocol: `WorkerCtx::notify_victim`, DESIGN.md §4.
+    pub(crate) expose_request: CachePadded<AtomicU64>,
     /// pthread handle for `pthread_kill` notifications; registered before
     /// the worker can be targeted.
     pub(crate) pthread: AtomicU64,
@@ -100,16 +103,11 @@ pub(crate) struct WorkerShared {
     /// async-signal-safe). The owner drains it on its next deque access
     /// and performs the wake then.
     pub(crate) wake_pending: CachePadded<AtomicBool>,
-    /// Set by a thief whose `pthread_kill` notification failed: the steal
-    /// request is rerouted through this user-space flag, which the owner
-    /// polls at its task boundaries (the USLCWS path) — a failed signal
-    /// degrades exposure latency, never loses the request.
-    pub(crate) fallback_expose: CachePadded<AtomicBool>,
     /// Set by the worker's own unwind path after a panic escaped its work
     /// loop (see `handle_worker_death`); cleared by the between-runs healer
     /// once a replacement thread owns this slot. While set, the slot is
     /// excluded from the generation's `active` count and its zeroed
-    /// `pthread` reroutes signal notifications to `fallback_expose`.
+    /// `pthread` keeps exposure requests on the flag path.
     pub(crate) dead: AtomicBool,
     /// This worker's scheduling-event ring (owner-written, drained at run
     /// close; see `crate::trace`).
@@ -130,10 +128,9 @@ impl WorkerShared {
         };
         WorkerShared {
             deque,
-            targeted: CachePadded::new(AtomicBool::new(false)),
+            expose_request: CachePadded::new(shim::named_u64(0, "expose_request")),
             pthread: AtomicU64::new(0),
             wake_pending: CachePadded::new(AtomicBool::new(false)),
-            fallback_expose: CachePadded::new(AtomicBool::new(false)),
             dead: AtomicBool::new(false),
             #[cfg(feature = "trace")]
             trace: trace::TraceRing::new(index as u16, builder.trace_capacity),
@@ -815,8 +812,7 @@ impl ThreadPool {
             // canonical deque state and clear every per-worker flag the
             // dead owner can no longer serve.
             w.deque.reset_for_respawn();
-            w.targeted.store(false, Ordering::Relaxed);
-            w.fallback_expose.store(false, Ordering::Relaxed);
+            w.expose_request.store(0, Ordering::Relaxed);
             w.wake_pending.store(false, Ordering::Relaxed);
             // The replacement must not join a generation it never saw open:
             // it baselines at the *current* epoch (stable under the run
@@ -1013,7 +1009,8 @@ fn payload_msg(payload: &(dyn Any + Send)) -> &str {
 ///    exists to drain them.
 /// 2. **Withdraw from the signal plane.** The pthread slot is zeroed before
 ///    the death flag rises, so a thief that still picks this victim fails
-///    fast to `fallback_expose` and never `pthread_kill`s a corpse.
+///    fast (its request stays on the flag) and never `pthread_kill`s a
+///    corpse.
 /// 3. **Publish the death.** Trace event, `worker_deaths` counter (flushed
 ///    by the guard), the first escaped payload stashed for `run` to resume
 ///    on the caller, and a `wake_all` so parked thieves re-poll the newly
@@ -1063,10 +1060,13 @@ fn stall_report(pool: &PoolInner, waiting_for: &str) -> String {
     );
     for (i, w) in pool.workers.iter().enumerate() {
         let (private, public) = w.deque.depths();
+        // The one exposure-request state: pending for how long, signalled?
+        let r = w.expose_request.load(Ordering::Relaxed);
+        let pending_ns = (r != 0).then(|| request_age_ns(r));
         let _ = writeln!(
             out,
-            "  worker {i}: {}{}registered={} parked={} targeted={} \
-             fallback_expose={} deque={{private: {private}, public: {public}}}",
+            "  worker {i}: {}{}registered={} parked={} expose_request={pending_ns:?} \
+             signalled={} deque={{private: {private}, public: {public}}}",
             if i == 0 { "(caller) " } else { "" },
             if w.dead.load(Ordering::Relaxed) {
                 "DEAD "
@@ -1075,8 +1075,7 @@ fn stall_report(pool: &PoolInner, waiting_for: &str) -> String {
             },
             w.pthread.load(Ordering::Relaxed) != 0,
             pool.sleep.is_sleeping(i),
-            w.targeted.load(Ordering::Relaxed),
-            w.fallback_expose.load(Ordering::Relaxed),
+            r & REQUEST_SIGNALLED,
         );
     }
     // Flushed totals only: the stalled helpers' TLS counters are exactly
@@ -1221,6 +1220,7 @@ fn worker_main(pool: Arc<PoolInner>, index: usize, seen0: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::request_word;
 
     #[test]
     fn pool_builds_and_drops_for_every_variant() {
@@ -1277,32 +1277,70 @@ mod tests {
     }
 
     /// Regression: §3's "`targeted` is reset when a task is removed from
-    /// the deque's public part" applies to USLCWS too. The reset used to be
-    /// gated on `uses_signals()`, leaving the flag stuck for USLCWS after a
-    /// public pop — thieves would then skip this victim (Listing 1 line 21
-    /// checks `!targeted`) even though it still had private work.
+    /// the deque's public part" applies to every split-deque bundle. The
+    /// reset used to be gated on `uses_signals()`, leaving the request
+    /// stuck for USLCWS after a public pop — thieves would then skip this
+    /// victim (Listing 1 line 21 checks `!targeted`) even though it still
+    /// had private work.
     #[test]
-    fn uslcws_targeted_resets_on_public_pop() {
-        let pool = PoolBuilder::new(Variant::UsLcws).threads(1).build();
-        let ctx = WorkerCtx::new(&pool.inner, 0);
-        let _guard = ctx.install();
-        let w = &pool.inner.workers[0];
-        let AnyDeque::Split(d) = &w.deque else {
-            panic!("USLCWS uses the split deque");
-        };
-        // One task, made public (as if a poll served an exposure request),
-        // with a thief's exposure request still pending.
-        d.push_bottom(8 as *mut crate::job::Job);
-        d.update_public_bottom(crate::deque::ExposurePolicy::One);
-        w.targeted.store(true, Ordering::Relaxed);
-        // Private part empty → acquire_local falls through to
-        // pop_public_bottom.
-        let job = ctx.acquire_local();
-        assert_eq!(job, Some(8 as *mut crate::job::Job));
-        assert!(
-            !w.targeted.load(Ordering::Relaxed),
-            "public-part removal must reset `targeted` for USLCWS"
-        );
+    fn request_resets_on_public_pop() {
+        for variant in [Variant::UsLcws, Variant::Signal] {
+            let pool = PoolBuilder::new(variant).threads(1).build();
+            let ctx = WorkerCtx::new(&pool.inner, 0);
+            let _guard = ctx.install();
+            let w = &pool.inner.workers[0];
+            let AnyDeque::Split(d) = &w.deque else {
+                panic!("{variant} uses the split deque");
+            };
+            // One task, made public (as if a poll served an exposure
+            // request), with a thief's exposure request still pending.
+            d.push_bottom(8 as *mut crate::job::Job);
+            d.update_public_bottom(crate::deque::ExposurePolicy::One);
+            w.expose_request.store(request_word(1), Ordering::Relaxed);
+            // Private part empty → acquire_local falls through to
+            // pop_public_bottom.
+            let job = ctx.acquire_local();
+            assert_eq!(job, Some(8 as *mut crate::job::Job));
+            assert_eq!(
+                w.expose_request.load(Ordering::Relaxed),
+                0,
+                "{variant}: public-part removal must reset the request"
+            );
+        }
+    }
+
+    /// One serve path for every split-deque bundle: a request found at the
+    /// owner's next pop *or* push is served there (cleared, one task
+    /// exposed) — a push used to drop it.
+    #[test]
+    fn every_split_bundle_serves_a_request_at_its_next_pop_or_push() {
+        let job = |k: usize| (k * 8) as *mut crate::job::Job;
+        for variant in [Variant::UsLcws, Variant::Signal, Variant::SignalHalf] {
+            let pool = PoolBuilder::new(variant).threads(1).build();
+            let ctx = WorkerCtx::new(&pool.inner, 0);
+            let _guard = ctx.install();
+            let w = &pool.inner.workers[0];
+            let AnyDeque::Split(d) = &w.deque else {
+                panic!("{variant} uses the split deque");
+            };
+            d.push_bottom(job(1));
+            d.push_bottom(job(2));
+            let ask = || {
+                w.expose_request
+                    .store(request_word(trace::now_ns()), Ordering::Relaxed)
+            };
+            ask();
+            assert!(ctx.push_or_run_inline(&[job(3)]));
+            assert_eq!(w.expose_request.load(Ordering::Relaxed), 0, "{variant}");
+            let public = d.public_len();
+            assert!(public >= 1, "{variant}: the push served it");
+            d.push_bottom(job(4));
+            ask();
+            assert_eq!(ctx.acquire_local(), Some(job(4)));
+            assert_eq!(w.expose_request.load(Ordering::Relaxed), 0, "{variant}");
+            assert!(d.public_len() > public, "{variant}: the pop served it");
+            while ctx.acquire_local().is_some() {}
+        }
     }
 
     /// Satellite of the supervision issue: `run` used to leave the caller's
@@ -1391,24 +1429,91 @@ mod tests {
     /// Regression: a thief that catches a victim slot before its worker
     /// thread registered a pthread handle (the pre-spawn zero) must not
     /// call `pthread_kill` on the sentinel — POSIX has no null pthread_t,
-    /// so that is undefined behaviour. The request reroutes through the
-    /// user-space `fallback_expose` flag instead.
+    /// so that is undefined behaviour. The request stays on the flag the
+    /// victim polls instead.
     #[test]
-    fn signal_to_unregistered_worker_reroutes_to_fallback() {
+    fn signal_to_unregistered_worker_stays_on_the_flag() {
         let pool = PoolBuilder::new(Variant::Signal).threads(2).build();
         let victim = &pool.inner.workers[1];
-        // Simulate the pre-registration window.
+        // Simulate the pre-registration window, with a request long past
+        // its grace.
         victim.pthread.store(0, Ordering::Release);
+        victim
+            .expose_request
+            .store(request_word(1), Ordering::Relaxed);
         let ctx = WorkerCtx::new(&pool.inner, 0);
         let _guard = ctx.install();
+        lcws_metrics::reset_local();
         ctx.signal_or_flag(1, victim);
-        assert!(
-            victim.fallback_expose.load(Ordering::Relaxed),
-            "zero-handle notification must set the fallback flag"
+        let c = Collector::new();
+        lcws_metrics::flush_into(&c);
+        let snap = c.snapshot();
+        assert_eq!(snap.signal_send_attempts(), 0, "no pthread_kill(0)");
+        assert_eq!(snap.signal_fallback_flag(), 1);
+        assert_ne!(
+            victim.expose_request.load(Ordering::Relaxed),
+            0,
+            "the undeliverable request must stay flagged"
         );
         // The pool survives: the victim serves the flag at its next task
         // boundary once a run restores its handle and feeds it work.
         drop(_guard);
         assert_eq!(pool.run(|| 21 * 2), 42);
+    }
+
+    /// The request's stamp lives in the shared word, so the thief that
+    /// escalates need not be the one that asked: thief 1 records the
+    /// request (no signal), thief 2 finds it unserved a grace later and
+    /// sends the one signal, thief 3 finds it already signalled.
+    #[test]
+    fn any_thief_escalates_a_request_that_outlived_its_grace() {
+        let pool = PoolBuilder::new(Variant::Signal).threads(4).build();
+        let victim = &pool.inner.workers[0];
+        let AnyDeque::Split(d) = &victim.deque else {
+            panic!("signal variants use the split deque");
+        };
+        // A registered victim holding private work only. Its "thread" is
+        // this one, whose handler finds the probing thief's empty deque.
+        victim
+            .pthread
+            .store(signal::current_pthread() as u64, Ordering::Release);
+        d.push_bottom(8 as *mut crate::job::Job);
+        let signals_after_probe_by = |thief: usize| {
+            let ctx = WorkerCtx::new(&pool.inner, thief);
+            let _guard = ctx.install();
+            lcws_metrics::reset_local();
+            ctx.notify_victim(0, victim, d);
+            let c = Collector::new();
+            lcws_metrics::flush_into(&c);
+            c.snapshot().signals_sent()
+        };
+        assert_eq!(signals_after_probe_by(1), 0, "the first probe only asks");
+        let asked = victim.expose_request.load(Ordering::Relaxed);
+        assert!(asked != 0 && asked & REQUEST_SIGNALLED == 0);
+        // Inside the grace (a stamp from the future never looks old).
+        victim.expose_request.store(
+            request_word(trace::now_ns() + 1_000_000_000),
+            Ordering::Relaxed,
+        );
+        assert_eq!(
+            signals_after_probe_by(2),
+            0,
+            "a young request is left alone"
+        );
+        victim.expose_request.store(asked, Ordering::Relaxed);
+        while request_age_ns(asked) < signal::EXPOSE_GRACE_NS {
+            std::hint::spin_loop();
+        }
+        assert_eq!(signals_after_probe_by(2), 1, "another thief escalates it");
+        assert_eq!(
+            victim.expose_request.load(Ordering::Relaxed),
+            asked | REQUEST_SIGNALLED,
+            "still pending, now marked as signalled"
+        );
+        assert_eq!(signals_after_probe_by(3), 0, "one signal per request");
+        victim.pthread.store(0, Ordering::Release);
+        assert!(d
+            .pop_bottom(crate::deque::PopBottomMode::Standard)
+            .is_some());
     }
 }

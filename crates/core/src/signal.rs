@@ -1,11 +1,13 @@
 //! POSIX-signal plumbing for the signal-based LCWS schedulers (§4).
 //!
 //! A thief that finds a victim's public deque part empty — but its private
-//! part non-empty — sends the victim `SIGUSR1` via `pthread_kill`. The
-//! victim's handler transfers work from the private to the public part of
-//! its own split deque (`update_public_bottom`), so work-exposure requests
-//! are served in **constant time**, up to OS signal-delivery latency —
-//! the property that separates LCWS from Lace and from the user-space
+//! part non-empty — asks on the flag the victim polls; if the request is
+//! still unserved [`EXPOSE_GRACE_NS`] later, a thief sends the victim
+//! `SIGUSR1` via `pthread_kill`. The victim's handler transfers work from
+//! the private to the public part of its own split deque
+//! (`update_public_bottom`), so work-exposure requests are served in
+//! **constant time** — the grace plus OS signal-delivery latency — the
+//! property that separates LCWS from Lace and from the user-space
 //! implementation, and that the paper's asymptotic runtime bound requires.
 //!
 //! ## Async-signal-safety
@@ -31,11 +33,23 @@ use lcws_metrics::{self as metrics, Event};
 
 use crate::deque::{ExposurePolicy, SplitDeque};
 use crate::fault::{self, Site};
-use crate::shim::AtomicBool;
+use crate::shim::{AtomicBool, AtomicU64};
 use crate::trace;
 
 /// The signal used for work-exposure requests, as in the paper's Listing 3.
 pub const EXPOSE_SIGNAL: libc::c_int = libc::SIGUSR1;
+
+/// How long an exposure request waits on the victim's polled flag before a
+/// thief escalates it to `SIGUSR1` (rent-or-buy: wait as long as the
+/// interrupt would cost, then pay it — at most twice the optimum). Sized
+/// from what one interrupt costs its *victim*: ≈ 11 µs of owner time per
+/// signal-exposed steal on the 2-vCPU host (EXPERIMENTS.md, *Where `signal`
+/// lost the flood*). Delivery is slower than that — send → handler-entry
+/// median ≈ 39 µs, 92 % of samples in 16–64 µs (`results/siglat_hist.csv`)
+/// — so the grace adds about a quarter to the latency of a request that
+/// does need its signal. `cargo run --release -p lcws-bench --features
+/// trace --bin siglat` re-takes the delivery median to compare.
+pub(crate) const EXPOSE_GRACE_NS: u64 = 10_000;
 
 /// Everything the handler needs: the interrupted worker's own deque and the
 /// scheduler's exposure policy. Stored at a stable address for the duration
@@ -50,6 +64,12 @@ pub(crate) struct HandlerCtx {
     /// drains the flag on its next deque access and performs the wake
     /// outside signal context.
     pub wake_pending: *const AtomicBool,
+    /// The worker's `expose_request` word; whoever serves it clears it.
+    pub request: *const AtomicU64,
+    /// Owner-local mark, up while the owner itself is inside
+    /// `update_public_bottom` (`WorkerCtx::serve_request`): the handler
+    /// returns early, or the outer store would *lower* `public_bot`.
+    pub exposing: Cell<bool>,
 }
 
 thread_local! {
@@ -72,14 +92,14 @@ extern "C" fn expose_handler(
     fault::point(Site::HandlerEntry);
     trace::record(Event::HandlerEntry, 0);
     let ctx = HANDLER_CTX.with(|c| c.get());
-    if ctx.is_null() {
-        return;
-    }
     // Safety: the pointer was installed by this thread's worker prologue and
     // is cleared before the referent is dropped (guard in worker.rs); the
     // handler runs on the owning thread, so `update_public_bottom`'s
     // owner-only contract holds.
     unsafe {
+        if ctx.is_null() || (*ctx).exposing.get() {
+            return;
+        }
         metrics::bump(Event::ExposureRequest);
         let exposed = (*(*ctx).deque).update_public_bottom((*ctx).policy);
         trace::record(Event::HandlerExpose, exposed);
@@ -89,6 +109,7 @@ extern "C" fn expose_handler(
         if exposed > 0 && !(*ctx).wake_pending.is_null() {
             (*(*ctx).wake_pending).store(true, Ordering::Release);
         }
+        (*(*ctx).request).store(0, Ordering::Relaxed);
     }
 }
 
@@ -138,13 +159,13 @@ const SEND_RETRIES: u32 = 2;
 /// Targets are pool threads that normally outlive every run, but a victim
 /// racing with teardown can make `pthread_kill` fail (ESRCH/EINVAL). That
 /// failure is detected in release builds too, counted, and surfaced to the
-/// caller so the steal request can be rerouted through the user-space
-/// `targeted`-flag path instead of being silently dropped.
+/// caller; the steal request then simply stays on the user-space flag the
+/// victim polls, instead of being silently dropped.
 ///
 /// The supervision layer (DESIGN.md §5e) keeps corpses out of here
 /// entirely: a dying worker zeroes its pthread slot *before* raising its
 /// death flag, and `signal_or_flag` treats a zero handle as "unreachable,
-/// use the fallback flag" — so after a worker death, thieves fail fast in
+/// leave it on the flag" — so after a worker death, thieves fail fast in
 /// user space rather than racing `pthread_kill` against thread teardown
 /// (a handle can be recycled by the OS once the thread is joined, making a
 /// late kill target an unrelated thread; the zero-handle gate closes that).
@@ -199,6 +220,43 @@ mod tests {
         // run at return) without touching a null context.
     }
 
+    /// The owner-side half of the no-re-entry rule (the interleavings it
+    /// closes are enumerated in `tests/model.rs`): while the `exposing` mark
+    /// is up, a delivered `SIGUSR1` moves nothing and keeps the request.
+    #[test]
+    fn handler_stands_down_while_the_owner_exposes() {
+        install_handler();
+        let deque = SplitDeque::new(16);
+        for k in 1..=4usize {
+            deque.push_bottom((k * 8) as *mut _);
+        }
+        let request = AtomicU64::new(2);
+        let ctx = HandlerCtx {
+            deque: &deque,
+            policy: ExposurePolicy::One,
+            wake_pending: std::ptr::null(),
+            request: &request,
+            exposing: Cell::new(true),
+        };
+        unsafe { set_handler_ctx(&ctx) };
+        // A signal a thread sends itself is delivered before `pthread_kill`
+        // returns, so the handler body runs right here.
+        let deliver = || unsafe { libc::pthread_kill(libc::pthread_self(), EXPOSE_SIGNAL) };
+        deliver();
+        deliver();
+        assert_eq!(deque.public_len(), 0, "the owner is mid-exposure");
+        assert_eq!(
+            request.load(Ordering::Relaxed),
+            2,
+            "still the owner's to serve"
+        );
+        ctx.exposing.set(false);
+        deliver();
+        assert_eq!(deque.public_len(), 1);
+        assert_eq!(request.load(Ordering::Relaxed), 0);
+        unsafe { set_handler_ctx(std::ptr::null()) };
+    }
+
     #[test]
     fn signal_triggers_exposure_on_target_thread() {
         install_handler();
@@ -214,10 +272,13 @@ mod tests {
             metrics::touch();
             // Owner thread: private task, handler armed.
             d2.push_bottom(0x10 as *mut _);
+            let request = AtomicU64::new(0);
             let ctx = HandlerCtx {
                 deque: &*d2,
                 policy: ExposurePolicy::One,
                 wake_pending: std::ptr::null(),
+                request: &request,
+                exposing: Cell::new(false),
             };
             unsafe { set_handler_ctx(&ctx) };
             ready2.store(true, Ordering::Release);

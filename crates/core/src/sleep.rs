@@ -164,6 +164,14 @@ impl IdleBackoff {
         }
     }
 
+    /// A park attempt did not block: work is visible, none stealable yet.
+    /// Drop to the yield rung instead of re-announcing next iteration — two
+    /// SeqCst RMWs on `mask`, and the set bit attracts wakes on `epoch`.
+    #[inline]
+    pub(crate) fn park_aborted(&mut self) {
+        self.step = SPIN_ROUNDS;
+    }
+
     /// Execute one non-parking action (shared by all idle loops).
     #[inline]
     pub(crate) fn relax(action: IdleAction) {
@@ -233,13 +241,14 @@ impl Sleep {
     }
 
     /// Block worker `index` until woken, the timed `backstop` fires, or
-    /// `should_abort` reports that parking is (no longer) warranted.
+    /// `abort` reports that parking is (no longer) warranted.
     ///
-    /// `should_abort` is re-evaluated *after* the worker announces itself
+    /// `abort` is re-evaluated *after* the worker announces itself
     /// in the sleeper set — that ordering, against the waker's
     /// publish-then-read-the-mask ordering, is what closes the
     /// announce-then-sleep race (see the module docs).
-    pub(crate) fn park(&self, index: usize, backstop: Duration, should_abort: impl Fn() -> bool) {
+    /// Returns whether the worker blocked (`false`: an aborted park).
+    pub(crate) fn park(&self, index: usize, backstop: Duration, abort: impl Fn() -> bool) -> bool {
         let slot = &self.slots[index];
         let (word, bit) = (index / 64, 1u64 << (index % 64));
 
@@ -259,9 +268,9 @@ impl Sleep {
         // Recheck: did work appear (or the run finish) while we decided to
         // sleep? Producers publish work *before* scanning the mask, so
         // missing it here means they will see our bit.
-        if should_abort() {
+        if abort() {
             self.retire(index);
-            return;
+            return false;
         }
 
         let mut woken = slot.woken.lock();
@@ -272,7 +281,7 @@ impl Sleep {
             *woken = false;
             drop(woken);
             self.retire(index);
-            return;
+            return false;
         }
 
         trace::emit(Event::Park, 1, 0);
@@ -286,12 +295,13 @@ impl Sleep {
         }
         drop(woken);
         self.retire(index);
+        true
     }
 
     /// Withdraw worker `index` from the sleeper set and absorb any wakeup
     /// that was delivered concurrently (so a stale `woken` can never leak
     /// into the next park). Also the dying-worker path: a worker killed
-    /// inside `should_abort` must not keep absorbing `wake_one`s.
+    /// inside `abort` must not keep absorbing `wake_one`s.
     pub(crate) fn retire(&self, index: usize) {
         let (word, bit) = (index / 64, 1u64 << (index % 64));
         self.mask[word].fetch_and(!bit, Ordering::SeqCst);
@@ -406,6 +416,28 @@ mod tests {
         assert_eq!(b.next(), IdleAction::Park);
         b.reset();
         assert_eq!(b.next(), IdleAction::Spin);
+    }
+
+    #[test]
+    fn aborted_park_reenters_the_ladder_below_the_park_rung() {
+        // 1 000 fruitless iterations with work visible the whole time: one
+        // announce per YIELD_ROUNDS + 1 iterations once the ladder is
+        // climbed, not one per iteration.
+        let sleep = Sleep::new(1);
+        let mut b = IdleBackoff::new(IdlePolicy::Adaptive);
+        let mut announces = 0;
+        for _ in 0..1_000 {
+            if b.next() == IdleAction::Park {
+                announces += 1;
+                assert!(!sleep.park(0, PARK_TIMEOUT, || true), "nothing blocked");
+                b.park_aborted();
+            }
+        }
+        assert_eq!(
+            announces,
+            (1_000 - SPIN_ROUNDS - YIELD_ROUNDS).div_ceil(YIELD_ROUNDS + 1),
+            "aborted parks must not re-announce every iteration"
+        );
     }
 
     #[test]

@@ -113,10 +113,10 @@ impl RawEvent {
     }
 }
 
-/// `CLOCK_MONOTONIC` in nanoseconds. Async-signal-safe.
-#[cfg(feature = "trace")]
+/// `CLOCK_MONOTONIC` in nanoseconds. Async-signal-safe. Also stamps
+/// exposure requests (`WorkerShared::expose_request`), trace or not.
 #[inline]
-fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     let mut ts = libc::timespec {
         tv_sec: 0,
         tv_nsec: 0,

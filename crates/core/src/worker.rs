@@ -5,12 +5,14 @@
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{compiler_fence, Ordering};
 use std::time::Duration;
 
 use lcws_metrics::{self as metrics, Event};
 
-use crate::deque::{AbpSteal, DequeFull, PopBottomMode, SplitDeque, Steal, STEAL_BATCH_MAX};
+use crate::deque::{
+    AbpSteal, DequeFull, ExposurePolicy, PopBottomMode, SplitDeque, Steal, STEAL_BATCH_MAX,
+};
 use crate::fault::{self, Site};
 use crate::injector::INJECTOR_BATCH;
 use crate::job::{Job, StackJob, NO_WORKER};
@@ -108,6 +110,8 @@ impl WorkerCtx {
                 deque,
                 policy: pool.policies.exposure,
                 wake_pending: &*pool.workers[index].wake_pending as *const _,
+                request: &*pool.workers[index].expose_request as *const _,
+                exposing: Cell::new(false),
             },
         }
     }
@@ -198,10 +202,9 @@ impl WorkerCtx {
     /// per batch. The handler's deferred wake still drains per push — that
     /// one belongs to the signal handler, not to the pusher.
     ///
-    /// For the signal variants, pushing new work re-enables notifications
-    /// (§4: the `targeted` flag "is only reset to false when a task is
-    /// removed from the deque's public part or the target processor pushes
-    /// a new task").
+    /// A pending exposure request is served right after the push (§4 drops
+    /// it here, which would lose a request that is still only a flag): a
+    /// `scope` spawning for a long time without popping feeds its thieves.
     ///
     /// On [`DequeFull`] the job was **not** enqueued and the caller still
     /// owns it.
@@ -211,9 +214,7 @@ impl WorkerCtx {
             AnyDeque::Abp(d) => d.try_push_bottom(job)?,
             AnyDeque::Split(d) => {
                 d.try_push_bottom(job)?;
-                if self.policies().uses_signals() && w.targeted.load(Ordering::Relaxed) {
-                    w.targeted.store(false, Ordering::Relaxed);
-                }
+                self.poll_request(w, d);
             }
         }
         self.drain_deferred_wake(w);
@@ -296,63 +297,58 @@ impl WorkerCtx {
     }
 
     /// Listing 1 lines 7–17: take a task from this worker's own deque,
-    /// performing the per-variant `targeted`-flag bookkeeping.
+    /// serving a pending exposure request on the way.
     pub(crate) fn acquire_local(&self) -> Option<*mut Job> {
         let w = self.shared();
         self.drain_deferred_wake(w);
         match &w.deque {
             AnyDeque::Abp(d) => d.pop_bottom(),
             AnyDeque::Split(d) => {
-                let policies = self.policies();
-                // Degraded-notification path: a thief whose `pthread_kill`
-                // failed left its steal request in `fallback_expose`; serve
-                // it here at task granularity, exactly like USLCWS serves
-                // `targeted` (constant-time exposure is lost only for the
-                // requests whose signal already failed).
-                if policies.uses_signals() && w.fallback_expose.load(Ordering::Relaxed) {
-                    fault::point(Site::TargetedPoll);
-                    trace::record(Event::TargetedPoll, 1);
-                    w.fallback_expose.store(false, Ordering::Relaxed);
-                    metrics::bump(Event::ExposureRequest);
-                    if d.update_public_bottom(policies.exposure) > 0 {
-                        self.pool().sleep.wake_one();
-                    }
-                }
                 if let Some(task) = d.pop_bottom(self.pop_mode) {
-                    // Flag-notified bundles (USLCWS) handle exposure
-                    // requests here — at task granularity, which is exactly
-                    // why they lose the constant-time-exposure guarantee
-                    // (§3).
-                    if policies.notify == NotifyChannel::Flag && w.targeted.load(Ordering::Relaxed)
-                    {
-                        fault::point(Site::TargetedPoll);
-                        trace::record(Event::TargetedPoll, 0);
-                        w.targeted.store(false, Ordering::Relaxed);
-                        metrics::bump(Event::ExposureRequest);
-                        if d.update_public_bottom(policies.exposure) > 0 {
-                            // Freshly public work: wake a thief for it.
-                            self.pool().sleep.wake_one();
-                        }
-                    }
+                    // Every split-deque bundle serves requests at task
+                    // granularity (§3); one this poll does not reach within
+                    // `EXPOSE_GRACE_NS` is escalated to a signal (§4).
+                    self.poll_request(w, d);
                     return Some(task);
                 }
-                if let Some(task) = d.pop_public_bottom() {
-                    // A task left the public part: allow fresh notifications.
-                    // §3/§4: `targeted` resets when "a task is removed from
-                    // the deque's public part" — for *every* split-deque
-                    // variant. USLCWS included: a stale flag here would make
-                    // thieves skip this victim while it drains its public
-                    // part, stranding the pending exposure request until the
-                    // next push.
-                    w.targeted.store(false, Ordering::Relaxed);
-                    return Some(task);
-                }
-                if policies.notify == NotifyChannel::Flag {
-                    // Listing 1 line 17.
-                    w.targeted.store(false, Ordering::Relaxed);
-                }
-                None
+                // No private work is left to expose (Listing 1 line 17),
+                // and a task leaving the public part lets thieves ask
+                // afresh (§3/§4): a request must not outlive its work.
+                let task = d.pop_public_bottom();
+                clear_request(w);
+                task
             }
+        }
+    }
+
+    /// The owner's poll after every private pop and push: one Relaxed load.
+    #[inline]
+    fn poll_request(&self, w: &WorkerShared, d: &SplitDeque) {
+        let req = w.expose_request.load(Ordering::Relaxed);
+        if req != 0 {
+            self.serve_request(w, d, req);
+        }
+    }
+
+    /// The one owner-side serve of an exposure request: clear it, expose
+    /// per the bundle's policy, wake a thief for what became public.
+    #[cold]
+    fn serve_request(&self, w: &WorkerShared, d: &SplitDeque, req: u64) {
+        fault::point(Site::TargetedPoll);
+        trace::record(Event::TargetedPoll, (req & REQUEST_SIGNALLED) as u32);
+        w.expose_request.store(0, Ordering::Relaxed);
+        metrics::bump(Event::ExposureRequest);
+        // A handler landing between `update_public_bottom`'s loads and its
+        // store would move `public_bot`, and the outer store would then
+        // *lower* it under a thief: the handler stands down while the mark
+        // is up. Same thread, so compiler fences order the plain stores.
+        self.handler_ctx.exposing.set(true);
+        compiler_fence(Ordering::SeqCst);
+        let exposed = d.update_public_bottom(self.policies().exposure);
+        compiler_fence(Ordering::SeqCst);
+        self.handler_ctx.exposing.set(false);
+        if exposed > 0 {
+            self.pool().sleep.wake_one();
         }
     }
 
@@ -395,7 +391,7 @@ impl WorkerCtx {
                         self.note_steal_success();
                         // Stealing removed a task from the victim's public
                         // part: future thieves may request exposure again.
-                        victim.targeted.store(false, Ordering::Relaxed);
+                        clear_request(victim);
                         StealAttempt::Taken(task)
                     }
                     Steal::PrivateWork => {
@@ -426,75 +422,59 @@ impl WorkerCtx {
         outcome
     }
 
-    /// The per-policy notification rule for a `PRIVATE_WORK` answer.
-    fn notify_victim(&self, victim_idx: usize, victim: &WorkerShared, deque: &SplitDeque) {
+    /// The notification rule for a `PRIVATE_WORK` answer: ask before you
+    /// interrupt. The first thief records the request where the victim
+    /// polls it (Listing 1 line 22). Under [`NotifyChannel::Signal`] a
+    /// later probe — by *any* thief, the stamp is in the shared word — that
+    /// finds it unserved after [`signal::EXPOSE_GRACE_NS`] sends Listing
+    /// 3's `SIGUSR1`, once. Plain load-then-store as in the paper: a lost
+    /// race costs one duplicate signal or one re-asked request.
+    /// (`pub(crate)`, like `signal_or_flag`, for the pool regression tests.)
+    pub(crate) fn notify_victim(&self, victim_idx: usize, victim: &WorkerShared, d: &SplitDeque) {
         let policies = self.policies();
-        match policies.notify {
-            // Listing 1 line 22: flag only; the victim polls it.
-            NotifyChannel::Flag => victim.targeted.store(true, Ordering::Relaxed),
-            // Listing 3 lines 8–11. The plain load-then-store mirrors the
-            // paper; a lost race costs one duplicate SIGUSR1, which the OS
-            // coalesces with the pending one. Conservative Exposure
-            // (§4.1.1) adds `has_two_tasks()` to the condition: the victim
-            // would refuse to expose its last task anyway, so the signal
-            // would be wasted.
-            NotifyChannel::Signal => {
-                if policies.exposure == crate::deque::ExposurePolicy::Conservative
-                    && !deque.has_two_tasks()
-                {
-                    return;
-                }
-                if !victim.targeted.load(Ordering::Relaxed) {
-                    victim.targeted.store(true, Ordering::Relaxed);
-                    self.signal_or_flag(victim_idx, victim);
-                }
-            }
-            NotifyChannel::None => {
-                unreachable!("no notify channel means ABP deques, which never answer PRIVATE_WORK")
-            }
+        let by_signal = policies.notify == NotifyChannel::Signal;
+        // Conservative Exposure (§4.1.1): the victim would refuse to
+        // expose its last task anyway, so the request would be wasted.
+        let conservative = policies.exposure == ExposurePolicy::Conservative;
+        if by_signal && conservative && !d.has_two_tasks() {
+            return;
+        }
+        let req = victim.expose_request.load(Ordering::Relaxed);
+        if req == 0 {
+            let asked = request_word(trace::now_ns());
+            victim.expose_request.store(asked, Ordering::Relaxed);
+        } else if by_signal
+            && req & REQUEST_SIGNALLED == 0
+            && request_age_ns(req) >= signal::EXPOSE_GRACE_NS
+        {
+            let signalled = req | REQUEST_SIGNALLED;
+            victim.expose_request.store(signalled, Ordering::Relaxed);
+            self.signal_or_flag(victim_idx, victim);
         }
     }
 
-    /// Deliver a work-exposure request by signal, degrading to the
-    /// user-space `fallback_expose` flag when `pthread_kill` fails (after
-    /// its capped retry) **or** when the victim has no pthread handle yet.
-    /// The request is never silently dropped: the victim polls the flag at
-    /// its next task boundary.
-    ///
-    /// (`pub(crate)` for the pool regression tests; callers go through
-    /// `notify_victim`.)
+    /// Escalate a request to `SIGUSR1`. When `pthread_kill` fails (after
+    /// its capped retry) **or** the victim has no pthread handle, the
+    /// request simply stays on the flag the victim polls at its next task
+    /// boundary — never silently dropped, only slower.
     pub(crate) fn signal_or_flag(&self, victim_idx: usize, victim: &WorkerShared) {
         // A thief can race worker startup: `build` only returns once every
         // helper registered its handle, but helpers that registered early
         // can already steal — and find a victim whose slot still holds the
         // pre-spawn zero value. pthread_t has no null value in POSIX;
         // passing our sentinel 0 to pthread_kill is undefined (on glibc it
-        // dereferences the handle). Route the request through the
-        // user-space flag instead: the victim polls it at its first task
-        // boundary, so the request survives.
+        // dereferences the handle).
         let handle = victim.pthread.load(Ordering::Acquire);
-        if handle == 0 {
-            self.reroute_to_fallback(victim_idx, victim);
-            return;
-        }
-        // Timestamp *before* pthread_kill: the victim's HandlerEntry minus
-        // this record is the true signal-delivery latency.
-        trace::record(Event::SignalSend, victim_idx as u32);
-        if signal::notify(handle).is_err() {
+        if handle != 0 {
+            // Timestamp *before* pthread_kill: the victim's HandlerEntry
+            // minus this record is the true signal-delivery latency.
+            trace::record(Event::SignalSend, victim_idx as u32);
+            if signal::notify(handle).is_ok() {
+                return;
+            }
             trace::record(Event::SignalSendFailed, victim_idx as u32);
-            self.reroute_to_fallback(victim_idx, victim);
         }
-    }
-
-    /// The degraded-notification path shared by the zero-handle guard and
-    /// the failed-send case.
-    fn reroute_to_fallback(&self, victim_idx: usize, victim: &WorkerShared) {
         trace::emit(Event::SignalFallbackFlag, 1, victim_idx as u32);
-        victim.fallback_expose.store(true, Ordering::Relaxed);
-        // The victim may be between task boundaries for a while and
-        // other thieves are gated by `targeted`; waking a sleeper keeps
-        // someone retrying in the meantime.
-        self.pool().sleep.wake_one();
     }
 
     /// Execute a job taken from a deque, with task accounting.
@@ -558,10 +538,12 @@ impl WorkerCtx {
                     }
                     metrics::bump(Event::IdleIter);
                     match backoff.next() {
-                        IdleAction::Park => self
-                            .pool()
-                            .sleep
-                            .park(self.index, backstop, || done() || self.any_work_visible()),
+                        IdleAction::Park => {
+                            let recheck = || done() || self.any_work_visible();
+                            if !self.pool().sleep.park(self.index, backstop, recheck) {
+                                backoff.park_aborted();
+                            }
+                        }
                         action => IdleBackoff::relax(action),
                     }
                 }
@@ -631,6 +613,30 @@ impl WorkerCtx {
         // The job was stolen: help along until its executor publishes
         // `done` and wakes us.
         self.help_until(done, WAITER_PARK_TIMEOUT);
+    }
+}
+
+/// Low bit of a nonzero `WorkerShared::expose_request`: its `SIGUSR1` was
+/// sent (or could not be). The other bits are its `CLOCK_MONOTONIC` stamp.
+pub(crate) const REQUEST_SIGNALLED: u64 = 1;
+
+/// A fresh exposure request made at `now_ns`: never 0, not yet signalled.
+#[inline]
+pub(crate) fn request_word(now_ns: u64) -> u64 {
+    now_ns.max(1) << 1
+}
+
+/// How long ago the (nonzero) request word `req` was asked.
+#[inline]
+pub(crate) fn request_age_ns(req: u64) -> u64 {
+    trace::now_ns().saturating_sub(req >> 1)
+}
+
+/// Drop `w`'s pending request, if any (load first: its owner polls the line).
+#[inline]
+fn clear_request(w: &WorkerShared) {
+    if w.expose_request.load(Ordering::Relaxed) != 0 {
+        w.expose_request.store(0, Ordering::Relaxed);
     }
 }
 

@@ -302,6 +302,67 @@ fn signalsafe_owner_vs_handler_only() {
     report.assert_exhaustive_pass("§4 owner-vs-handler with index repair");
 }
 
+/// The no-re-entry rule (DESIGN.md §4): the owner itself runs
+/// `update_public_bottom` for every request it serves at a task boundary,
+/// and its handler may land between that call's loads and its store. Two
+/// deliveries there (one handler run doing the body twice — the explorer
+/// delivers at most once) move `public_bot` two up, and the outer store
+/// then *lowers* it by one under a thief. `marked` is
+/// `HandlerCtx::exposing`: up around the owner's call, and the handler
+/// returns early under it. Checks that `public_bot` never moves down.
+fn check_owner_exposure_vs_own_handler(marked: bool) -> Report {
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    const NTASKS: usize = 4;
+    explore(Options::default(), || {
+        let d = SplitDeque::new(8);
+        for i in 0..NTASKS {
+            d.push_bottom(cookie(i));
+        }
+        let taken = Mutex::new(Vec::new());
+        let exposing = AtomicBool::new(false);
+        let high_water = AtomicU32::new(0);
+        Execution::new()
+            .thread("owner", || {
+                pause();
+                exposing.store(marked, Ordering::Relaxed);
+                d.update_public_bottom(ExposurePolicy::One);
+                exposing.store(false, Ordering::Relaxed);
+                pause();
+            })
+            .thread("thief", || {
+                if let Steal::Ok(t) = d.pop_top() {
+                    taken.lock().unwrap().push(uncookie(t));
+                }
+            })
+            .handler_on(0, || {
+                if exposing.load(Ordering::Relaxed) {
+                    return;
+                }
+                d.update_public_bottom(ExposurePolicy::One);
+                d.update_public_bottom(ExposurePolicy::One);
+                high_water.store(d.raw_state().1, Ordering::Relaxed);
+            })
+            .run();
+        let (high, public_bot) = (high_water.into_inner(), d.raw_state().1);
+        if (public_bot.wrapping_sub(high) as i32) < 0 {
+            return Err(format!("public_bot moved down: {high} -> {public_bot}"));
+        }
+        let mut all = taken.into_inner().unwrap();
+        drain_owner(&d, &mut all);
+        check_no_loss_no_dup(all, NTASKS)
+    })
+}
+
+#[test]
+fn owner_exposure_is_not_clobbered_by_its_own_handler() {
+    check_owner_exposure_vs_own_handler(true)
+        .assert_exhaustive_pass("owner-side exposure vs its own handler, mark up");
+    let v = check_owner_exposure_vs_own_handler(false)
+        .violation
+        .expect("without the mark the outer store must lower public_bot");
+    assert!(v.message.contains("moved down"), "{}", v.message);
+}
+
 /// Supervision (DESIGN.md §5e): a dying owner's last-gasp `expose_all`
 /// racing a thief's steal, with a handler exposure still injectable on the
 /// owner (a SIGUSR1 can land mid-unwind, before the handler ctx is torn

@@ -4,7 +4,7 @@
 //! count of workers starved by a long sequential task.
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use lcws_core::{scope, IdlePolicy, Policies, PoolBuilder, Variant};
@@ -323,6 +323,100 @@ fn completion_wakes_are_never_lost() {
         });
         (worst, pool.shutdown())
     });
+}
+
+/// Regression: a thief whose park is aborted because work is *visible* but
+/// not stealable (a USLCWS victim inside a long task holds only private
+/// work, and serves requests at task granularity) used to stay on the
+/// `Park` rung and re-announce on every iteration — two SeqCst RMWs on the
+/// sleeper mask per idle iteration, and every `wake_one` of a pushing
+/// owner found the bit set and spent an epoch bump and a slot lock on a
+/// worker that was not asleep: hundreds of `Unpark`s per round with zero
+/// parks. An aborted park now drops below the `Park` rung
+/// (`IdleBackoff::park_aborted`; the exact announce count is pinned by
+/// `sleep::tests::aborted_park_reenters_the_ladder_below_the_park_rung`).
+#[test]
+fn visible_private_work_neither_parks_nor_churns_the_sleeper_set() {
+    let _serial = timing_sensitive();
+    let pool = PoolBuilder::new(Variant::UsLcws).threads(2).build();
+
+    // (a) The long task: eight private tasks, then 20 ms without a task
+    // boundary. The thief must stay awake for them (no park while work is
+    // visible) and take its share once the boundary comes. Its counters
+    // are read on its own thread, from inside the tasks it stole — zeroed
+    // by the first, flushed by each later one — so the honest parks of the
+    // run's head (nothing pushed yet) and tail (everything taken, the
+    // generation not closed yet) stay outside: from the first stolen task
+    // to the last, the victim's deque is never empty (it only pops once
+    // the scope body is over).
+    let window = lcws_metrics::Collector::new();
+    let thief_awake = AtomicBool::new(false);
+    let stolen = AtomicU64::new(0);
+    pool.run(|| {
+        let owner = std::thread::current().id();
+        let note_if_stolen = || {
+            if std::thread::current().id() != owner {
+                stolen.fetch_add(1, Ordering::AcqRel);
+                lcws_metrics::flush_into(&window);
+            }
+        };
+        scope(|s| {
+            // Pushes serve requests oldest task first: only the thief can
+            // run this one, and it keeps the thief busy while the siblings
+            // below are pushed — all eight private when the window opens.
+            s.spawn(|| {
+                lcws_metrics::reset_local();
+                thief_awake.store(true, Ordering::Release);
+                busy_for(Duration::from_millis(2));
+            });
+            while !thief_awake.load(Ordering::Acquire) {
+                s.spawn(note_if_stolen);
+            }
+            for _ in 0..8 {
+                s.spawn(|| {
+                    busy_for(Duration::from_micros(200));
+                    note_if_stolen();
+                });
+            }
+            busy_for(Duration::from_millis(20));
+            // The task boundary, held open until the thief has used it (on
+            // a busy box it may not be running just now): every push serves
+            // its request.
+            let t0 = Instant::now();
+            while stolen.load(Ordering::Acquire) == 0 && t0.elapsed() < Duration::from_secs(10) {
+                s.spawn(note_if_stolen);
+            }
+        });
+    });
+    let thief = window.snapshot();
+    assert!(
+        stolen.load(Ordering::Acquire) >= 1,
+        "the thief never stole after the task boundary ({thief})"
+    );
+    assert_eq!(
+        thief.parks(),
+        0,
+        "a thief parked while the victim held work ({thief})"
+    );
+
+    // (b) The pushing owner: one deque floods 2^15 sub-microsecond tasks,
+    // a `wake_one` per push. The thief is fed all along, so nobody sleeps
+    // and (nearly) no wake should find anyone to deliver to.
+    let slots: Vec<AtomicU64> = (0..1 << 15).map(|_| AtomicU64::new(0)).collect();
+    let (_, snap) = pool.run_measured(|| {
+        scope(|s| {
+            for slot in &slots {
+                s.spawn(move || {
+                    slot.store(black_box(1), Ordering::Relaxed);
+                });
+            }
+        });
+    });
+    assert!(slots.iter().all(|v| v.load(Ordering::Relaxed) == 1));
+    assert!(
+        snap.unparks() <= 32 + 2 * snap.parks(),
+        "wakes delivered to workers that were not asleep ({snap})"
+    );
 }
 
 /// Parks must not perturb correctness-critical accounting: a run that

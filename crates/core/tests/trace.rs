@@ -298,12 +298,25 @@ fn ws_variant_emits_no_signal_events() {
 
 #[test]
 fn signal_variant_yields_latency_samples() {
-    // Fine grain + repeated runs make thieves signal victims; at least one
-    // send must pair with a handler entry across the attempts.
+    // A long arm beside a stealable sibling makes the idle thieves'
+    // request outlive its grace, so one of them signals the victim; at
+    // least one send must pair with a handler entry across the attempts.
+    // (Fine-grained runs are served by the flag and barely signal.)
     let pool = PoolBuilder::new(Variant::Signal).threads(4).build();
     let mut sends = 0usize;
     for _ in 0..50 {
-        let trace = traced_run(&pool, 1 << 14, 1);
+        pool.run(|| {
+            lcws_core::join(
+                || {
+                    let t0 = std::time::Instant::now();
+                    while t0.elapsed() < std::time::Duration::from_millis(2) {
+                        std::hint::spin_loop();
+                    }
+                },
+                || (),
+            )
+        });
+        let trace = pool.take_trace().expect("traced run must leave a trace");
         sends += trace.of_kind(Event::SignalSend).count();
         let latencies = trace.signal_latencies_ns();
         if !latencies.is_empty() {

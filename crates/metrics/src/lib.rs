@@ -151,7 +151,7 @@ event_table! {
     /// `pthread_kill(SIGUSR1)` notifications that reached a victim.
     SignalSent { count: signals_sent }
     /// Work-exposure requests handled (signal-handler activations or
-    /// user-space `targeted`-flag observations that led to an exposure
+    /// owner-side polls of the request word that led to an exposure
     /// check).
     ExposureRequest { count: exposure_requests }
     /// Iterations of the thief loop that yielded no task.
@@ -182,9 +182,9 @@ event_table! {
     /// Counted in the sender, traced by the thief (payload = victim index),
     /// where it cancels the pending latency pairing.
     SignalSendFailed { count: signal_send_failed, trace: signal_send_failed }
-    /// Failed signal notifications that were rerouted through the
-    /// user-space `targeted`-flag path so the steal request is not lost
-    /// (payload = victim index).
+    /// Signal escalations that could not be delivered (failed send, or a
+    /// victim with no registered handle): the steal request stays on the
+    /// flag the victim polls, so it is not lost (payload = victim index).
     SignalFallbackFlag { count: signal_fallback_flag, trace: fallback_reroute }
     /// Fault-injection sites that fired (delay, yield storm, or forced
     /// failure). Always zero unless the `faultpoints` feature of
@@ -264,9 +264,9 @@ event_table! {
     /// Handler finished its exposure (payload = tasks exposed, possibly 0).
     /// Recorded in signal context.
     HandlerExpose { trace: handler_expose }
-    /// Owner served an exposure request at a task boundary (payload = 0
-    /// for the USLCWS `targeted` flag, 1 for the degraded-signal
-    /// `fallback_expose` flag).
+    /// Owner served an exposure request at a task boundary (payload = 1
+    /// when the request had already been escalated to a signal — still in
+    /// flight, or undeliverable — else 0).
     TargetedPoll { trace: targeted_poll }
     /// A thief's batch steal transferred more than one task with a single
     /// validating CAS (steal-half policy; payload = total tasks taken,
