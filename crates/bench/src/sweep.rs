@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use lcws_core::{
-    IdlePolicy, Policies, PoolBuilder, Snapshot, StealAmount, ThreadPool, Variant, VictimSelection,
+    Policies, PoolBuilder, Snapshot, StealAmount, ThreadPool, Variant, VictimSelection,
 };
 use pbbs_rs::registry::{all_instances, Instance};
 
@@ -35,10 +35,10 @@ impl Composition {
     }
 
     /// Parse a `variant[+modifier...]` spec. Modifiers: `near-first` /
-    /// `uniform` (victim axis), `steal-half` / `steal-one` (amount axis),
-    /// `spin-only` / `adaptive` (idle axis). The resulting bundle is
-    /// validated — impossible pairings (e.g. `ws+steal-half`: ABP has no
-    /// batch CAS) are rejected here rather than panicking at build time.
+    /// `uniform` (victim axis), `steal-half` / `steal-one` (amount axis).
+    /// The resulting bundle is validated — impossible pairings (e.g.
+    /// `ws+steal-half`: ABP has no batch CAS) are rejected here rather than
+    /// panicking at build time.
     pub fn parse(spec: &str) -> Result<Composition, String> {
         let mut parts = spec.split('+');
         let base = parts.next().unwrap_or_default();
@@ -52,8 +52,6 @@ impl Composition {
                 "uniform" => policies.victim = VictimSelection::Uniform,
                 "steal-half" => policies.steal = StealAmount::Half,
                 "steal-one" => policies.steal = StealAmount::One,
-                "spin-only" => policies.idle = IdlePolicy::SpinOnly,
-                "adaptive" => policies.idle = IdlePolicy::Adaptive,
                 other => {
                     return Err(format!("unknown policy modifier `{other}` in `{spec}`"));
                 }

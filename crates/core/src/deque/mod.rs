@@ -110,6 +110,51 @@ impl AbpSteal {
     }
 }
 
+/// A worker's deque: ABP for the WS baseline, split for every LCWS variant.
+pub(crate) enum AnyDeque {
+    Abp(AbpDeque),
+    Split(SplitDeque),
+}
+
+impl AnyDeque {
+    /// Free ring buffers retired by growth during the closing run.
+    ///
+    /// # Safety
+    /// Quiescence only: every helper must have left its work loop (the
+    /// run-close `active` handshake), so no thread still holds a captured
+    /// buffer pointer. Parked helpers do not touch deques between epochs,
+    /// and the SIGUSR1 handler only moves `public_bot` — a late signal
+    /// cannot reach a retired ring either.
+    pub(crate) unsafe fn release_retired(&self) -> usize {
+        match self {
+            AnyDeque::Abp(d) => d.release_retired(),
+            AnyDeque::Split(d) => d.release_retired(),
+        }
+    }
+
+    /// Racy `(private, public)` depth snapshot for the stall report. The
+    /// ABP deque has no private part: every task is stealable.
+    pub(crate) fn depths(&self) -> (u32, u32) {
+        match self {
+            AnyDeque::Abp(d) => {
+                let (bot, age) = d.raw_state();
+                (0, bot.saturating_sub(age.top))
+            }
+            AnyDeque::Split(d) => (d.private_len(), d.public_len()),
+        }
+    }
+
+    /// Restore the canonical empty state before a replacement worker takes
+    /// over this slot. Caller must hold quiescence (between runs, under the
+    /// run lock).
+    pub(crate) fn reset_for_respawn(&self) {
+        match self {
+            AnyDeque::Abp(d) => d.reset_for_respawn(),
+            AnyDeque::Split(d) => d.reset_for_respawn(),
+        }
+    }
+}
+
 /// Default *initial* number of slots per worker deque.
 ///
 /// Fork-join recursion depth bounds the live extent for `join`-structured

@@ -415,45 +415,58 @@ pub(crate) fn fail_at(_site: Site) -> bool {
 
 #[cfg(all(test, feature = "faultpoints"))]
 mod tests {
+    use super::active::PlanState;
     use super::*;
-    use std::sync::Mutex;
 
-    /// Serializes plan installation across this module's tests.
-    static LOCK: Mutex<()> = Mutex::new(());
+    // The fire-pattern tests drive a plan of their own through `hit` and
+    // never install it: an installed plan is process-wide, so every other
+    // lib test running meanwhile would hit its sites and shift its counts.
 
+    fn local(plan: FaultPlan) -> PlanState {
+        PlanState {
+            plan,
+            hits: [const { AtomicU64::new(0) }; NUM_SITES],
+            fires: [const { AtomicU64::new(0) }; NUM_SITES],
+        }
+    }
+
+    fn fires(state: &PlanState, site: Site) -> u64 {
+        state.fires[site as usize].load(Ordering::Relaxed)
+    }
+
+    /// The one test that installs, with every site off: nothing fires or
+    /// counts — here or in a concurrently running test — and the guard
+    /// disarms on drop.
     #[test]
     fn disarmed_site_never_fires() {
-        let _g = LOCK.lock().unwrap();
         let guard = install(FaultPlan::new(1));
         for _ in 0..100 {
             assert!(!fail_at(Site::SignalSend));
         }
         assert_eq!(guard.fires(Site::SignalSend), 0);
         assert_eq!(guard.hits(Site::SignalSend), 0, "one_in=0 skips counting");
+        drop(guard);
+        assert!(current().is_none(), "disarmed after drop");
     }
 
     #[test]
     fn fail_always_fires_every_hit() {
-        let _g = LOCK.lock().unwrap();
-        let guard = install(FaultPlan::new(2).with(Site::PushBottom, SiteAction::fail_always()));
+        let state = local(FaultPlan::new(2).with(Site::PushBottom, SiteAction::fail_always()));
         for _ in 0..10 {
-            assert!(fail_at(Site::PushBottom));
+            assert!(state.hit(Site::PushBottom));
         }
-        assert_eq!(guard.fires(Site::PushBottom), 10);
+        assert_eq!(fires(&state, Site::PushBottom), 10);
     }
 
     #[test]
     fn seeded_pattern_is_reproducible_and_diluted() {
-        let _g = LOCK.lock().unwrap();
         let collect = |seed: u64| {
-            let guard =
-                install(FaultPlan::new(seed).with(Site::PopTop, SiteAction::delay(1).one_in(4)));
-            let pattern: Vec<bool> = (0..256).map(|_| fail_at(Site::PopTop)).collect();
-            let fires = guard.fires(Site::PopTop);
-            drop(guard);
+            let state =
+                local(FaultPlan::new(seed).with(Site::PopTop, SiteAction::delay(1).one_in(4)));
+            let pattern: Vec<bool> = (0..256).map(|_| state.hit(Site::PopTop)).collect();
             // delay-only actions never force failure...
             assert!(pattern.iter().all(|&f| !f));
-            fires
+            fires(&state, Site::PopTop)
         };
         let a = collect(42);
         let b = collect(42);
@@ -468,25 +481,22 @@ mod tests {
 
     #[test]
     fn after_skips_leading_hits() {
-        let _g = LOCK.lock().unwrap();
-        let guard =
-            install(FaultPlan::new(5).with(Site::ThreadSpawn, SiteAction::fail_always().after(2)));
-        let pattern: Vec<bool> = (0..5).map(|_| fail_at(Site::ThreadSpawn)).collect();
+        let state =
+            local(FaultPlan::new(5).with(Site::ThreadSpawn, SiteAction::fail_always().after(2)));
+        let pattern: Vec<bool> = (0..5).map(|_| state.hit(Site::ThreadSpawn)).collect();
         assert_eq!(pattern, [false, false, true, true, true]);
-        assert_eq!(guard.hits(Site::ThreadSpawn), 5);
-        assert_eq!(guard.fires(Site::ThreadSpawn), 3);
+        assert_eq!(
+            state.hits[Site::ThreadSpawn as usize].load(Ordering::Relaxed),
+            5
+        );
+        assert_eq!(fires(&state, Site::ThreadSpawn), 3);
     }
 
     #[test]
     fn max_fires_caps_the_schedule() {
-        let _g = LOCK.lock().unwrap();
-        let guard = install(
-            FaultPlan::new(3).with(Site::SignalSend, SiteAction::fail_always().max_fires(3)),
-        );
-        let forced = (0..10).filter(|_| fail_at(Site::SignalSend)).count();
+        let state =
+            local(FaultPlan::new(3).with(Site::SignalSend, SiteAction::fail_always().max_fires(3)));
+        let forced = (0..10).filter(|_| state.hit(Site::SignalSend)).count();
         assert_eq!(forced, 3);
-        drop(guard);
-        // Disarmed after drop.
-        assert!(!fail_at(Site::SignalSend));
     }
 }

@@ -90,7 +90,6 @@ pub use job::Job;
 pub use policy::{NotifyChannel, Policies, PolicyError, StealAmount, VictimSelection};
 pub use pool::{PoolBuilder, ThreadPool};
 pub use signal::EXPOSE_SIGNAL;
-pub use sleep::IdlePolicy;
 #[cfg(feature = "trace")]
 pub use trace::Trace;
 pub use trace::TraceEvent;

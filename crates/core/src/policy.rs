@@ -5,9 +5,9 @@
 //! schedulers — but each scheduler is really a *composition* of orthogonal
 //! choices: which deque backs each worker, how thieves ask for work, how
 //! much the victim exposes, which `pop_bottom` flavour the owner needs,
-//! which victim a thief probes, how many tasks one steal CAS transfers, and
-//! how an idle worker waits. This module names those axes and bundles a
-//! choice per axis into a [`Policies`] value.
+//! which victim a thief probes, and how many tasks one steal CAS transfers.
+//! This module names those axes and bundles a choice per axis into a
+//! [`Policies`] value.
 //!
 //! The variants stay the compatibility surface ([`Variant::policies`]
 //! returns the composition each one denotes), while
@@ -25,7 +25,6 @@
 use std::fmt;
 
 use crate::deque::{ExposurePolicy, PopBottomMode};
-use crate::sleep::IdlePolicy;
 use crate::variant::Variant;
 
 /// How a thief tells a victim with only private work to expose some —
@@ -38,11 +37,14 @@ pub enum NotifyChannel {
     /// the fully-concurrent ABP deque, every task stealable, the owner
     /// paying a seq-cst fence per pop (the WS baseline).
     None,
-    /// Set the victim's `targeted` flag; the victim polls it at task
-    /// boundaries (§3, USLCWS).
+    /// Record the request in the victim's `expose_request` word; the victim
+    /// serves it at its next task boundary (§3, USLCWS). A victim stuck in
+    /// a long task serves it only when the task ends.
     Flag,
-    /// Send `SIGUSR1`; the victim's handler exposes work in constant time
-    /// (§4). Failed sends reroute through the flag.
+    /// The same request word, and a thief that finds a request still
+    /// unserved after `EXPOSE_GRACE_NS` escalates it to `SIGUSR1`, once;
+    /// the victim's handler serves it in constant time however long its
+    /// task runs (§4). A failed send leaves the request on the word.
     Signal,
 }
 
@@ -94,8 +96,6 @@ pub struct Policies {
     pub victim: VictimSelection,
     /// Tasks transferred per successful steal CAS.
     pub steal: StealAmount,
-    /// Idle-worker waiting strategy.
-    pub idle: IdlePolicy,
 }
 
 /// Why a [`Policies`] bundle was rejected by [`Policies::validate`].
@@ -127,7 +127,6 @@ impl Policies {
             exposure: ExposurePolicy::One, // unused; kept for equality
             victim: VictimSelection::Uniform,
             steal: StealAmount::One,
-            idle: IdlePolicy::Adaptive,
         }
     }
 
@@ -136,10 +135,7 @@ impl Policies {
     pub const fn uslcws() -> Policies {
         Policies {
             notify: NotifyChannel::Flag,
-            exposure: ExposurePolicy::One,
-            victim: VictimSelection::Uniform,
-            steal: StealAmount::One,
-            idle: IdlePolicy::Adaptive,
+            ..Policies::ws()
         }
     }
 
@@ -149,10 +145,7 @@ impl Policies {
     pub const fn signal() -> Policies {
         Policies {
             notify: NotifyChannel::Signal,
-            exposure: ExposurePolicy::One,
-            victim: VictimSelection::Uniform,
-            steal: StealAmount::One,
-            idle: IdlePolicy::Adaptive,
+            ..Policies::ws()
         }
     }
 
@@ -160,11 +153,8 @@ impl Policies {
     /// bottom-most task, so the standard `pop_bottom` stays sound.
     pub const fn signal_conservative() -> Policies {
         Policies {
-            notify: NotifyChannel::Signal,
             exposure: ExposurePolicy::Conservative,
-            victim: VictimSelection::Uniform,
-            steal: StealAmount::One,
-            idle: IdlePolicy::Adaptive,
+            ..Policies::signal()
         }
     }
 
@@ -175,11 +165,8 @@ impl Policies {
     /// the owner's `pop_public_bottom` (DESIGN.md §5h).
     pub const fn signal_half() -> Policies {
         Policies {
-            notify: NotifyChannel::Signal,
             exposure: ExposurePolicy::Half,
-            victim: VictimSelection::Uniform,
-            steal: StealAmount::One,
-            idle: IdlePolicy::Adaptive,
+            ..Policies::signal()
         }
     }
 
@@ -215,7 +202,7 @@ impl Policies {
     /// Check the one cross-axis soundness rule: the ABP deque
     /// ([`NotifyChannel::None`]) has no `{tag, top}` batch validation, so
     /// it steals one task per CAS. Everything else composes freely (victim
-    /// order and idle policy touch no protocol invariant).
+    /// order touches no protocol invariant).
     pub fn validate(&self) -> Result<(), PolicyError> {
         if !self.uses_split_deque() && self.steal != StealAmount::One {
             return Err(PolicyError::AbpStealsOne);
@@ -284,7 +271,6 @@ mod tests {
         for v in Variant::ALL {
             let mut p = v.policies();
             p.victim = VictimSelection::NearFirst;
-            p.idle = IdlePolicy::SpinOnly;
             assert_eq!(p.validate(), Ok(()), "{v} with near-first victims");
         }
         // Batch steals without Expose Half: legal, just less profitable.

@@ -26,7 +26,7 @@
 //! [`crate::deque::SplitDeque`]).
 
 use std::cell::Cell;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{compiler_fence, Ordering};
 use std::sync::Once;
 
 use lcws_metrics::{self as metrics, Event};
@@ -51,24 +51,23 @@ pub const EXPOSE_SIGNAL: libc::c_int = libc::SIGUSR1;
 /// trace --bin siglat` re-takes the delivery median to compare.
 pub(crate) const EXPOSE_GRACE_NS: u64 = 10_000;
 
-/// Everything the handler needs: the interrupted worker's own deque and the
+/// Everything [`serve_exposure`] needs: the worker's own deque and the
 /// scheduler's exposure policy. Stored at a stable address for the duration
 /// of a worker's participation in a pool run.
 pub(crate) struct HandlerCtx {
     pub deque: *const SplitDeque,
     pub policy: ExposurePolicy,
-    /// Deferred-wake flag for the sleeper subsystem (null to disable).
-    /// The handler must **not** wake sleepers itself — condvar
-    /// notification locks a mutex the interrupted thread might hold, which
-    /// is not async-signal-safe. It only stores `true` here; the owner
-    /// drains the flag on its next deque access and performs the wake
-    /// outside signal context.
+    /// Deferred-wake flag for the sleeper subsystem. The serve must **not**
+    /// wake sleepers itself — condvar notification locks a mutex the
+    /// interrupted thread might hold, which is not async-signal-safe. It
+    /// only stores `true` here; the owner drains the flag and performs the
+    /// wake outside signal context.
     pub wake_pending: *const AtomicBool,
     /// The worker's `expose_request` word; whoever serves it clears it.
     pub request: *const AtomicU64,
-    /// Owner-local mark, up while the owner itself is inside
-    /// `update_public_bottom` (`WorkerCtx::serve_request`): the handler
-    /// returns early, or the outer store would *lower* `public_bot`.
+    /// Owner-local mark, up while [`serve_exposure`] runs on this thread:
+    /// a handler landing inside the owner's own serve returns early, or the
+    /// outer `update_public_bottom` store would *lower* `public_bot`.
     pub exposing: Cell<bool>,
 }
 
@@ -77,6 +76,41 @@ thread_local! {
     /// thread is not acting as a worker (the handler then no-ops, which
     /// safely absorbs stragglers delivered right after a run finishes).
     static HANDLER_CTX: Cell<*const HandlerCtx> = const { Cell::new(std::ptr::null()) };
+}
+
+/// The one serve of an exposure request, by the owner's task-boundary poll
+/// and by the `SIGUSR1` handler alike: clear the request, expose per the
+/// bundle's policy, and leave the wake for what became public to the owner
+/// (`wake_pending`). Returns the number of tasks exposed, or `None` when it
+/// stood down because this thread is already inside a serve.
+///
+/// The request is cleared *before* the exposure, so a thief's fresh request
+/// that lands meanwhile survives to the next poll. Async-signal-safe: the
+/// mark is a plain `Cell` of this thread, so two `compiler_fence`s order it
+/// against the deque accesses it guards.
+#[cold]
+pub(crate) fn serve_exposure(ctx: &HandlerCtx) -> Option<u32> {
+    if ctx.exposing.get() {
+        return None;
+    }
+    ctx.exposing.set(true);
+    compiler_fence(Ordering::SeqCst);
+    // Safety: the pointers target the owner's own pool slot, which outlives
+    // its ctx, and this runs on the owner's thread, so
+    // `update_public_bottom`'s owner-only contract holds.
+    let (request, deque, wake_pending) =
+        unsafe { (&*ctx.request, &*ctx.deque, &*ctx.wake_pending) };
+    request.store(0, Ordering::Relaxed);
+    metrics::bump(Event::ExposureRequest);
+    let exposed = deque.update_public_bottom(ctx.policy);
+    // Exposed work could feed a parked thief, but waking from a signal
+    // handler is forbidden (see `HandlerCtx::wake_pending`).
+    if exposed > 0 {
+        wake_pending.store(true, Ordering::Release);
+    }
+    compiler_fence(Ordering::SeqCst);
+    ctx.exposing.set(false);
+    Some(exposed)
 }
 
 /// Three-argument (`SA_SIGINFO`) handler. Everything in here — including
@@ -93,23 +127,9 @@ extern "C" fn expose_handler(
     trace::record(Event::HandlerEntry, 0);
     let ctx = HANDLER_CTX.with(|c| c.get());
     // Safety: the pointer was installed by this thread's worker prologue and
-    // is cleared before the referent is dropped (guard in worker.rs); the
-    // handler runs on the owning thread, so `update_public_bottom`'s
-    // owner-only contract holds.
-    unsafe {
-        if ctx.is_null() || (*ctx).exposing.get() {
-            return;
-        }
-        metrics::bump(Event::ExposureRequest);
-        let exposed = (*(*ctx).deque).update_public_bottom((*ctx).policy);
+    // is cleared before the referent is dropped (guard in worker.rs).
+    if let Some(exposed) = unsafe { ctx.as_ref() }.and_then(serve_exposure) {
         trace::record(Event::HandlerExpose, exposed);
-        // Exposed work could feed a parked thief, but waking from a signal
-        // handler is forbidden (see `HandlerCtx::wake_pending`): record the
-        // event with a plain atomic store and let the owner wake.
-        if exposed > 0 && !(*ctx).wake_pending.is_null() {
-            (*(*ctx).wake_pending).store(true, Ordering::Release);
-        }
-        (*(*ctx).request).store(0, Ordering::Relaxed);
     }
 }
 
@@ -147,14 +167,10 @@ pub(crate) fn current_pthread() -> libc::pthread_t {
     unsafe { libc::pthread_self() }
 }
 
-/// Extra `pthread_kill` attempts after the first before giving up and
-/// reporting failure to the caller (capped backoff: one `spin_loop` burst
-/// between attempts). Transient kernel-side refusals (EAGAIN on some
-/// platforms) are retried; a dead target (ESRCH/EINVAL) fails fast.
-const SEND_RETRIES: u32 = 2;
-
 /// Send a work-exposure request to `target` (a live pool worker's pthread
-/// handle, stored as `u64` in the pool's worker table).
+/// handle, stored as `u64` in the pool's worker table). One attempt:
+/// `tgkill(2)` returns EAGAIN only for real-time signals, so there is
+/// nothing to retry.
 ///
 /// Targets are pool threads that normally outlive every run, but a victim
 /// racing with teardown can make `pthread_kill` fail (ESRCH/EINVAL). That
@@ -170,19 +186,16 @@ const SEND_RETRIES: u32 = 2;
 /// (a handle can be recycled by the OS once the thread is joined, making a
 /// late kill target an unrelated thread; the zero-handle gate closes that).
 pub(crate) fn notify(target: u64) -> Result<(), libc::c_int> {
-    let mut rc = send_once(target);
-    let mut attempt = 0;
-    while rc == libc::EAGAIN && attempt < SEND_RETRIES {
-        for _ in 0..(64 << attempt) {
-            std::hint::spin_loop();
-        }
-        attempt += 1;
-        rc = send_once(target);
-    }
+    // The fault-injection hook lets chaos tests force the failure outcome
+    // without a racing thread exit.
+    let rc = if fault::fail_at(Site::SignalSend) {
+        libc::ESRCH
+    } else {
+        unsafe { libc::pthread_kill(target as libc::pthread_t, EXPOSE_SIGNAL) }
+    };
     // `SignalSent` means *delivered*: the paper's Fig. 8 counts signals that
     // actually reached a victim, so a failed send must not inflate it (it
-    // lands in `SignalSendFailed` instead) and each EAGAIN re-send shows up
-    // only in `SignalSendAttempt` (bumped per attempt in `send_once`).
+    // lands in `SignalSendFailed` instead).
     if rc == 0 {
         metrics::bump(Event::SignalSent);
         Ok(())
@@ -190,16 +203,6 @@ pub(crate) fn notify(target: u64) -> Result<(), libc::c_int> {
         metrics::bump(Event::SignalSendFailed);
         Err(rc)
     }
-}
-
-/// One raw `pthread_kill` attempt, with the fault-injection hook that lets
-/// chaos tests force the failure outcome without a racing thread exit.
-fn send_once(target: u64) -> libc::c_int {
-    metrics::bump(Event::SignalSendAttempt);
-    if fault::fail_at(Site::SignalSend) {
-        return libc::ESRCH;
-    }
-    unsafe { libc::pthread_kill(target as libc::pthread_t, EXPOSE_SIGNAL) }
 }
 
 #[cfg(test)]
@@ -231,10 +234,11 @@ mod tests {
             deque.push_bottom((k * 8) as *mut _);
         }
         let request = AtomicU64::new(2);
+        let wake_pending = crate::shim::AtomicBool::new(false);
         let ctx = HandlerCtx {
             deque: &deque,
             policy: ExposurePolicy::One,
-            wake_pending: std::ptr::null(),
+            wake_pending: &wake_pending,
             request: &request,
             exposing: Cell::new(true),
         };
@@ -273,10 +277,11 @@ mod tests {
             // Owner thread: private task, handler armed.
             d2.push_bottom(0x10 as *mut _);
             let request = AtomicU64::new(0);
+            let wake_pending = crate::shim::AtomicBool::new(false);
             let ctx = HandlerCtx {
                 deque: &*d2,
                 policy: ExposurePolicy::One,
-                wake_pending: std::ptr::null(),
+                wake_pending: &wake_pending,
                 request: &request,
                 exposing: Cell::new(false),
             };

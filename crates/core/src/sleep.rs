@@ -41,18 +41,18 @@
 //! ## What wakes sleepers
 //!
 //! * `push_job` on any deque (new local work a thief could take or expose).
-//! * Work-exposure events on a split deque: the USLCWS owner-side
-//!   `update_public_bottom`, and — for the signal variants — the handler's
-//!   exposure, *deferred to the owner* (next point).
+//! * Work-exposure events on a split deque, served by the owner's poll or
+//!   by the `SIGUSR1` handler, and *deferred to the owner* either way (next
+//!   point).
 //! * Pool run close (`done_epoch` store), which wakes **all** sleepers so
 //!   helpers can observe `finished()` and quiesce.
 //!
 //! The `SIGUSR1` handler itself must **never** call the waker: condvar
 //! notify takes a lock and is not async-signal-safe (the interrupted
-//! thread might hold that very lock). The handler only stores a flag
+//! thread might hold that very lock). The serve only stores a flag
 //! ([`crate::pool::WorkerShared::wake_pending`]); the owner drains the
-//! flag and performs the wake on its next deque access, keeping the
-//! handler confined to flag stores.
+//! flag and performs the wake right after its own serve or on its next
+//! deque access, keeping the handler confined to flag stores.
 //!
 //! * External submission into the global injector
 //!   ([`crate::ThreadPool::spawn`]), which must be able to rouse a fully
@@ -108,19 +108,6 @@ pub(crate) const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 /// wakes (asserted in `tests/sleeper.rs`).
 pub(crate) const WAITER_PARK_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// How a pool's idle workers behave once out of work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IdlePolicy {
-    /// Full spin → yield → park escalation (the default).
-    #[default]
-    Adaptive,
-    /// Never park: spin/yield forever, as the pre-sleeper schedulers did.
-    /// Kept for A/B comparisons of idle cost (`lcws-e2e --trace 1`:
-    /// `core.sleep.cpu_s_per_round.<s>` and `core.sleep.wake_p*_us`; and
-    /// the sleeper integration tests).
-    SpinOnly,
-}
-
 /// What the backoff ladder tells an idle worker to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum IdleAction {
@@ -134,16 +121,12 @@ pub(crate) enum IdleAction {
 
 /// Per-idle-episode escalation state. One instance lives on the stack of
 /// each steal/wait loop; `reset` on any progress.
+#[derive(Default)]
 pub(crate) struct IdleBackoff {
-    policy: IdlePolicy,
     step: u32,
 }
 
 impl IdleBackoff {
-    pub(crate) fn new(policy: IdlePolicy) -> IdleBackoff {
-        IdleBackoff { policy, step: 0 }
-    }
-
     /// Record that the worker made progress: restart the ladder.
     #[inline]
     pub(crate) fn reset(&mut self) {
@@ -157,7 +140,7 @@ impl IdleBackoff {
         self.step = self.step.saturating_add(1);
         if step < SPIN_ROUNDS {
             IdleAction::Spin
-        } else if step < SPIN_ROUNDS + YIELD_ROUNDS || self.policy == IdlePolicy::SpinOnly {
+        } else if step < SPIN_ROUNDS + YIELD_ROUNDS {
             IdleAction::Yield
         } else {
             IdleAction::Park
@@ -405,7 +388,7 @@ mod tests {
 
     #[test]
     fn backoff_escalates_and_resets() {
-        let mut b = IdleBackoff::new(IdlePolicy::Adaptive);
+        let mut b = IdleBackoff::default();
         for _ in 0..SPIN_ROUNDS {
             assert_eq!(b.next(), IdleAction::Spin);
         }
@@ -424,7 +407,7 @@ mod tests {
         // announce per YIELD_ROUNDS + 1 iterations once the ladder is
         // climbed, not one per iteration.
         let sleep = Sleep::new(1);
-        let mut b = IdleBackoff::new(IdlePolicy::Adaptive);
+        let mut b = IdleBackoff::default();
         let mut announces = 0;
         for _ in 0..1_000 {
             if b.next() == IdleAction::Park {
@@ -438,14 +421,6 @@ mod tests {
             (1_000 - SPIN_ROUNDS - YIELD_ROUNDS).div_ceil(YIELD_ROUNDS + 1),
             "aborted parks must not re-announce every iteration"
         );
-    }
-
-    #[test]
-    fn spin_only_never_parks() {
-        let mut b = IdleBackoff::new(IdlePolicy::SpinOnly);
-        for _ in 0..(SPIN_ROUNDS + YIELD_ROUNDS + 100) {
-            assert_ne!(b.next(), IdleAction::Park);
-        }
     }
 
     #[test]

@@ -5,19 +5,20 @@
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
-use std::sync::atomic::{compiler_fence, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use lcws_metrics::{self as metrics, Event};
 
 use crate::deque::{
-    AbpSteal, DequeFull, ExposurePolicy, PopBottomMode, SplitDeque, Steal, STEAL_BATCH_MAX,
+    AbpSteal, AnyDeque, DequeFull, ExposurePolicy, PopBottomMode, SplitDeque, Steal,
+    STEAL_BATCH_MAX,
 };
 use crate::fault::{self, Site};
 use crate::injector::INJECTOR_BATCH;
 use crate::job::{Job, StackJob, NO_WORKER};
 use crate::policy::{NotifyChannel, Policies, StealAmount, VictimSelection};
-use crate::pool::{AnyDeque, PoolInner, WorkerShared};
+use crate::pool::{PoolInner, WorkerShared};
 use crate::signal::{self, HandlerCtx};
 use crate::sleep::{IdleAction, IdleBackoff, WAITER_PARK_TIMEOUT};
 use crate::trace;
@@ -84,8 +85,9 @@ pub(crate) struct WorkerCtx {
     /// The bundle's `pop_bottom` flavour, derived once here so the per-task
     /// path reads a field.
     pop_mode: PopBottomMode,
-    /// Signal-handler context pointing at this worker's split deque; armed
-    /// only for signal-driven policy bundles.
+    /// What [`signal::serve_exposure`] serves from: this worker's split
+    /// deque and request word. The owner's poll always uses it; the signal
+    /// handler is armed with it only for signal-driven policy bundles.
     handler_ctx: HandlerCtx,
 }
 
@@ -214,7 +216,7 @@ impl WorkerCtx {
             AnyDeque::Abp(d) => d.try_push_bottom(job)?,
             AnyDeque::Split(d) => {
                 d.try_push_bottom(job)?;
-                self.poll_request(w, d);
+                self.poll_request(w);
             }
         }
         self.drain_deferred_wake(w);
@@ -258,8 +260,8 @@ impl WorkerCtx {
         queued
     }
 
-    /// Perform any wake the signal handler deferred to us (it only sets
-    /// `wake_pending`; condvar notification is not async-signal-safe).
+    /// Perform the wake an exposure serve deferred to us (it only sets
+    /// `wake_pending`: in the handler, condvar notify is not signal-safe).
     #[inline]
     fn drain_deferred_wake(&self, w: &WorkerShared) {
         if w.wake_pending.load(Ordering::Relaxed) {
@@ -308,7 +310,7 @@ impl WorkerCtx {
                     // Every split-deque bundle serves requests at task
                     // granularity (§3); one this poll does not reach within
                     // `EXPOSE_GRACE_NS` is escalated to a signal (§4).
-                    self.poll_request(w, d);
+                    self.poll_request(w);
                     return Some(task);
                 }
                 // No private work is left to expose (Listing 1 line 17),
@@ -321,34 +323,17 @@ impl WorkerCtx {
         }
     }
 
-    /// The owner's poll after every private pop and push: one Relaxed load.
+    /// The owner's poll after every private pop and push: one Relaxed load,
+    /// and on a pending request the serve the handler also runs
+    /// ([`signal::serve_exposure`]), then the wake it deferred to us.
     #[inline]
-    fn poll_request(&self, w: &WorkerShared, d: &SplitDeque) {
+    fn poll_request(&self, w: &WorkerShared) {
         let req = w.expose_request.load(Ordering::Relaxed);
         if req != 0 {
-            self.serve_request(w, d, req);
-        }
-    }
-
-    /// The one owner-side serve of an exposure request: clear it, expose
-    /// per the bundle's policy, wake a thief for what became public.
-    #[cold]
-    fn serve_request(&self, w: &WorkerShared, d: &SplitDeque, req: u64) {
-        fault::point(Site::TargetedPoll);
-        trace::record(Event::TargetedPoll, (req & REQUEST_SIGNALLED) as u32);
-        w.expose_request.store(0, Ordering::Relaxed);
-        metrics::bump(Event::ExposureRequest);
-        // A handler landing between `update_public_bottom`'s loads and its
-        // store would move `public_bot`, and the outer store would then
-        // *lower* it under a thief: the handler stands down while the mark
-        // is up. Same thread, so compiler fences order the plain stores.
-        self.handler_ctx.exposing.set(true);
-        compiler_fence(Ordering::SeqCst);
-        let exposed = d.update_public_bottom(self.policies().exposure);
-        compiler_fence(Ordering::SeqCst);
-        self.handler_ctx.exposing.set(false);
-        if exposed > 0 {
-            self.pool().sleep.wake_one();
+            fault::point(Site::TargetedPoll);
+            trace::record(Event::TargetedPoll, (req & REQUEST_SIGNALLED) as u32);
+            signal::serve_exposure(&self.handler_ctx);
+            self.drain_deferred_wake(w);
         }
     }
 
@@ -453,17 +438,14 @@ impl WorkerCtx {
         }
     }
 
-    /// Escalate a request to `SIGUSR1`. When `pthread_kill` fails (after
-    /// its capped retry) **or** the victim has no pthread handle, the
-    /// request simply stays on the flag the victim polls at its next task
-    /// boundary — never silently dropped, only slower.
+    /// Escalate a request to `SIGUSR1`. When `pthread_kill` fails **or** the
+    /// victim has no pthread handle, the request simply stays on the flag
+    /// the victim polls at its next task boundary — never silently
+    /// dropped, only slower.
     pub(crate) fn signal_or_flag(&self, victim_idx: usize, victim: &WorkerShared) {
-        // A thief can race worker startup: `build` only returns once every
-        // helper registered its handle, but helpers that registered early
-        // can already steal — and find a victim whose slot still holds the
-        // pre-spawn zero value. pthread_t has no null value in POSIX;
-        // passing our sentinel 0 to pthread_kill is undefined (on glibc it
-        // dereferences the handle).
+        // 0 marks a slot nobody may signal (a dead helper, worker 0 outside
+        // `run`). pthread_t has no null value in POSIX; passing our
+        // sentinel to pthread_kill is undefined (glibc dereferences it).
         let handle = victim.pthread.load(Ordering::Acquire);
         if handle != 0 {
             // Timestamp *before* pthread_kill: the victim's HandlerEntry
@@ -512,7 +494,7 @@ impl WorkerCtx {
     /// nested joins/scopes drain everything it pushed), so returning on
     /// `done` never strands work.
     pub(crate) fn help_until(&self, done: impl Fn() -> bool, backstop: Duration) {
-        let mut backoff = IdleBackoff::new(self.policies().idle);
+        let mut backoff = IdleBackoff::default();
         while !done() {
             if let Some(job) = self.acquire_local() {
                 self.execute(job);

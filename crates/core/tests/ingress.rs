@@ -280,6 +280,39 @@ fn spawn_outside_serve_window_panics() {
     pool.shutdown();
 }
 
+/// A task that keeps spawning while `shutdown` drains sees the window move
+/// to `Draining` under it: its `spawn` panics, the panic reaches the task's
+/// handle, and the rejected spawn's count is undone — so `outstanding`
+/// reaches zero, `shutdown` returns, and the next window drains too.
+#[test]
+fn spawn_while_shutdown_drains_panics_through_the_handle() {
+    let pool = Arc::new(ThreadPool::new(Variant::Signal, 3));
+    pool.serve();
+    let inner = Arc::clone(&pool);
+    // Spawns until one is refused; the drain waits for this very task, so
+    // it cannot end before the window closed on it.
+    let spawner = pool.spawn(move || -> u32 {
+        loop {
+            drop(inner.spawn(|| ()));
+            std::thread::yield_now();
+        }
+    });
+    let snap = pool.shutdown();
+    assert!(spawner.is_finished(), "shutdown returned before its drain");
+    assert_eq!(snap.injector_pushes(), snap.injector_pops());
+    let caught = panic::catch_unwind(AssertUnwindSafe(|| spawner.join()));
+    let payload = caught.expect_err("a spawn into a draining window must panic");
+    assert!(
+        payload
+            .downcast_ref::<&str>()
+            .is_some_and(|m| m.contains("requires an open serve window")),
+        "the closed-window panic, through the handle"
+    );
+    pool.serve();
+    assert_eq!(pool.spawn(|| 5).join(), 5);
+    pool.shutdown();
+}
+
 /// A single-worker pool has no helpers to drain the injector: `shutdown`
 /// itself must become the worker and drain inline.
 #[test]

@@ -9,9 +9,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use lcws_core::{
-    join, scope, IdlePolicy, Policies, PoolBuilder, StealAmount, Variant, VictimSelection,
-};
+use lcws_core::{join, scope, Policies, PoolBuilder, StealAmount, Variant, VictimSelection};
 
 /// Deterministic fork-join reduction with enough fan-out to force steals.
 fn par_sum(lo: u64, hi: u64) -> u64 {
@@ -35,9 +33,8 @@ fn busy_for(d: Duration) {
     }
 }
 
-/// Every named composition, plus each with the open axes toggled
-/// (near-first victims, spin-only idling), plus the sound cross-axis
-/// combinations the validator's rules single out.
+/// Every named composition, plus each with near-first victims, plus the
+/// sound cross-axis combinations the validator's rules single out.
 fn sound_matrix() -> Vec<(String, Variant, Policies)> {
     let mut out = Vec::new();
     for v in Variant::ALL {
@@ -46,9 +43,6 @@ fn sound_matrix() -> Vec<(String, Variant, Policies)> {
         let mut near = base;
         near.victim = VictimSelection::NearFirst;
         out.push((format!("{v}+near-first"), v, near));
-        let mut spin = base;
-        spin.idle = IdlePolicy::SpinOnly;
-        out.push((format!("{v}+spin-only"), v, spin));
     }
     // Batch steals without Expose Half: legal, just less profitable.
     let mut p = Policies::signal();

@@ -7,7 +7,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use lcws_core::{scope, IdlePolicy, Policies, PoolBuilder, Variant};
+use lcws_core::{scope, PoolBuilder, Variant};
 
 /// The tests below that assert on wall-clock shapes (idle-iteration
 /// ratios, spurious-wake counts, per-round latency) take this lock: two of
@@ -93,45 +93,36 @@ fn teardown_joins_workers_that_were_parked() {
 }
 
 /// The acceptance criterion for the sleeper: with a 2-worker pool running
-/// one long sequential task, the starved worker's idle iteration count
-/// drops by at least 10× versus the spin-only baseline, and it actually
-/// parks. The root task *blocks* rather than burns CPU so the idle worker
-/// is free to run on any machine size — on a single-core box a spinning
-/// root would starve the idler and mask the busy-wait cost being measured.
-/// (The numbers behind `results/idle_wakeup.txt` come from this scenario;
-/// run with `--nocapture` to see them.)
+/// one long sequential task, the starved worker climbs the idle ladder once
+/// and then parks, re-polling once per timed-park backstop. Its idle
+/// iterations are bounded by the ladder's own arithmetic — the rungs below
+/// the park, plus one per 1 ms park with 2× slack — where a worker that
+/// never parks runs hundreds of thousands (`results/idle_wakeup.txt`: 151
+/// idle iterations, 71 parks). The root task *blocks* rather than burns CPU
+/// so the idle worker is free to run on any machine size — on a single-core
+/// box a spinning root would starve the idler and mask the busy-wait cost
+/// being measured. (Run with `--nocapture` to see the numbers.)
 #[test]
 fn adaptive_idle_cuts_idle_iters_10x_on_sequential_task() {
     let _serial = timing_sensitive();
-    let measure = |policy: IdlePolicy| {
-        let pool = PoolBuilder::new(Variant::Ws)
-            .threads(2)
-            .policies(Policies {
-                idle: policy,
-                ..Variant::Ws.policies()
-            })
-            .build();
-        let (_, snap) = pool.run_measured(|| std::thread::sleep(Duration::from_millis(80)));
-        snap
-    };
-    let spin = measure(IdlePolicy::SpinOnly);
-    let adaptive = measure(IdlePolicy::Adaptive);
+    const TASK_MS: u64 = 80;
+    // `sleep.rs`: SPIN_ROUNDS + YIELD_ROUNDS iterations reach the park
+    // rung, and every park after that lasts at most PARK_TIMEOUT = 1 ms.
+    const BELOW_PARK: u64 = 64 + 16;
+    let pool = PoolBuilder::new(Variant::Ws).threads(2).build();
+    let (_, snap) = pool.run_measured(|| std::thread::sleep(Duration::from_millis(TASK_MS)));
     println!(
-        "sequential 80ms, 2 workers: spin-only idle_iters={} | adaptive idle_iters={} parks={} \
-         unparks={} spurious={}",
-        spin.idle_iters(),
-        adaptive.idle_iters(),
-        adaptive.parks(),
-        adaptive.unparks(),
-        adaptive.spurious_wakes(),
+        "sequential {TASK_MS}ms, 2 workers: idle_iters={} parks={} unparks={} spurious={}",
+        snap.idle_iters(),
+        snap.parks(),
+        snap.unparks(),
+        snap.spurious_wakes(),
     );
-    assert_eq!(spin.parks(), 0, "spin-only must never park");
-    assert!(adaptive.parks() > 0, "adaptive idler never parked");
+    assert!(snap.parks() > 0, "the idler never parked");
     assert!(
-        spin.idle_iters() >= 10 * adaptive.idle_iters().max(1),
-        "idle iterations did not drop 10x: spin-only {} vs adaptive {}",
-        spin.idle_iters(),
-        adaptive.idle_iters()
+        snap.idle_iters() <= BELOW_PARK + 2 * TASK_MS,
+        "idle iterations beyond the ladder's bound: {}",
+        snap.idle_iters()
     );
 }
 

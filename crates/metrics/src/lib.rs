@@ -178,7 +178,7 @@ event_table! {
     /// to inline execution on the owner instead of aborting (payload = 0).
     OverflowInline { count: overflow_inline, trace: overflow_inline }
     /// `pthread_kill` notifications that returned a nonzero status (e.g.
-    /// ESRCH from a racing thread exit) after exhausting the capped retry.
+    /// ESRCH from a racing thread exit); each send is one attempt.
     /// Counted in the sender, traced by the thief (payload = victim index),
     /// where it cancels the pending latency pairing.
     SignalSendFailed { count: signal_send_failed, trace: signal_send_failed }
@@ -190,12 +190,6 @@ event_table! {
     /// failure). Always zero unless the `faultpoints` feature of
     /// `lcws-core` is enabled and a plan is installed.
     FaultInjected { count: faults_injected }
-    /// Individual `pthread_kill` invocations, successful or not, including
-    /// EAGAIN re-sends. The paper's Figure 8 counts *deliveries*
-    /// ([`Event::SignalSent`]); this counts the attempts behind them, so
-    /// `signal_send_attempts ≥ signals_sent + signal_send_failed`, with
-    /// equality when no EAGAIN retry was needed.
-    SignalSendAttempt { count: signal_send_attempts }
     /// Steal attempts that lost the `age` CAS race to another taker
     /// (`Steal::Abort`). Distinct from an empty victim: an abort proves the
     /// victim held work an instant ago, so thieves must not treat it as
@@ -610,9 +604,9 @@ mod tests {
              owner_public_pops,signals_sent,exposure_requests,idle_iters,tasks_run,\
              pushes,local_pops,parks,unparks,spurious_wakes,overflow_inline,\
              signal_send_failed,signal_fallback_flag,faults_injected,\
-             signal_send_attempts,steal_aborts,deque_grows,worker_deaths,\
-             worker_respawns,injector_pushes,injector_pops,hb_reports,\
-             steal_batch_tasks,wake_attempts"
+             steal_aborts,deque_grows,worker_deaths,worker_respawns,\
+             injector_pushes,injector_pops,hb_reports,steal_batch_tasks,\
+             wake_attempts"
         );
         assert_eq!(
             column(Event::counter_name).len(),

@@ -18,9 +18,8 @@
 
 pub use lcws_core::{
     default_grain, in_pool, join, num_workers, par_for, par_for_grain, scope, worker_index, Event,
-    ExposurePolicy, IdlePolicy, NotifyChannel, ParseVariantError, Policies, PolicyError,
-    PoolBuilder, PopBottomMode, Scope, Snapshot, SplitDeque, StealAmount, ThreadPool, Variant,
-    VictimSelection,
+    ExposurePolicy, NotifyChannel, ParseVariantError, Policies, PolicyError, PoolBuilder,
+    PopBottomMode, Scope, Snapshot, SplitDeque, StealAmount, ThreadPool, Variant, VictimSelection,
 };
 
 /// The Parlay-style parallel algorithms toolkit (see `parlay-rs`).
