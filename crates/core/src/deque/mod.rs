@@ -67,8 +67,9 @@ pub enum Steal {
     /// The public part holds no work at all.
     Empty,
     /// The public part is empty but the victim has private work — the thief
-    /// should request exposure (set the `targeted` flag / send a signal).
-    /// This is the paper's `PRIVATE_WORK` sentinel.
+    /// should request exposure (record a request in the victim's request
+    /// word; signal bundles escalate one that outlives its grace to
+    /// `SIGUSR1`). This is the paper's `PRIVATE_WORK` sentinel.
     PrivateWork,
     /// The CAS race was lost to another taker; retry elsewhere. This is the
     /// paper's `ABORT` sentinel.

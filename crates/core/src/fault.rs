@@ -117,7 +117,7 @@ pub enum Site {
     /// own thread — the injector's graceful-degradation path, mirroring
     /// the deque-overflow inline fallback.
     InjectorPush = 13,
-    /// Worker-side injector consumption (the batch pop between steal
+    /// Worker-side injector consumption (the one-task pop between steal
     /// attempts). A forced fire makes the pop round come back empty
     /// (contention-storm simulation); delay/yield storms stretch the
     /// Treiber-swap → ready-list window while producers keep pushing.

@@ -17,11 +17,10 @@
 //!   only workers touch, and only when the advisory `len` gate says work
 //!   exists. A worker that wins the lock and finds `ready` empty grabs the
 //!   **entire** incoming stack with one `swap` and reverses it, restoring
-//!   global FIFO submission order. Workers then pop in small batches
-//!   (`INJECTOR_BATCH`), executing the first task and re-queueing the rest
-//!   into their own deque — so injector contention is paid once per batch,
-//!   not once per task, and stolen-from-injector work immediately becomes
-//!   stealable through the normal deque protocol.
+//!   global FIFO submission order. Each pull takes **one** task and runs
+//!   it; nothing is re-queued into the puller's deque, so a task that
+//!   blocks holds only itself — under USLCWS a re-queued task would sit
+//!   private until the blocked owner reached a task boundary.
 //!
 //! The steal loop consults the injector only after a failed steal round
 //! (`crate::worker::WorkerCtx::help_until`), so pools running pure
@@ -57,12 +56,6 @@ use crate::fault::{self, Site};
 use crate::hb;
 use crate::job::{Job, NO_WORKER};
 use crate::shim::{AtomicPtr, AtomicU32, AtomicU8, AtomicUsize};
-
-/// How many tasks a worker takes from the injector per visit: the first
-/// runs immediately, the rest go into the worker's own deque. Amortizes the
-/// consumer lock across a few tasks without letting one worker hoard a
-/// burst that parked workers should share.
-pub(crate) const INJECTOR_BATCH: usize = 4;
 
 /// The pool-global ingress queue. See the module docs for the protocol.
 pub(crate) struct Injector {
@@ -146,25 +139,19 @@ impl Injector {
         Ok(())
     }
 
-    /// Worker-side batch pop: up to `max` jobs in FIFO submission order.
-    /// Returns an empty vec when the gate reads empty, the consumer lock is
-    /// contended (another worker is already draining — let it), or a
+    /// Worker-side pop: the oldest queued job. `None` when the gate reads
+    /// empty, the consumer lock is contended (another worker is popping or
+    /// refilling; this one retries on its next idle iteration), or a
     /// `faultpoints`-forced [`Site::InjectorPop`] fire empties the round.
-    pub(crate) fn pop_batch(&self, max: usize) -> Vec<*mut Job> {
-        if self.is_empty() {
-            return Vec::new();
+    pub(crate) fn pop(&self) -> Option<*mut Job> {
+        if self.is_empty() || fault::fail_at(Site::InjectorPop) {
+            return None;
         }
-        if fault::fail_at(Site::InjectorPop) {
-            return Vec::new();
-        }
-        let mut ready = match self.ready.try_lock() {
-            Some(g) => g,
-            None => return Vec::new(),
-        };
+        let mut ready = self.ready.try_lock()?;
         // The consumer lock is a data-carrying edge the checker cannot see
-        // on its own (parking_lot is not shimmed): worker A re-queues a
-        // batch tail under it, worker B pops those jobs later. Model it as
-        // an acquire/release pair on the mutex address.
+        // on its own (parking_lot is not shimmed): worker A refills `ready`
+        // under it, worker B pops those jobs later. Model it as an
+        // acquire/release pair on the mutex address.
         hb::lock_acquired(&self.ready as *const _ as usize);
         if ready.is_empty() {
             // Take the whole incoming stack in one swap; Acquire pairs with
@@ -178,14 +165,13 @@ impl Injector {
                 node = next;
             }
         }
-        let take = max.min(ready.len());
-        let batch: Vec<*mut Job> = ready.drain(..take).collect();
+        let job = ready.pop_front();
         hb::lock_releasing(&self.ready as *const _ as usize);
         drop(ready);
-        if !batch.is_empty() {
-            self.len.fetch_sub(batch.len(), Ordering::Release);
+        if job.is_some() {
+            self.len.fetch_sub(1, Ordering::Release);
         }
-        batch
+        job
     }
 }
 
@@ -392,7 +378,7 @@ mod tests {
         inj.push_batch(&[b, c]).unwrap();
         inj.push_batch(&[d]).unwrap();
         assert_eq!(inj.approx_len(), 4);
-        let got = inj.pop_batch(16);
+        let got: Vec<_> = std::iter::from_fn(|| inj.pop()).collect();
         assert_eq!(got, vec![a, b, c, d], "submission order must survive");
         assert!(inj.is_empty());
         for j in got {
@@ -402,16 +388,15 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_caps_at_max_and_preserves_remainder() {
+    fn pop_takes_one_and_leaves_the_rest_queued() {
         let inj = Injector::new();
         let jobs: Vec<_> = (0..7).map(|_| real_job()).collect();
         inj.push_batch(&jobs).unwrap();
-        let first = inj.pop_batch(4);
-        assert_eq!(first, jobs[..4]);
-        assert_eq!(inj.approx_len(), 3);
-        let rest = inj.pop_batch(4);
-        assert_eq!(rest, jobs[4..]);
-        assert!(inj.pop_batch(4).is_empty());
+        assert_eq!(inj.pop(), Some(jobs[0]));
+        assert_eq!(inj.approx_len(), 6);
+        let rest: Vec<_> = std::iter::from_fn(|| inj.pop()).collect();
+        assert_eq!(rest, jobs[1..]);
+        assert!(inj.is_empty());
         for j in jobs {
             unsafe { Job::execute(j, NO_WORKER) };
         }
@@ -420,7 +405,7 @@ mod tests {
     #[test]
     fn empty_pop_is_cheap_and_empty_batch_push_ok() {
         let inj = Injector::new();
-        assert!(inj.pop_batch(4).is_empty());
+        assert!(inj.pop().is_none());
         inj.push_batch(&[]).unwrap();
         assert!(inj.is_empty());
     }
@@ -460,18 +445,15 @@ mod tests {
                 s.spawn(move || {
                     let mut local = Vec::new();
                     loop {
-                        let batch = inj.pop_batch(INJECTOR_BATCH);
-                        if batch.is_empty() {
+                        let Some(j) = inj.pop() else {
                             if producing.load(Ordering::Acquire) == 0 && inj.is_empty() {
                                 break;
                             }
                             std::hint::spin_loop();
                             continue;
-                        }
-                        for j in batch {
-                            local.push(ids.lock()[&(j as usize)]);
-                            unsafe { Job::execute(j, NO_WORKER) };
-                        }
+                        };
+                        local.push(ids.lock()[&(j as usize)]);
+                        unsafe { Job::execute(j, NO_WORKER) };
                     }
                     taken.lock().extend(local);
                 });
@@ -514,12 +496,13 @@ mod model_tests {
     use super::*;
     use crate::model::{explore, Execution, Options};
 
-    /// Two producers (a lone push, a batch of two) race one consumer's
-    /// `pop_batch` over real heap jobs; the explorer thread drains whatever
-    /// the consumer left and then executes (frees) every job. Properties,
-    /// after SNIPPETS.md's `WorkStealing.tla`: **W1** every pushed job is
-    /// popped, **W2** none is popped twice, and a producer's own jobs come
-    /// out in the order it submitted them.
+    /// Two producers (a lone push, a batch of two) race one consumer's `pop`
+    /// over real heap jobs; the explorer thread pops whatever the consumer
+    /// left — from the FIFO its refill filled, then from a fresh chain —
+    /// and then executes (frees) every job. Properties, after SNIPPETS.md's
+    /// `WorkStealing.tla`: **W1** every pushed job is popped, **W2** none
+    /// is popped twice, and a producer's own jobs come out in the order it
+    /// submitted them.
     ///
     /// While `incoming`, `len` and the job links were `std` aliases under
     /// `model` (every PR before the shim fold), this same script explored
@@ -539,18 +522,11 @@ mod model_tests {
                     inj.push_batch(&[b1 as *mut Job, b2 as *mut Job]).unwrap();
                 })
                 .thread("consumer", || {
-                    let batch = inj.pop_batch(INJECTOR_BATCH);
-                    popped.lock().extend(batch.into_iter().map(|j| j as usize));
+                    popped.lock().extend(inj.pop().map(|j| j as usize));
                 })
                 .run();
             let mut popped = popped.into_inner();
-            loop {
-                let batch = inj.pop_batch(INJECTOR_BATCH);
-                if batch.is_empty() {
-                    break;
-                }
-                popped.extend(batch.into_iter().map(|j| j as usize));
-            }
+            popped.extend(std::iter::from_fn(|| inj.pop()).map(|j| j as usize));
             // The three jobs are ours to free whatever the injector did
             // with them; judge its answer afterwards.
             for j in [a, b1, b2] {
@@ -576,7 +552,7 @@ mod model_tests {
             }
             Ok(())
         });
-        report.assert_exhaustive_pass("injector push/push_batch vs pop_batch");
+        report.assert_exhaustive_pass("injector push/push_batch vs pop");
         assert!(
             report.schedules >= 100,
             "the injector's words must be scheduling points, got {} schedules",

@@ -22,10 +22,10 @@
 //! | Variant | Deque | Exposure request | Exposure amount |
 //! |---|---|---|---|
 //! | [`Variant::Ws`] | ABP (fully concurrent) | — | — |
-//! | [`Variant::UsLcws`] | split | `targeted` flag, polled at task boundaries | 1 task |
-//! | [`Variant::Signal`] | split | `SIGUSR1`, handled in constant time | 1 task |
-//! | [`Variant::SignalConservative`] | split | `SIGUSR1`, only if victim holds ≥ 2 tasks | 1 task (never the last) |
-//! | [`Variant::SignalHalf`] | split | `SIGUSR1` | `round(r/2)` of `r ≥ 3` tasks |
+//! | [`Variant::UsLcws`] | split | request word, polled at task boundaries | 1 task |
+//! | [`Variant::Signal`] | split | request word, then `SIGUSR1` if unserved after `EXPOSE_GRACE_NS`; handled in constant time | 1 task |
+//! | [`Variant::SignalConservative`] | split | as `Signal`, only if victim holds ≥ 2 tasks | 1 task (never the last) |
+//! | [`Variant::SignalHalf`] | split | as `Signal` | `round(r/2)` of `r ≥ 3` tasks |
 //!
 //! ## Quick start
 //!

@@ -130,8 +130,9 @@ impl Policies {
         }
     }
 
-    /// User-Space LCWS (§3): split deque, `targeted`-flag requests polled
-    /// at task boundaries, one task exposed and stolen at a time.
+    /// User-Space LCWS (§3): split deque, requests on the victim's request
+    /// word polled at task boundaries (never escalated to a signal), one
+    /// task exposed and stolen at a time.
     pub const fn uslcws() -> Policies {
         Policies {
             notify: NotifyChannel::Flag,

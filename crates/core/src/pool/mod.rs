@@ -499,7 +499,6 @@ fn worker_main(pool: Arc<PoolInner>, index: usize, seen0: u64) {
 mod tests {
     use super::supervision::stall_report;
     use super::*;
-    use crate::job::HeapJob;
     use crate::worker::{request_age_ns, request_word, REQUEST_SIGNALLED};
 
     #[test]
@@ -667,43 +666,20 @@ mod tests {
         assert_eq!(pool.stall_reports(), 0);
     }
 
-    /// Regression: `try_injector` used to fire one `sleep.wake_one()` per
-    /// re-queued tail task through `try_push_job` — 3 redundant wake
-    /// attempts per `INJECTOR_BATCH = 4` drain. The tail becomes visible
-    /// together, so one coalesced wake after the loop suffices.
+    /// A worker pulls one injector task and passes no wake on, so a batch
+    /// submission wakes one worker per task, capped at the pool size: 8
+    /// tasks on 4 workers cost the submitter 4 wake attempts.
     #[test]
-    fn injector_drain_coalesces_tail_wakes_into_one() {
-        let pool = PoolBuilder::new(Variant::Ws).threads(1).build();
-        for _ in 0..crate::injector::INJECTOR_BATCH {
-            pool.inner
-                .injector
-                .push_batch(&[HeapJob::push_new(|| {})])
-                .expect("no fault plan installed");
-        }
-        let ctx = WorkerCtx::new(&pool.inner, 0);
-        let _guard = ctx.install();
+    fn spawn_batch_wakes_one_worker_per_task_up_to_the_pool_size() {
+        let pool = PoolBuilder::new(Variant::Ws).threads(4).build();
+        pool.serve();
         lcws_metrics::reset_local();
-        assert!(ctx.try_injector(), "a queued batch must be drained");
+        let handles = pool.spawn_batch((0..8).map(|i| move || i));
         let c = Collector::new();
         lcws_metrics::flush_into(&c);
-        let snap = c.snapshot();
-        assert_eq!(
-            snap.injector_pops(),
-            crate::injector::INJECTOR_BATCH as u64,
-            "the whole batch is taken in one visit"
-        );
-        assert_eq!(
-            snap.wake_attempts(),
-            1,
-            "one coalesced wake for the re-queued tail, not one per task"
-        );
-        // Drain the re-queued tail so the heap jobs are freed.
-        let mut drained = 0;
-        while let Some(job) = ctx.acquire_local() {
-            ctx.execute(job);
-            drained += 1;
-        }
-        assert_eq!(drained, crate::injector::INJECTOR_BATCH - 1);
+        assert_eq!(c.snapshot().wake_attempts(), 4);
+        assert_eq!(handles.into_iter().map(|h| h.join()).sum::<i32>(), 28);
+        pool.shutdown();
     }
 
     /// Regression: a thief that catches a victim slot before its worker

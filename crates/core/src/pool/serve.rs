@@ -66,10 +66,10 @@ impl ThreadPool {
     /// panics otherwise.
     ///
     /// The task is pushed into the global injector, a parked worker is
-    /// woken for it, and workers pull it (batched) after their next
-    /// fruitless steal round. A `faultpoints`-forced injector-push failure
-    /// degrades to running the task inline on the submitting thread —
-    /// submissions are never lost.
+    /// woken for it, and a worker pulls it after its next fruitless steal
+    /// round. A `faultpoints`-forced injector-push failure degrades to
+    /// running the task inline on the submitting thread — submissions are
+    /// never lost.
     ///
     /// ```
     /// use lcws_core::{PoolBuilder, Variant};
@@ -91,8 +91,9 @@ impl ThreadPool {
     }
 
     /// Submit a batch of tasks with a single injector publication (one CAS
-    /// for the whole batch) and one wake per batch. Same contract as
-    /// [`ThreadPool::spawn`], returning handles in submission order.
+    /// for the whole batch) and one wake per task, up to one per worker.
+    /// Same contract as [`ThreadPool::spawn`], returning handles in
+    /// submission order.
     pub fn spawn_batch<F, T, I>(&self, tasks: I) -> Vec<JoinHandle<T>>
     where
         I: IntoIterator<Item = F>,
@@ -152,7 +153,9 @@ impl ThreadPool {
     }
 
     /// Publish wrapped jobs to the injector as one chain (inline fallback
-    /// on a forced push failure) and wake a worker for them.
+    /// on a forced push failure) and wake a worker per job, up to the pool
+    /// size: a worker pulls one task and passes no wake on, so each task
+    /// that may run in parallel needs its own.
     fn submit_batch(&self, jobs: &[*mut Job]) {
         if jobs.is_empty() {
             return;
@@ -166,7 +169,9 @@ impl ThreadPool {
             Ok(()) => {
                 pool.collector.add(Event::InjectorPush, jobs.len() as u64);
                 trace::record(Event::InjectorPush, jobs.len() as u32);
-                pool.sleep.wake_one();
+                for _ in 0..jobs.len().min(pool.workers.len()) {
+                    pool.sleep.wake_one();
+                }
             }
             Err(()) => {
                 pool.collector.add(Event::OverflowInline, jobs.len() as u64);

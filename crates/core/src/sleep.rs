@@ -40,7 +40,8 @@
 //!
 //! ## What wakes sleepers
 //!
-//! * `push_job` on any deque (new local work a thief could take or expose).
+//! * `push_or_run_inline` on any deque (new local work a thief could take
+//!   or expose): one wake per call, however many jobs it queued.
 //! * Work-exposure events on a split deque, served by the owner's poll or
 //!   by the `SIGUSR1` handler, and *deferred to the owner* either way (next
 //!   point).
@@ -55,8 +56,9 @@
 //! deque access, keeping the handler confined to flag stores.
 //!
 //! * External submission into the global injector
-//!   ([`crate::ThreadPool::spawn`]), which must be able to rouse a fully
-//!   parked `serve`-mode pool.
+//!   ([`crate::ThreadPool::spawn`] / `spawn_batch`), which must be able to
+//!   rouse a fully parked `serve`-mode pool: one wake per published task,
+//!   up to the pool size, since a worker pulls one task and passes no wake on.
 //! * Completion of something a worker waits for, as a **targeted** wake
 //!   ([`Sleep::wake_worker`]). One rule for every completion: *publish
 //!   with SeqCst, then wake the waiter*; the waiter's side is `park`
@@ -304,8 +306,8 @@ impl Sleep {
     /// park.
     pub(crate) fn wake_one(&self) {
         // Counted before the empty-set gate: redundant notifications (e.g.
-        // one per task of a drained injector batch) are exactly what the
-        // counter exists to expose.
+        // a batch submission's per-task wakes on a busy pool) are exactly
+        // what the counter exists to expose.
         metrics::bump(Event::WakeAttempt);
         if !self.has_sleepers() {
             return;

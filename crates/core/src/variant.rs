@@ -10,11 +10,13 @@ pub enum Variant {
     /// Classic work stealing over a fully-concurrent ABP deque — the
     /// behaviour of Parlay's stock scheduler, the paper's baseline.
     Ws,
-    /// User-Space LCWS (§3): thieves set a `targeted` flag; victims notice
-    /// it at task boundaries and expose one task.
+    /// User-Space LCWS (§3): thieves record a request in the victim's
+    /// request word; the victim serves it at its next task boundary and
+    /// exposes one task.
     UsLcws,
-    /// Signal-based LCWS (§4): thieves send `SIGUSR1`; the victim's handler
-    /// exposes one task in constant time.
+    /// Signal-based LCWS (§4): the same request word, and a thief that
+    /// finds a request unserved after `EXPOSE_GRACE_NS` sends `SIGUSR1`;
+    /// the victim's handler exposes one task in constant time.
     Signal,
     /// Conservative Exposure (§4.1.1): signals, but exposure happens only
     /// while the victim holds at least two private tasks, and thieves only

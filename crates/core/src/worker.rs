@@ -15,7 +15,6 @@ use crate::deque::{
     STEAL_BATCH_MAX,
 };
 use crate::fault::{self, Site};
-use crate::injector::INJECTOR_BATCH;
 use crate::job::{Job, StackJob, NO_WORKER};
 use crate::policy::{NotifyChannel, Policies, StealAmount, VictimSelection};
 use crate::pool::{PoolInner, WorkerShared};
@@ -281,20 +280,17 @@ impl WorkerCtx {
             })
     }
 
-    /// Injector fallback: after a fruitless steal round, take a batch of
-    /// externally-submitted tasks. The head runs immediately; the tail is
-    /// re-queued into this worker's own deque *first*, so thieves can share
-    /// a burst instead of one worker draining it serially. Returns whether
-    /// any task was executed.
+    /// Injector fallback: after a fruitless steal round, run the oldest
+    /// externally-submitted task. One task per pull and nothing re-queued:
+    /// a task that blocks holds only itself, and the rest of a burst stays
+    /// in the injector for the workers its submitter woke. Returns whether
+    /// a task was executed.
     pub(crate) fn try_injector(&self) -> bool {
-        let batch = self.pool().injector.pop_batch(INJECTOR_BATCH);
-        let (&first, rest) = match batch.split_first() {
-            Some(s) => s,
-            None => return false,
+        let Some(job) = self.pool().injector.pop() else {
+            return false;
         };
-        trace::emit(Event::InjectorPop, batch.len() as u64, batch.len() as u32);
-        self.push_or_run_inline(rest);
-        self.execute(first);
+        trace::emit(Event::InjectorPop, 1, 0);
+        self.execute(job);
         true
     }
 
@@ -576,10 +572,10 @@ impl WorkerCtx {
     /// reference to it.
     fn await_job(&self, ptr: *mut Job, done: impl Fn() -> bool, run_if_reacquired: bool) {
         // Fast path: the job is still at the bottom of our deque. Everything
-        // this frame pushed above it has been popped or stolen-and-completed,
-        // so anything else found here is an injector tail that a nested wait
-        // requeued after `ptr` was stolen and left behind when its own wait
-        // ended: work like any other, run it on the way down.
+        // `a` joined above it has been popped or stolen-and-completed, so
+        // anything else found here is work `a` left for later — an
+        // outer-scope `spawn`, or a batch steal's surplus a nested wait
+        // requeued after `ptr` was stolen: run it on the way down.
         while let Some(taken) = self.acquire_local() {
             if taken != ptr {
                 self.execute(taken);

@@ -15,11 +15,11 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use lcws_core::fault::{install, FaultPlan, Site, SiteAction};
-use lcws_core::{join, par_for_grain, scope, PoolBuilder, Variant};
+use lcws_core::{join, par_for_grain, scope, PoolBuilder, ThreadPool, Variant};
 
 /// One plan at a time, process-wide.
 static CHAOS: Mutex<()> = Mutex::new(());
@@ -345,6 +345,58 @@ fn forced_push_failures_degrade_to_inline_joins() {
     assert!(
         m.overflow_inline() > 0,
         "rejected pushes must be counted: {m}"
+    );
+}
+
+/// Faultpoint storm on `Site::InjectorPush`: forced push rejections must
+/// degrade to inline execution on the producer — graceful, never lost.
+#[test]
+fn injector_push_fault_storm_degrades_to_inline() {
+    const TASKS: u64 = 2_000;
+    let _g = lock();
+    let guard = install(
+        FaultPlan::new(0x1239_e55).with(Site::InjectorPush, SiteAction::fail_always().one_in(3)),
+    );
+    let pool = ThreadPool::new(Variant::Signal, 4);
+    pool.serve();
+    let executed = Arc::new(AtomicU64::new(0));
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            let pool = &pool;
+            let executed = Arc::clone(&executed);
+            s.spawn(move || {
+                for _ in 0..TASKS / 4 {
+                    let executed = Arc::clone(&executed);
+                    drop(pool.spawn(move || {
+                        executed.fetch_add(1, Ordering::Relaxed);
+                    }));
+                }
+            });
+        }
+    });
+    let snap = pool.shutdown();
+    assert_eq!(
+        executed.load(Ordering::Relaxed),
+        TASKS,
+        "forced injector-push failures lost tasks"
+    );
+    assert!(
+        guard.fires(Site::InjectorPush) > 0,
+        "the storm never fired — plan not installed?"
+    );
+    // Rejected pushes ran inline; accepted ones flowed through the queue.
+    let pushed = snap.injector_pushes();
+    let inline = snap.overflow_inline();
+    assert_eq!(
+        pushed + inline,
+        TASKS,
+        "push + inline-fallback accounting must cover every submission"
+    );
+    assert!(pushed > 0 && inline > 0, "storm should split both ways");
+    assert_eq!(
+        snap.injector_pops(),
+        pushed,
+        "every accepted push must leave through a pop"
     );
 }
 

@@ -171,7 +171,7 @@ fn batch_steal_window_reports_no_races() {
 }
 
 /// Trimmed ingress stress (8 producers × 10⁴ tasks = 8×10⁴): external
-/// submission through the global injector, batch pops, and targeted join
+/// submission through the global injector, worker pops, and targeted join
 /// wakes — zero reports, and the `hb_reports` counter that feeds the sweep
 /// CSV agrees with the checker.
 #[test]

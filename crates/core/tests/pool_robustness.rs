@@ -2,6 +2,7 @@
 //! failures, reuse after panics, and ambient-API fallbacks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use lcws_core::{join, par_for_grain, scope, PoolBuilder, ThreadPool, Variant};
 
@@ -41,6 +42,42 @@ fn two_pools_run_concurrently_without_crosstalk() {
     let expected_total = 10 * expected + 45;
     assert_eq!(t1.join().unwrap(), expected_total);
     assert_eq!(t2.join().unwrap(), expected_total);
+}
+
+/// More than one signal-channel pool per process, two alive together and
+/// then a third after both are gone, at twice the cores' worth of workers.
+/// 30 µs leaves outlive the exposure grace, so thieves escalate requests to
+/// `SIGUSR1` while the other pool's workers come and go: a signal that
+/// reached a joined or recycled thread would take the process down.
+#[test]
+fn signal_pools_alive_together_and_in_sequence() {
+    const LEAVES: usize = 512;
+    fn rounds(pool: &ThreadPool) -> u64 {
+        let mut signals = 0;
+        for _ in 0..20 {
+            let sum = AtomicU64::new(0);
+            let ((), snap) = pool.run_measured(|| {
+                par_for_grain(0..LEAVES, 1, |i| {
+                    let t0 = Instant::now();
+                    while t0.elapsed() < Duration::from_micros(30) {
+                        std::hint::spin_loop();
+                    }
+                    sum.fetch_add(i as u64, Ordering::Relaxed);
+                })
+            });
+            assert_eq!(sum.into_inner(), (0..LEAVES as u64).sum::<u64>());
+            signals += snap.signals_sent();
+        }
+        signals
+    }
+    let together = || std::thread::spawn(|| rounds(&ThreadPool::new(Variant::Signal, 4)));
+    let (a, b) = (together(), together());
+    let mut signals = a.join().unwrap() + b.join().unwrap();
+    signals += rounds(&ThreadPool::new(Variant::Signal, 4));
+    assert!(
+        signals > 0,
+        "no request outlived its grace: the signal path went unexercised"
+    );
 }
 
 #[test]

@@ -177,9 +177,9 @@ fn worker_side_handle_join_wake_is_targeted_not_polled() {
     // would serialize and the join would never wait at all.)
     let pool = std::sync::Arc::new(PoolBuilder::new(Variant::Ws).threads(3).build());
     pool.serve();
-    // Land the slow task on one helper first, so the joiner task cannot be
-    // batch-popped by the same helper (which would dodge the park while
-    // the *other* helper idles at the short backstop, polluting the
+    // Land the slow task on one helper first, so the joiner runs on the
+    // other and must park while it waits (rather than one helper taking
+    // both while the other idles at the short backstop, polluting the
     // spurious count this test pins).
     let slow = pool.spawn(|| {
         std::thread::sleep(Duration::from_millis(80));

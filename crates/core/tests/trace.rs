@@ -359,7 +359,7 @@ fn tiny_ring_reports_dropped_events() {
 /// assertion is one fully agreeing run in a few attempts.
 #[test]
 fn counted_and_traced_rows_agree() {
-    let adds_payload = [Event::Exposure, Event::InjectorPop, Event::InjectorPush];
+    let adds_payload = [Event::Exposure, Event::InjectorPush];
     let pool = PoolBuilder::new(Variant::Signal)
         .threads(2)
         .trace_capacity(1 << 18)

@@ -220,9 +220,9 @@ event_table! {
     /// have no trace ring, so their pushes appear only in the counter.
     InjectorPush { count: injector_pushes, trace: inject }
     /// Tasks taken out of the global injector by workers falling back to
-    /// it between steal attempts (payload = jobs in the batch, and the
-    /// count adds the payload). `injector_pushes == injector_pops +
-    /// inline-degraded submissions` once a serve generation drains.
+    /// it between steal attempts, one per pull and one record each.
+    /// `injector_pushes == injector_pops + inline-degraded submissions`
+    /// once a serve generation drains.
     InjectorPop { count: injector_pops, trace: injector_pop }
     /// Race reports emitted by the happens-before checker (`hb` feature of
     /// `lcws-core`). Always zero in default builds; any nonzero value under
