@@ -487,7 +487,7 @@ mod imp {
         })
     }
 
-    /// Lock-based edge (the injector's `ready` list): acquire side, called
+    /// Lock-based edge (the injector's consumer lock): acquire side, called
     /// right after taking the lock.
     pub(crate) fn lock_acquired(addr: usize) {
         with(|ck, tid| rmw_clocks(ck, tid, addr, Ordering::Acquire))

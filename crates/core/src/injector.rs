@@ -13,14 +13,15 @@
 //!   jobs ([`crate::job::Job::next_ptr`]). No allocation beyond the job
 //!   itself: [`Injector::push_batch`] links a whole chain locally and
 //!   publishes it with a *single* CAS regardless of batch size.
-//! * **Consumer side** (`ready`): a plain `VecDeque` under a mutex that
-//!   only workers touch, and only when the advisory `len` gate says work
-//!   exists. A worker that wins the lock and finds `ready` empty grabs the
-//!   **entire** incoming stack with one `swap` and reverses it, restoring
-//!   global FIFO submission order. Each pull takes **one** task and runs
-//!   it; nothing is re-queued into the puller's deque, so a task that
-//!   blocks holds only itself — under USLCWS a re-queued task would sit
-//!   private until the blocked owner reached a task boundary.
+//! * **Consumer side** (`head`): an intrusive FIFO under a lock that only
+//!   workers take, and only when the racy gate says work exists (`incoming`
+//!   or `head` non-null; no counter). A worker that wins the lock and
+//!   finds the FIFO empty grabs the **entire** incoming stack with one
+//!   `swap` and reverses it in place — one walk, one link swap per node —
+//!   restoring global FIFO submission order. Each pull unlinks **one**
+//!   task and runs it; nothing is re-queued into the puller's deque, so a
+//!   task that blocks holds only itself — under USLCWS a re-queued task
+//!   would sit private until the blocked owner reached a task boundary.
 //!
 //! The steal loop consults the injector only after a failed steal round
 //! (`crate::worker::WorkerCtx::help_until`), so pools running pure
@@ -31,21 +32,22 @@
 //!
 //! ## Handle lifecycle
 //!
-//! `spawn` wraps the user closure in a heap job that (1) runs it under
-//! `catch_unwind`, (2) publishes the result into the shared [`TaskState`]
-//! and wakes a blocked or helping joiner, then (3) decrements the pool's outstanding
-//! count. The state machine is `PENDING → (WAITING) → DONE`: `WAITING` is
-//! entered only by a blocking external joiner (worker-thread joiners help
-//! run tasks instead of blocking — a blocked worker could deadlock the very
-//! pool that must run the task), and the completer takes the state's mutex
-//! before notifying iff it observed `WAITING`, the classic no-lost-wakeup
-//! handshake. Dropping a handle without joining is fine: the `Arc`ed state
-//! outlives the task, and an unjoined task's panic payload is simply
-//! dropped with the state (only `join` rethrows).
+//! `spawn` allocates one [`SpawnJob`] per task — job header, [`TaskState`]
+//! and closure, shared by the queued job and the [`JoinHandle`]. The job
+//! (1) runs the closure under `catch_unwind`, (2) publishes the result and
+//! wakes a blocked or helping joiner, then (3) drops its reference; its
+//! executor then settles the outstanding count. The state machine is
+//! `PENDING → (WAITING) → DONE`: `WAITING` is entered only by a blocking
+//! external joiner (worker-thread joiners help run tasks instead of
+//! blocking — a blocked worker could deadlock the very pool that must run
+//! the task), and the completer takes the state's mutex before notifying
+//! iff it observed `WAITING`, the classic no-lost-wakeup handshake.
+//! Dropping a handle without joining is fine: an unjoined task's panic
+//! payload is simply dropped with the block (only `join` rethrows).
 
 use std::any::Any;
 use std::cell::UnsafeCell;
-use std::panic;
+use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -55,19 +57,17 @@ use parking_lot::{Condvar, Mutex};
 use crate::fault::{self, Site};
 use crate::hb;
 use crate::job::{Job, NO_WORKER};
-use crate::shim::{AtomicPtr, AtomicU32, AtomicU8, AtomicUsize};
+use crate::shim::{AtomicPtr, AtomicU32, AtomicU8};
 
 /// The pool-global ingress queue. See the module docs for the protocol.
 pub(crate) struct Injector {
-    /// Treiber stack of freshly-pushed jobs (LIFO; reversed on transfer).
+    /// Treiber stack of freshly-pushed jobs (LIFO; reversed on refill).
     incoming: AtomicPtr<Job>,
-    /// Advisory population count. Incremented after a push publishes,
-    /// decremented as pops hand jobs out; `is_empty` is therefore a racy
-    /// gate — the eventcount protocol and the timed-park backstop cover
-    /// the transient windows, exactly like the deque emptiness checks.
-    len: AtomicUsize,
-    /// Consumer-side FIFO; worker-only, short critical sections.
-    ready: Mutex<std::collections::VecDeque<*mut Job>>,
+    /// Consumer-side FIFO, oldest first, linked through the jobs' `next`.
+    /// Written only under `consumer`; `is_empty` reads it as a hint.
+    head: AtomicPtr<Job>,
+    /// Serializes the workers' refills and unlinks; producers never take it.
+    consumer: Mutex<()>,
 }
 
 // Job pointers cross threads with queue ownership-transfer discipline,
@@ -79,22 +79,18 @@ impl Injector {
     pub(crate) fn new() -> Injector {
         Injector {
             incoming: AtomicPtr::new(ptr::null_mut()),
-            len: AtomicUsize::new(0),
-            ready: Mutex::new(std::collections::VecDeque::new()),
+            head: AtomicPtr::new(ptr::null_mut()),
+            consumer: Mutex::new(()),
         }
     }
 
-    /// Racy emptiness gate for the workers' parking recheck and steal-loop
-    /// fallback.
+    /// Racy emptiness gate for the parking recheck and the steal-loop
+    /// fallback. It misses a chain mid-reversal (off `incoming`, not yet in
+    /// `head`); the timed-park backstop covers that, as for the deques.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.len.load(Ordering::Relaxed) == 0
-    }
-
-    /// Approximate population (diagnostics and trace payloads).
-    #[inline]
-    pub(crate) fn approx_len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.incoming.load(Ordering::Relaxed).is_null()
+            && self.head.load(Ordering::Relaxed).is_null()
     }
 
     /// Push `jobs` as one chain with a single CAS on the uncontended path,
@@ -131,12 +127,10 @@ impl Injector {
                 Ordering::Release,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => break,
+                Ok(_) => return Ok(()),
                 Err(actual) => cur = actual,
             }
         }
-        self.len.fetch_add(jobs.len(), Ordering::Release);
-        Ok(())
     }
 
     /// Worker-side pop: the oldest queued job. `None` when the gate reads
@@ -147,31 +141,32 @@ impl Injector {
         if self.is_empty() || fault::fail_at(Site::InjectorPop) {
             return None;
         }
-        let mut ready = self.ready.try_lock()?;
+        let _consumer = self.consumer.try_lock()?;
         // The consumer lock is a data-carrying edge the checker cannot see
-        // on its own (parking_lot is not shimmed): worker A refills `ready`
+        // on its own (parking_lot is not shimmed): worker A links the FIFO
         // under it, worker B pops those jobs later. Model it as an
         // acquire/release pair on the mutex address.
-        hb::lock_acquired(&self.ready as *const _ as usize);
-        if ready.is_empty() {
-            // Take the whole incoming stack in one swap; Acquire pairs with
-            // the push's Release so the chain links are visible.
+        let lock = &self.consumer as *const _ as usize;
+        hb::lock_acquired(lock);
+        let mut job = self.head.load(Ordering::Relaxed);
+        if job.is_null() {
+            // Take the whole stack in one swap (Acquire pairs with the
+            // push's Release) and reverse it in place into FIFO order.
             let mut node = self.incoming.swap(ptr::null_mut(), Ordering::Acquire);
             while !node.is_null() {
                 // Safety: the swap transferred ownership of the chain.
-                let next = unsafe { (*node).next_ptr().swap(ptr::null_mut(), Ordering::Relaxed) };
-                // Stack order is newest-first: push_front restores FIFO.
-                ready.push_front(node);
+                let next = unsafe { (*node).next_ptr().swap(job, Ordering::Relaxed) };
+                job = node;
                 node = next;
             }
         }
-        let job = ready.pop_front();
-        hb::lock_releasing(&self.ready as *const _ as usize);
-        drop(ready);
-        if job.is_some() {
-            self.len.fetch_sub(1, Ordering::Release);
+        if !job.is_null() {
+            // Safety: the FIFO is ours under the lock.
+            let next = unsafe { (*job).next_ptr().swap(ptr::null_mut(), Ordering::Relaxed) };
+            self.head.store(next, Ordering::Relaxed);
         }
-        job
+        hb::lock_releasing(lock);
+        (!job.is_null()).then_some(job)
     }
 }
 
@@ -181,11 +176,7 @@ impl Drop for Injector {
         // a non-empty injector here means the drain protocol was bypassed
         // (e.g. a panicking teardown). Executing foreign closures inside a
         // destructor is worse than leaking them; leak loudly instead.
-        debug_assert!(
-            self.is_empty(),
-            "injector dropped with {} task(s) queued",
-            self.approx_len()
-        );
+        debug_assert!(self.is_empty(), "injector dropped with tasks queued");
     }
 }
 
@@ -196,8 +187,8 @@ const PENDING: u8 = 0;
 const WAITING: u8 = 1;
 const DONE: u8 = 2;
 
-/// Shared completion state behind a [`JoinHandle`].
-pub(crate) struct TaskState<T> {
+/// Completion state behind a [`JoinHandle`], inside its task's block.
+struct TaskState<T> {
     /// `PENDING → (WAITING) → DONE`; see the module docs.
     status: AtomicU8,
     sync: Mutex<()>,
@@ -215,13 +206,8 @@ pub(crate) struct TaskState<T> {
     result: UnsafeCell<Option<TaskResult<T>>>,
 }
 
-// The result crosses from the executing worker to the joiner; the status
-// handshake (Release swap / Acquire load) is the synchronization.
-unsafe impl<T: Send> Send for TaskState<T> {}
-unsafe impl<T: Send> Sync for TaskState<T> {}
-
 impl<T> TaskState<T> {
-    pub(crate) fn new() -> TaskState<T> {
+    fn new() -> TaskState<T> {
         TaskState {
             status: AtomicU8::new(PENDING),
             sync: Mutex::new(()),
@@ -232,7 +218,7 @@ impl<T> TaskState<T> {
     }
 
     /// Completer side: publish the result and wake a blocked joiner.
-    pub(crate) fn complete(&self, result: TaskResult<T>) {
+    fn complete(&self, result: TaskResult<T>) {
         // Safety: exactly one completer (the task runs once), and no reader
         // touches the slot until `DONE` is visible.
         hb::on_write(self.result.get() as usize, "TaskState::result (complete)");
@@ -257,7 +243,7 @@ impl<T> TaskState<T> {
     /// SeqCst: also the worker-side joiner's recheck after it announced
     /// itself in the sleeper set (see `complete`).
     #[inline]
-    pub(crate) fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.status.load(Ordering::SeqCst) == DONE
     }
 
@@ -295,11 +281,73 @@ impl<T> TaskState<T> {
     }
 }
 
-impl<T> Drop for TaskState<T> {
+/// One spawned task in one allocation: the job header the injector links,
+/// the completion state the [`JoinHandle`] reads, and the closure. The
+/// queued job and the handle each own one `Arc` reference; the job gives
+/// its reference up once it has run.
+#[repr(C)]
+pub(crate) struct SpawnJob<F, T> {
+    job: Job,
+    state: TaskState<T>,
+    /// Taken once, by the executor.
+    func: UnsafeCell<Option<F>>,
+}
+
+// Safety: the header and the state's words are atomics or locks; `func`
+// reaches its one executor through the injector (Release CAS, Acquire
+// swap), and `result` reaches the joiner through `status`.
+unsafe impl<F: Send, T: Send> Sync for SpawnJob<F, T> {}
+
+impl<F, T> SpawnJob<F, T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    /// Allocate the block for `f`: the job to publish and its handle.
+    pub(crate) fn allocate(f: F) -> (*mut Job, JoinHandle<T>) {
+        let block = Arc::new(SpawnJob {
+            job: Job::new(Self::run_erased),
+            state: TaskState::new(),
+            func: UnsafeCell::new(Some(f)),
+        });
+        hb::on_write(block.func.get() as usize, "SpawnJob::func (allocate)");
+        let job = Arc::into_raw(Arc::clone(&block)) as *mut Job;
+        (job, JoinHandle { block })
+    }
+
+    /// # Safety
+    /// `ptr` is a job `allocate` returned, executed exactly once.
+    unsafe fn run_erased(ptr: *const Job, _executor: u32) {
+        // Reclaim the queue's reference: exactly one executor gets here.
+        let this = Arc::from_raw(ptr as *const SpawnJob<F, T>);
+        hb::on_read(this.func.get() as usize, "SpawnJob::func (run_erased)");
+        let func = (*this.func.get())
+            .take()
+            .expect("spawned task executed twice");
+        this.state
+            .complete(panic::catch_unwind(AssertUnwindSafe(func)));
+        // Frees the block if the handle is gone: an unjoined result's
+        // destructor must not unwind into the executor's `task_done`.
+        let _ = panic::catch_unwind(AssertUnwindSafe(move || drop(this)));
+    }
+}
+
+impl<F, T> Drop for SpawnJob<F, T> {
     fn drop(&mut self) {
-        // The Arc allocation is about to be freed and its address recycled;
-        // drop the checker's history so the next occupant starts clean.
+        // The address will be recycled: forget the whole block's history
+        // (link, state words, result and closure cells).
         hb::forget_range(self as *const _ as usize, std::mem::size_of::<Self>());
+    }
+}
+
+/// What a [`JoinHandle`] sees of its task's block, whatever the closure.
+trait Spawned<T>: Send + Sync {
+    fn state(&self) -> &TaskState<T>;
+}
+
+impl<F: Send, T: Send> Spawned<T> for SpawnJob<F, T> {
+    fn state(&self) -> &TaskState<T> {
+        &self.state
     }
 }
 
@@ -312,21 +360,22 @@ impl<T> Drop for TaskState<T> {
 /// execute queued work instead of blocking, so a task may join a sibling
 /// without deadlocking the pool.
 pub struct JoinHandle<T> {
-    pub(crate) state: Arc<TaskState<T>>,
+    block: Arc<dyn Spawned<T>>,
 }
 
 impl<T: Send> JoinHandle<T> {
     /// Has the task finished (successfully or by panicking)?
     pub fn is_finished(&self) -> bool {
-        self.state.is_done()
+        self.block.state().is_done()
     }
 
     /// Wait for the task and return its result, rethrowing the task's
     /// panic on this thread.
     pub fn join(self) -> T {
+        let state = self.block.state();
         let ctx = crate::worker::current_ctx();
         if ctx.is_null() {
-            self.state.block_until_done();
+            state.block_until_done();
         } else {
             // Worker thread: the condvar wake is useless here (we must keep
             // scheduling to make progress), so name ourselves as the worker
@@ -335,13 +384,11 @@ impl<T: Send> JoinHandle<T> {
             // Safety: installed ctx pointers outlive the call on this
             // thread (CtxGuard discipline).
             let ctx = unsafe { &*ctx };
-            self.state
-                .waiter
-                .store(ctx.index() as u32, Ordering::SeqCst);
-            ctx.help_until(|| self.state.is_done(), crate::sleep::WAITER_PARK_TIMEOUT);
+            state.waiter.store(ctx.index() as u32, Ordering::SeqCst);
+            ctx.help_until(|| state.is_done(), crate::sleep::WAITER_PARK_TIMEOUT);
         }
         // Safety: DONE observed; sole consumer (join takes self).
-        match unsafe { self.state.take_result() } {
+        match unsafe { state.take_result() } {
             Ok(v) => v,
             Err(payload) => panic::resume_unwind(payload),
         }
@@ -351,7 +398,7 @@ impl<T: Send> JoinHandle<T> {
 impl<T> std::fmt::Debug for JoinHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JoinHandle")
-            .field("finished", &self.state.is_done())
+            .field("finished", &self.block.state().is_done())
             .finish()
     }
 }
@@ -374,12 +421,16 @@ mod tests {
         let b = real_job();
         let c = real_job();
         let d = real_job();
+        let e = real_job();
         inj.push_batch(&[a]).unwrap();
         inj.push_batch(&[b, c]).unwrap();
         inj.push_batch(&[d]).unwrap();
-        assert_eq!(inj.approx_len(), 4);
-        let got: Vec<_> = std::iter::from_fn(|| inj.pop()).collect();
-        assert_eq!(got, vec![a, b, c, d], "submission order must survive");
+        assert_eq!(inj.pop(), Some(a));
+        assert!(!inj.is_empty(), "the refilled FIFO still holds b, c, d");
+        inj.push_batch(&[e]).unwrap();
+        let mut got = vec![a];
+        got.extend(std::iter::from_fn(|| inj.pop()));
+        assert_eq!(got, vec![a, b, c, d, e], "submission order must survive");
         assert!(inj.is_empty());
         for j in got {
             // Execute to free the heap jobs.
@@ -393,7 +444,7 @@ mod tests {
         let jobs: Vec<_> = (0..7).map(|_| real_job()).collect();
         inj.push_batch(&jobs).unwrap();
         assert_eq!(inj.pop(), Some(jobs[0]));
-        assert_eq!(inj.approx_len(), 6);
+        assert!(!inj.is_empty(), "one pop leaves the other six queued");
         let rest: Vec<_> = std::iter::from_fn(|| inj.pop()).collect();
         assert_eq!(rest, jobs[1..]);
         assert!(inj.is_empty());
@@ -422,7 +473,7 @@ mod tests {
         // plain usize so the map is Send); consumers drain until every
         // producer finished *and* the queue reads empty.
         let ids = Mutex::new(std::collections::HashMap::<usize, usize>::new());
-        let producing = AtomicUsize::new(PRODUCERS);
+        let producing = std::sync::atomic::AtomicUsize::new(PRODUCERS);
         std::thread::scope(|s| {
             for p in 0..PRODUCERS {
                 let inj = &inj;
@@ -467,49 +518,59 @@ mod tests {
 
     #[test]
     fn task_state_handshake_external_join() {
-        let state = Arc::new(TaskState::<u32>::new());
-        let s2 = Arc::clone(&state);
+        let (job, h) = SpawnJob::allocate(|| 42u32);
+        // Addresses, not pointers: the thread closure must be `Send`.
+        let job = job as usize;
         let t = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            s2.complete(Ok(42));
+            // Safety: never published; executed exactly once, here.
+            unsafe { Job::execute(job as *const Job, NO_WORKER) };
         });
-        let h = JoinHandle { state };
         assert_eq!(h.join(), 42);
         t.join().unwrap();
     }
 
     #[test]
     fn task_state_done_before_join_does_not_block() {
-        let state = Arc::new(TaskState::<&'static str>::new());
-        state.complete(Ok("done"));
-        let h = JoinHandle { state };
+        let (job, h) = SpawnJob::allocate(|| "done");
+        unsafe { Job::execute(job, NO_WORKER) };
         assert!(h.is_finished());
         assert_eq!(h.join(), "done");
+    }
+
+    #[test]
+    fn a_panicking_result_destructor_stays_inside_the_job() {
+        struct Bomb;
+        impl Drop for Bomb {
+            fn drop(&mut self) {
+                panic!("result destructor");
+            }
+        }
+        let (job, h) = SpawnJob::allocate(|| Bomb);
+        drop(h);
+        // The executor settles the serve count right after `execute`, so
+        // the job must return normally.
+        unsafe { Job::execute(job, NO_WORKER) };
     }
 }
 
 /// The injector under the DFS explorer (ROADMAP item 4(b)): its words are
-/// shim atomics like the deques', so every `incoming`/`len`/`next` access of
-/// a registered model thread is a scheduling point.
+/// shim atomics like the deques', so every `incoming`/`head`/`next` access
+/// of a registered model thread is a scheduling point.
 #[cfg(all(test, feature = "model"))]
 mod model_tests {
     use super::*;
-    use crate::model::{explore, Execution, Options};
+    use crate::model::{explore, Execution, Options, Report};
 
     /// Two producers (a lone push, a batch of two) race one consumer's `pop`
-    /// over real heap jobs; the explorer thread pops whatever the consumer
-    /// left — from the FIFO its refill filled, then from a fresh chain —
-    /// and then executes (frees) every job. Properties, after SNIPPETS.md's
+    /// over real heap jobs; the explorer thread then pops until `gate` — a
+    /// worker's "is there injector work?" — reads empty, and executes
+    /// (frees) every job. Properties, after SNIPPETS.md's
     /// `WorkStealing.tla`: **W1** every pushed job is popped, **W2** none
     /// is popped twice, and a producer's own jobs come out in the order it
     /// submitted them.
-    ///
-    /// While `incoming`, `len` and the job links were `std` aliases under
-    /// `model` (every PR before the shim fold), this same script explored
-    /// exactly **1** schedule: no access of it was a scheduling point.
-    #[test]
-    fn injector_loses_and_duplicates_nothing() {
-        let report = explore(Options::default(), || {
+    fn explore_push_pop(gate: fn(&Injector) -> bool) -> Report {
+        explore(Options::default(), || {
             let inj = Injector::new();
             // Addresses, not pointers: the thread closures must be `Send`.
             let [a, b1, b2] = [0; 3].map(|_| crate::job::HeapJob::push_new(|| {}) as usize);
@@ -526,12 +587,15 @@ mod model_tests {
                 })
                 .run();
             let mut popped = popped.into_inner();
-            popped.extend(std::iter::from_fn(|| inj.pop()).map(|j| j as usize));
-            // The three jobs are ours to free whatever the injector did
-            // with them; judge its answer afterwards.
+            while !gate(&inj) {
+                popped.extend(inj.pop().map(|j| j as usize));
+            }
+            // Empty the injector whatever the gate said (its `Drop` asserts
+            // emptiness), free every job, then judge the pops.
+            let stranded: Vec<_> = std::iter::from_fn(|| inj.pop()).collect();
             for j in [a, b1, b2] {
-                // Safety: published at most once and drained above, or
-                // never handed out; executed exactly once, here.
+                // Safety: each job is executed exactly once, here, after the
+                // injector handed it out (or never published it).
                 unsafe { Job::execute(j as *const Job, NO_WORKER) };
             }
             let mut sorted = popped.clone();
@@ -540,7 +604,9 @@ mod model_tests {
             expect.sort_unstable();
             if sorted != expect {
                 return Err(format!(
-                    "task loss/duplication: popped {popped:x?}, pushed {expect:x?}"
+                    "task loss/duplication: popped {popped:x?}, pushed {expect:x?}, \
+                     {} left behind a gate that read empty",
+                    stranded.len()
                 ));
             }
             let at = |j| popped.iter().position(|&p| p == j);
@@ -548,15 +614,40 @@ mod model_tests {
                 return Err(format!("producer-b's batch came out reversed: {popped:x?}"));
             }
             if !inj.is_empty() {
-                return Err(format!("len gate reads {} when empty", inj.approx_len()));
+                return Err("the drained injector does not read empty".into());
             }
             Ok(())
-        });
+        })
+    }
+
+    /// While `incoming`, the old `len` counter and the job links were `std`
+    /// aliases under `model` (every PR before the shim fold), this same
+    /// script explored exactly **1** schedule: no access of it was a
+    /// scheduling point.
+    #[test]
+    fn injector_loses_and_duplicates_nothing() {
+        let report = explore_push_pop(Injector::is_empty);
         report.assert_exhaustive_pass("injector push/push_batch vs pop");
         assert!(
             report.schedules >= 100,
             "the injector's words must be scheduling points, got {} schedules",
             report.schedules
+        );
+    }
+
+    /// Negative twin (W1): a gate that reads only the consumer FIFO misses
+    /// jobs still on the incoming stack — a worker trusting it would park
+    /// on published work. The explorer must find such a schedule.
+    #[test]
+    fn head_only_gate_loses_a_job() {
+        let report = explore_push_pop(|inj| inj.head.load(Ordering::Relaxed).is_null());
+        let v = report
+            .violation
+            .expect("a head-only emptiness gate must lose a pushed job");
+        assert!(
+            v.message.contains("task loss"),
+            "unexpected violation kind: {}",
+            v.message
         );
     }
 }

@@ -7,9 +7,9 @@
 //!   a slot for its result, the `done` flag and the index of the worker
 //!   that pushed it (the only thread that can ever wait on it). The frame
 //!   outlives the job because `join` does not return until `done` is set.
-//! * [`HeapJob`] — boxed closure spawned into a [`crate::scope`] or through
-//!   the injector; frees itself after running. Completion is the closure's
-//!   business (the scope's pending counter, a spawn handle's state).
+//! * [`HeapJob`] — boxed closure spawned into a [`crate::scope`]; frees
+//!   itself after running. Completion is the closure's business (the
+//!   scope's pending counter). External spawns use `injector::SpawnJob`.
 //!
 //! Execution goes through an erased `unsafe fn(*const Job)` stored in the
 //! header (a hand-rolled single-method vtable, so deque slots stay one word
@@ -46,7 +46,7 @@ pub struct Job {
 }
 
 impl Job {
-    fn new(run_fn: unsafe fn(*const Job, u32)) -> Job {
+    pub(crate) fn new(run_fn: unsafe fn(*const Job, u32)) -> Job {
         Job {
             run_fn,
             next: AtomicPtr::new(ptr::null_mut()),

@@ -5,12 +5,13 @@
 //! with the `outstanding` count (`PoolInner::task_done` has the argument).
 
 use super::*;
-use crate::injector::{JoinHandle, TaskState};
-use crate::job::{HeapJob, Job, NO_WORKER};
+use crate::injector::{JoinHandle, SpawnJob};
+use crate::job::{Job, NO_WORKER};
 
 impl PoolInner {
     /// Completion side of the serve window's outstanding count, called by
-    /// every spawned task's wrapper (and by `spawn`'s validation undo).
+    /// a spawned task's executor once the task has published its result
+    /// (and by `wrap_task`'s validation undo).
     ///
     /// A producer counts its task and then reads the window; `shutdown`
     /// moves the window to [`DRAINING`] and then reads the count. Either
@@ -85,7 +86,7 @@ impl ThreadPool {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let (job, handle) = self.wrap_task(f, &[]);
+        let (job, handle) = self.wrap_task(f);
         self.submit_batch(&[job]);
         handle
     }
@@ -93,7 +94,8 @@ impl ThreadPool {
     /// Submit a batch of tasks with a single injector publication (one CAS
     /// for the whole batch) and one wake per task, up to one per worker.
     /// Same contract as [`ThreadPool::spawn`], returning handles in
-    /// submission order.
+    /// submission order. If `tasks` panics midway, the tasks it yielded
+    /// before the panic are still published and run.
     pub fn spawn_batch<F, T, I>(&self, tasks: I) -> Vec<JoinHandle<T>>
     where
         I: IntoIterator<Item = F>,
@@ -102,20 +104,24 @@ impl ThreadPool {
     {
         let mut jobs: Vec<*mut Job> = Vec::new();
         let mut handles = Vec::new();
-        for f in tasks {
-            let (job, handle) = self.wrap_task(f, &jobs);
-            jobs.push(job);
-            handles.push(handle);
-        }
+        // Wrapped tasks are counted, so the drain waits for them: publish
+        // them even if the iterator (or a closed window) unwinds.
+        let wrapped = panic::catch_unwind(AssertUnwindSafe(|| {
+            for f in tasks {
+                let (job, handle) = self.wrap_task(f);
+                jobs.push(job);
+                handles.push(handle);
+            }
+        }));
         self.submit_batch(&jobs);
+        if let Err(payload) = wrapped {
+            panic::resume_unwind(payload);
+        }
         handles
     }
 
-    /// Count one task into the serve window and wrap `f` as a heap job that
-    /// publishes into a fresh [`TaskState`]. `wrapped` holds the jobs this
-    /// submission has wrapped so far; it matters only when the window turns
-    /// out to be closed.
-    fn wrap_task<F, T>(&self, f: F, wrapped: &[*mut Job]) -> (*mut Job, JoinHandle<T>)
+    /// Count one task into the serve window and allocate its block.
+    fn wrap_task<F, T>(&self, f: F) -> (*mut Job, JoinHandle<T>)
     where
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
@@ -128,28 +134,9 @@ impl ThreadPool {
         // the generation close (`task_done` has the pairing).
         if pool.window.load(Ordering::SeqCst) != OPEN {
             pool.task_done();
-            // The jobs wrapped so far are counted in `outstanding` and
-            // must not leak — but the window that would drain them is
-            // closing (or never opened), so injecting them could strand
-            // them forever. Run them inline instead, then fail.
-            for &job in wrapped {
-                // Safety: never published; sole ownership.
-                unsafe { Job::execute(job, NO_WORKER) };
-            }
             panic!("ThreadPool::spawn requires an open serve window (call serve() first)");
         }
-        let state = Arc::new(TaskState::new());
-        let task_state = Arc::clone(&state);
-        let inner = Arc::clone(&self.inner);
-        let job = HeapJob::push_new(move || {
-            let result = panic::catch_unwind(AssertUnwindSafe(f));
-            // Publish the result (waking a blocked joiner) *before* the
-            // outstanding decrement: once `shutdown` returns, every handle
-            // must already be joinable without blocking.
-            task_state.complete(result.map_err(|e| e as Box<dyn Any + Send>));
-            inner.task_done();
-        });
-        (job, JoinHandle { state })
+        SpawnJob::allocate(f)
     }
 
     /// Publish wrapped jobs to the injector as one chain (inline fallback
@@ -178,6 +165,7 @@ impl ThreadPool {
                 for &job in jobs {
                     // Safety: rejected batch, sole ownership retained.
                     unsafe { Job::execute(job, NO_WORKER) };
+                    pool.task_done();
                 }
             }
         }

@@ -291,6 +291,9 @@ impl WorkerCtx {
         };
         trace::emit(Event::InjectorPop, 1, 0);
         self.execute(job);
+        // The task published its result and cannot unwind: settle the
+        // serve count here, so a task carries no pool reference.
+        self.pool().task_done();
         true
     }
 

@@ -299,6 +299,43 @@ fn serve_windows_and_runs_interleave() {
     pool.shutdown();
 }
 
+/// A `spawn_batch` iterator that panics midway has already counted the
+/// tasks it yielded into the serve window. Those tasks must still be
+/// published and run: otherwise the drain waits on them forever, and so
+/// does `shutdown` (and `Drop`).
+#[test]
+fn spawn_batch_iterator_panic_does_not_strand_the_drain() {
+    let pool = Arc::new(ThreadPool::new(Variant::Signal, 3));
+    pool.serve();
+    let ran = Arc::new(AtomicU64::new(0));
+    let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+        pool.spawn_batch((0..8).map(|i| {
+            if i == 3 {
+                panic!("the task iterator fails at 3");
+            }
+            let ran = Arc::clone(&ran);
+            move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+            }
+        }))
+    }));
+    assert!(caught.is_err(), "the iterator's panic reaches the caller");
+    // Shut down on another thread, so a stranded drain fails the test
+    // instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let closer = Arc::clone(&pool);
+    std::thread::spawn(move || tx.send(closer.shutdown()));
+    let snap = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown is stuck on tasks the panicking iterator stranded");
+    assert_eq!(snap.injector_pushes(), snap.injector_pops());
+    assert_eq!(
+        ran.load(Ordering::Relaxed),
+        3,
+        "the tasks accepted before the panic run"
+    );
+}
+
 #[test]
 fn spawn_outside_serve_window_panics() {
     let pool = ThreadPool::new(Variant::Ws, 2);
