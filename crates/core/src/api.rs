@@ -70,7 +70,8 @@ pub fn worker_index() -> Option<usize> {
 }
 
 /// Default grain size for [`par_for`]: split until roughly `8 P` leaves of
-/// at least `MIN_GRAIN` iterations each (Parlay's blocked heuristic).
+/// at least `MIN_GRAIN` iterations each — coarser than Parlay's `parfor`,
+/// whose grain is max(a block timed at ≥ 1 µs, `n / (128 P)`).
 pub fn default_grain(n: usize) -> usize {
     const MIN_GRAIN: usize = 64;
     let p = num_workers();

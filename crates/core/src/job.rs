@@ -6,7 +6,9 @@
 //! * [`StackJob`] — lives in the stack frame of a `join`; holds the closure,
 //!   a slot for its result, the `done` flag and the index of the worker
 //!   that pushed it (the only thread that can ever wait on it). The frame
-//!   outlives the job because `join` does not return until `done` is set.
+//!   outlives the job because `join` returns only after `done` is set or
+//!   after popping the job back, which it runs as a direct call
+//!   ([`StackJob::run_inline`]): no erased call, result slot or `done`.
 //! * [`HeapJob`] — boxed closure spawned into a [`crate::scope`]; frees
 //!   itself after running. Completion is the closure's business (the
 //!   scope's pending counter). External spawns use `injector::SpawnJob`.
@@ -15,9 +17,9 @@
 //! header (a hand-rolled single-method vtable, so deque slots stay one word
 //! wide — the layout the paper's C++ `Task*` arrays use).
 //!
-//! Panic discipline: job bodies run under `catch_unwind`. A `StackJob`
-//! parks the payload for the joining worker to rethrow; a `HeapJob` hands it
-//! to its scope. Workers themselves never unwind across the steal loop.
+//! Panic discipline: erased job bodies run under `catch_unwind`. A stolen
+//! `StackJob` parks the payload for its joiner to rethrow; a `HeapJob` hands
+//! it to its scope. Workers themselves never unwind across the steal loop.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -55,7 +57,7 @@ impl Job {
 
     /// Execute the job. `executor` is the index of the pool worker running
     /// it, or `u32::MAX` outside a pool run; a `join` job compares it with
-    /// the worker that pushed it to tell "popped back" from "stolen".
+    /// the worker that pushed it to tell "run by its owner" from "stolen".
     ///
     /// # Safety
     /// `ptr` must point to a live, not-yet-executed job of the concrete type
@@ -145,10 +147,12 @@ where
         *(*this).result.get() = Some(result.map_err(|e| e as Box<dyn Any + Send>));
         let owner = (*this).owner;
         if executor == owner {
-            // Popped back by the owner itself: nobody is waiting, and the
-            // owner reads `done` in program order. `done_store_order()` is
-            // a compile-time `Release` unless an hb negative test weakens
-            // it to show the checker catches the severed result edge.
+            // Run by the owner itself (the overflow fallback, or a direct
+            // `Job::execute`; a popped-back arm goes through `run_inline`):
+            // nobody is waiting, the owner reads `done` in program order.
+            // `done_store_order()` is a compile-time `Release` unless an hb
+            // negative test weakens it to show the checker catches the
+            // severed result edge.
             (*this).done.store(true, hb::negative::done_store_order());
         } else {
             // Stolen: the owner may be parking on this job right now. The
@@ -161,6 +165,18 @@ where
             (*this).done.store(true, Ordering::SeqCst);
             crate::worker::wake_worker(owner);
         }
+    }
+
+    /// Run the closure as a direct call after its owner popped the job back:
+    /// nobody else saw it, so no `catch_unwind`, result cell or `done` store
+    /// (a panic unwinds through `join` like a sequential call's would).
+    ///
+    /// # Safety
+    /// The job must have been reclaimed from the caller's own deque.
+    pub(crate) unsafe fn run_inline(&self) -> R {
+        hb::on_read(self.func.get() as usize, "StackJob::func (run_inline)");
+        let func = (*self.func.get()).take().expect("StackJob executed twice");
+        func()
     }
 
     /// Take the result after observing `is_done()`, rethrowing a panic from

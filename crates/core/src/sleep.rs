@@ -76,12 +76,12 @@
 //!   The completer reads it *before* publishing (its last legal touch of a
 //!   frame the waiter may free the instant completion is visible), and —
 //!   for a `join` arm — pays the SeqCst store and the wake only when it is
-//!   not the owner itself, i.e. per *steal*; the pop-it-back path keeps its
-//!   plain Release store. A spawn handle's joiner is not known at spawn
-//!   time, so `TaskState` keeps a slot the joining worker writes once
-//!   before it starts helping; the `Arc` keeps the slot alive, so the
-//!   completer loads it *after* publishing `DONE` and the same argument
-//!   covers a registration racing the completion.
+//!   not the owner itself, i.e. per *steal*; the pop-it-back path runs the
+//!   arm as a direct call and stores nothing. A spawn handle's joiner is
+//!   not known at spawn time, so `TaskState` keeps a slot the joining
+//!   worker writes once before it starts helping; the `Arc` keeps the
+//!   slot alive, so the completer loads it *after* publishing `DONE` and
+//!   the same argument covers a registration racing the completion.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;

@@ -556,44 +556,43 @@ impl WorkerCtx {
             Err(payload) => {
                 // `b` may be running on a thief and referencing this frame:
                 // it must complete (or be reclaimed unrun) before we unwind.
-                self.await_job(ptr_b, || job_b.is_done(), false);
+                self.await_job(ptr_b, || job_b.is_done());
                 panic::resume_unwind(payload);
             }
         };
-        self.await_job(ptr_b, || job_b.is_done(), true);
-        // Safety: await_job guarantees the job ran (or we ran it inline).
+        if self.await_job(ptr_b, || job_b.is_done()) {
+            metrics::bump(Event::TaskRun);
+            // Safety: popped back off our own deque, so nobody else has it.
+            return (ra, unsafe { job_b.run_inline() });
+        }
+        // Safety: stolen, and `await_job` returned only after `done`.
         let rb = unsafe { job_b.take_result() };
         (ra, rb)
     }
 
-    /// Wait until the job at `ptr` has been executed (`done` reports its
-    /// flag), or reclaim it from our own deque (running it inline iff
-    /// `run_if_reacquired`; the panic path reclaims without running).
+    /// Wait until a thief has executed the job at `ptr` (`done` reports its
+    /// flag), or reclaim it unrun from our own deque. Returns whether it
+    /// was reclaimed: `join` then runs it inline on the happy path and
+    /// drops it unrun on the panic path.
     ///
-    /// On return, either the job ran to completion or it was reclaimed
-    /// unrun by this worker — in both cases no other thread holds a
-    /// reference to it.
-    fn await_job(&self, ptr: *mut Job, done: impl Fn() -> bool, run_if_reacquired: bool) {
+    /// On return, either the job ran to completion or it is ours again,
+    /// unrun — in both cases no other thread holds a reference to it.
+    fn await_job(&self, ptr: *mut Job, done: impl Fn() -> bool) -> bool {
         // Fast path: the job is still at the bottom of our deque. Everything
         // `a` joined above it has been popped or stolen-and-completed, so
         // anything else found here is work `a` left for later — an
         // outer-scope `spawn`, or a batch steal's surplus a nested wait
         // requeued after `ptr` was stolen: run it on the way down.
         while let Some(taken) = self.acquire_local() {
-            if taken != ptr {
-                self.execute(taken);
-                continue;
+            if taken == ptr {
+                return true;
             }
-            // Reclaimed. Unrun (the happy case for the panic path): the
-            // caller owns it again, nobody else ever saw it.
-            if run_if_reacquired {
-                self.execute(taken);
-            }
-            return;
+            self.execute(taken);
         }
         // The job was stolen: help along until its executor publishes
         // `done` and wakes us.
         self.help_until(done, WAITER_PARK_TIMEOUT);
+        false
     }
 }
 

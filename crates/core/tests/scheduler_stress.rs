@@ -290,3 +290,51 @@ fn results_flow_back_from_stolen_branches() {
     assert_eq!(v.len(), 1024);
     assert!(v.iter().all(|&x| x == 1));
 }
+
+#[test]
+fn single_worker_join_panics_keep_pop_back_semantics() {
+    // P = 1: nobody can steal `b`. A panic in `b` (popped back and run by
+    // the owner) reaches `run`'s caller with its own payload after `a` ran;
+    // a panic in `a` reclaims `b` unrun. Either way the pool stays usable.
+    for variant in Variant::ALL {
+        for left_panics in [false, true] {
+            let pool = ThreadPool::new(variant, 1);
+            let (a_ran, b_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+            let arm = |ran: &AtomicBool, panics: bool, msg: &'static str| {
+                if panics {
+                    panic!("{msg}");
+                }
+                ran.store(true, Ordering::Relaxed);
+            };
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run(|| {
+                    join(
+                        || arm(&a_ran, left_panics, "left arm failed"),
+                        || arm(&b_ran, !left_panics, "right arm failed"),
+                    )
+                })
+            }));
+            let payload = caught.expect_err("the arm's panic was swallowed");
+            let expected = if left_panics {
+                "left arm failed"
+            } else {
+                "right arm failed"
+            };
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(expected),
+                "variant {variant}: wrong payload"
+            );
+            if left_panics {
+                assert!(!b_ran.load(Ordering::Relaxed), "variant {variant}: `b` ran");
+            } else {
+                assert!(a_ran.load(Ordering::Relaxed), "variant {variant}: `a` lost");
+            }
+            assert_eq!(
+                pool.run(|| fib(8)),
+                21,
+                "variant {variant} broken after panic"
+            );
+        }
+    }
+}

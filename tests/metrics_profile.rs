@@ -3,7 +3,7 @@
 //! fraction of WS's fences and CAS ops, conservative exposure never
 //! publishes a victim's last task, and WS never exposes or signals at all.
 
-use lcws::{par_for_grain, PoolBuilder, Snapshot, Variant};
+use lcws::{join, par_for_grain, PoolBuilder, Snapshot, Variant};
 
 fn profile(variant: Variant, threads: usize) -> Snapshot {
     let pool = PoolBuilder::new(variant).threads(threads).build();
@@ -85,6 +85,33 @@ fn single_worker_lcws_runs_nearly_synchronization_free() {
     assert_eq!(us.cas(), 0, "{us}");
     let ws = profile(Variant::Ws, 1);
     assert!(ws.fences() > 1_000, "WS pays fences even alone: {ws}");
+}
+
+fn fib(n: u64) -> u64 {
+    if n < 2 {
+        return n;
+    }
+    let (a, b) = join(|| fib(n - 1), || fib(n - 2));
+    a + b
+}
+
+#[test]
+fn single_worker_join_counts_are_exact() {
+    // P = 1: every `join` pushes its right arm and pops it back, so the
+    // counters are a pure function of the call tree. fib(20) makes
+    // fib(21) − 1 = 10 945 joins: one task run each, two WS fences each
+    // (push and pop), and no fence or CAS at all under LCWS.
+    for variant in Variant::ALL {
+        let pool = PoolBuilder::new(variant).threads(1).build();
+        let (r, m) = pool.run_measured(|| fib(20));
+        assert_eq!(r, 6765);
+        assert_eq!(m.tasks_run(), 10_945, "{variant}: {m}");
+        if variant == Variant::Ws {
+            assert_eq!(m.fences(), 21_890, "{m}");
+        } else {
+            assert_eq!((m.fences(), m.cas()), (0, 0), "{variant}: {m}");
+        }
+    }
 }
 
 #[test]
