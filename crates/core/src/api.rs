@@ -14,8 +14,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
 use crate::job::{HeapJob, NO_WORKER};
+use crate::pool::PoolInner;
 use crate::sleep::WAITER_PARK_TIMEOUT;
-use crate::worker::{current_ctx, wake_worker};
+use crate::worker::{current_ctx, wake_worker, WorkerCtx};
 
 /// Run `a` and `b` potentially in parallel, returning both results.
 ///
@@ -124,6 +125,8 @@ pub struct Scope<'scope> {
     /// ever drains it — or `NO_WORKER` outside a pool run. The task that
     /// performs the last `pending` decrement wakes exactly that worker.
     owner: u32,
+    /// Address of the pool that worker belongs to (see [`pool_of`]).
+    pool: usize,
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
     // Invariant lifetime, rayon-style: spawned closures may borrow anything
     // that strictly outlives the `scope` call.
@@ -147,13 +150,15 @@ impl<'scope> Scope<'scope> {
     /// Spawn `f` as an independent task. It may run on any worker, any time
     /// before the enclosing [`scope`] returns.
     ///
-    /// Outside a pool run the task executes immediately inline.
+    /// Outside a run of the pool that opened the scope (no worker of the
+    /// spawning pool will ever drain it), the task executes immediately
+    /// inline.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'scope,
     {
         let ctx = current_ctx();
-        if ctx.is_null() {
+        if ctx.is_null() || pool_of(ctx) != self.pool {
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
                 self.record_panic(payload);
             }
@@ -191,6 +196,17 @@ impl<'scope> Scope<'scope> {
     }
 }
 
+/// Which pool `ctx` belongs to, as an address only compared (0 outside a
+/// pool run): a scope's tasks may only go to its own pool's deques.
+#[inline]
+fn pool_of(ctx: *const WorkerCtx) -> usize {
+    if ctx.is_null() {
+        return 0;
+    }
+    // Safety: non-null ctx pointers stay valid for this call's extent.
+    unsafe { (*ctx).pool() as *const PoolInner as usize }
+}
+
 /// Create a scope in which tasks can be [`Scope::spawn`]ed; returns only
 /// after every spawned task (transitively) finished. The first panic from
 /// the body or any task is resumed on the caller.
@@ -207,6 +223,7 @@ where
         } else {
             unsafe { (*ctx).index() as u32 }
         },
+        pool: pool_of(ctx),
         panic: Mutex::new(None),
         _marker: PhantomData,
     };

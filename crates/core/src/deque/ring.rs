@@ -177,6 +177,7 @@ impl GrowableRing {
     }
 
     #[cold]
+    #[inline(never)]
     fn refresh_or_grow<'a>(
         &'a self,
         b: u32,

@@ -304,14 +304,21 @@ impl Sleep {
     /// producer fast path — the very cost this crate exists to avoid). The
     /// window costs at most one [`PARK_TIMEOUT`], absorbed by the timed
     /// park.
+    #[inline]
     pub(crate) fn wake_one(&self) {
         // Counted before the empty-set gate: redundant notifications (e.g.
         // a batch submission's per-task wakes on a busy pool) are exactly
         // what the counter exists to expose.
         metrics::bump(Event::WakeAttempt);
-        if !self.has_sleepers() {
-            return;
+        if self.has_sleepers() {
+            self.wake_one_sleeper();
         }
+    }
+
+    /// [`Sleep::wake_one`] past its gate.
+    #[cold]
+    #[inline(never)]
+    fn wake_one_sleeper(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         for (w, word) in self.mask.iter().enumerate() {
             let mut bits = word.load(Ordering::SeqCst);

@@ -43,6 +43,7 @@ pub(crate) enum StealAttempt {
 }
 
 /// The current thread's worker context, or null outside pool runs.
+#[inline]
 pub(crate) fn current_ctx() -> *const WorkerCtx {
     CURRENT.with(|c| c.get())
 }
@@ -209,6 +210,7 @@ impl WorkerCtx {
     ///
     /// On [`DequeFull`] the job was **not** enqueued and the caller still
     /// owns it.
+    #[inline]
     fn try_push_job(&self, job: *mut Job) -> Result<(), DequeFull> {
         let w = self.shared();
         match &w.deque {
@@ -264,9 +266,15 @@ impl WorkerCtx {
     #[inline]
     fn drain_deferred_wake(&self, w: &WorkerShared) {
         if w.wake_pending.load(Ordering::Relaxed) {
-            w.wake_pending.store(false, Ordering::Relaxed);
-            self.pool().sleep.wake_one();
+            self.deferred_wake(w);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn deferred_wake(&self, w: &WorkerShared) {
+        w.wake_pending.store(false, Ordering::Relaxed);
+        self.pool().sleep.wake_one();
     }
 
     /// Is any task observably present in any worker's deque (including
@@ -299,6 +307,7 @@ impl WorkerCtx {
 
     /// Listing 1 lines 7–17: take a task from this worker's own deque,
     /// serving a pending exposure request on the way.
+    #[inline]
     pub(crate) fn acquire_local(&self) -> Option<*mut Job> {
         let w = self.shared();
         self.drain_deferred_wake(w);
@@ -329,11 +338,17 @@ impl WorkerCtx {
     fn poll_request(&self, w: &WorkerShared) {
         let req = w.expose_request.load(Ordering::Relaxed);
         if req != 0 {
-            fault::point(Site::TargetedPoll);
-            trace::record(Event::TargetedPoll, (req & REQUEST_SIGNALLED) as u32);
-            signal::serve_exposure(&self.handler_ctx);
-            self.drain_deferred_wake(w);
+            self.serve_request(w, req);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn serve_request(&self, w: &WorkerShared, req: u64) {
+        fault::point(Site::TargetedPoll);
+        trace::record(Event::TargetedPoll, (req & REQUEST_SIGNALLED) as u32);
+        signal::serve_exposure(&self.handler_ctx);
+        self.drain_deferred_wake(w);
     }
 
     /// One iteration of the stealing phase (Listing 1 lines 20–23 /

@@ -3,6 +3,7 @@
 //! nesting.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use lcws_core::{join, par_for_grain, scope, PoolBuilder, ThreadPool, Variant};
@@ -69,6 +70,41 @@ fn nested_joins_inside_scope_spawns() {
         });
         let expected: u64 = (0..32).map(|k| 55 + k).sum();
         assert_eq!(total.load(Ordering::Relaxed), expected, "variant {variant}");
+    }
+}
+
+#[test]
+fn scope_runs_tasks_spawned_from_outside_its_pool() {
+    // `Scope: Sync`, so a scope can be spawned into from a run of another
+    // pool than the one that opened it, or of a pool when it was opened
+    // outside any. No worker of the spawning pool drains that scope: its
+    // tasks must run at the spawn, not sit on that pool's deques past the
+    // scope's return, or forever while the scope's own worker waits.
+    for variant in Variant::ALL {
+        for threads in [1, 2] {
+            let (done, ran) = mpsc::channel();
+            std::thread::spawn(move || {
+                let pool_a = ThreadPool::new(variant, threads);
+                let pool_b = ThreadPool::new(variant, threads);
+                let ran = AtomicUsize::new(0);
+                let task = || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                };
+                scope(|s| pool_b.run(|| s.spawn(task)));
+                pool_a.run(|| {
+                    scope(|s| {
+                        std::thread::scope(|t| {
+                            t.spawn(|| pool_b.run(|| s.spawn(task)));
+                        })
+                    })
+                });
+                done.send(ran.load(Ordering::Relaxed)).unwrap();
+            });
+            let ran = ran
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("{variant} P={threads}: no scope return ({e})"));
+            assert_eq!(ran, 2, "{variant} P={threads}");
+        }
     }
 }
 

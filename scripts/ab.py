@@ -18,13 +18,24 @@ BENCHMARK.json bound, first rule that applies:
   unresolved  |delta median| > base IQR, but neither of the above
   same        |delta median| <= base IQR, inside the bound
 
+With `--child W:comp[:workers]` (repeatable; workers default to 2) it
+runs one benchmark child per side and pair instead, the fast A/B of one
+composition:
+
+    printf 'rounds 8000 5\nfinish\n' | lcws-e2e --child --kind workload \
+        --workload W --comp comp --workers P --seed S --trace 0 --warmup_ms 500
+
+and judges the child's `values.round_ms` by the same rules, under the
+bound of BENCHMARK.json's `round_ms.<comp>`.
+
 It also records the host (`nproc`, CPU model, `/proc/stat` steal share
 over the runs) and deletes its exports unless `--keep` is given.
 Stdlib only, offline.
 
 Usage:
     scripts/ab.py [--base HEAD~1] [--head HEAD] [--workloads a,b]
-                  [--pairs 10] [--seed0 1000] [--scratch DIR] [--keep]
+                  [--child W:comp[:workers]]... [--pairs 10] [--seed0 1000]
+                  [--scratch DIR] [--keep]
     scripts/ab.py --self-test
 """
 
@@ -41,6 +52,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
+CHILD_SCRIPT = "rounds 8000 5\nfinish\n"
 
 
 def median(xs):
@@ -90,11 +102,23 @@ def summarize(base, head, better, bound):
         "base_median": mb,
         "base_iqr": iqr(base),
         "head_median": mh,
+        "head_iqr": iqr(head),
         "delta": (mh - mb) / mb if mb else float("nan"),
         "wins": wins(base, head, better),
         "pairs": min(len(base), len(head)),
         "verdict": verdict(base, head, better, bound),
     }
+
+
+def parse_child(spec):
+    """`W:comp[:workers]` -> (workload, comp, workers); ValueError if malformed."""
+    parts = spec.split(":")
+    if len(parts) not in (2, 3) or not all(parts):
+        raise ValueError(f"--child wants W:comp[:workers], got {spec!r}")
+    workers = int(parts[2]) if len(parts) == 3 else 2
+    if workers < 1:
+        raise ValueError(f"--child {spec!r}: workers must be >= 1")
+    return parts[0], parts[1], workers
 
 
 def self_test():
@@ -126,6 +150,15 @@ def self_test():
     assert verdict(noisy, [50] * 10, "lower", 0.25) == "better"
     assert verdict(noisy, [200] * 10, "lower", 0.25) == "worse"
     assert verdict([100] * 10, noisy, "lower", 0.25) == "unresolved"
+    assert parse_child("forkjoin_balanced:uslcws") == ("forkjoin_balanced", "uslcws", 2)
+    assert parse_child("pbbs_mix:ws:4") == ("pbbs_mix", "ws", 4)
+    for bad in ("pbbs_mix", "pbbs_mix:", ":ws", "pbbs_mix:ws:", "pbbs_mix:ws:0",
+                "pbbs_mix:ws:two", "pbbs_mix:ws:2:1"):
+        try:
+            parse_child(bad)
+        except ValueError:
+            continue
+        raise AssertionError(f"parse_child accepted {bad!r}")
     print("ab.py self-test OK")
 
 
@@ -155,18 +188,26 @@ def build(tree):
     return tree / "lcws-e2e" / "target" / "release" / "lcws-e2e"
 
 
-def run_once(binary, workload, seed, seconds):
-    out = subprocess.run(
-        [str(binary), "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        capture_output=True, text=True,
-    )
+def last_json(binary, args, stdin=None):
+    out = subprocess.run([str(binary), *args], input=stdin, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if not lines:
-        raise SystemExit(f"{binary} {workload} seed {seed}: no output\n{out.stderr}")
-    line = json.loads(lines[-1])
+        raise SystemExit(f"{binary} {' '.join(args)}: no output\n{out.stderr}")
+    return json.loads(lines[-1])
+
+
+def run_once(binary, workload, seed, seconds):
+    line = last_json(binary, ["--workload", workload, "--seed", str(seed),
+                              "--seconds", str(seconds), "--trace", "0"])
     values = {k: v["value"] for k, v in line["metrics"].items()}
     return values, line["attempted"], line["failed"]
+
+
+def run_child(binary, workload, comp, workers, seed):
+    line = last_json(binary, ["--child", "--kind", "workload", "--workload", workload,
+                              "--comp", comp, "--workers", str(workers), "--seed", str(seed),
+                              "--trace", "0", "--warmup_ms", "500"], CHILD_SCRIPT)
+    return {f"round_ms.{comp}": line["values"]["round_ms"]}, line["attempted"], line["failed"]
 
 
 def cpu_times():
@@ -196,6 +237,8 @@ def main():
     ap.add_argument("--base", default="HEAD~1")
     ap.add_argument("--head", default="HEAD")
     ap.add_argument("--workloads", help="comma list (default: all of BENCHMARK.json)")
+    ap.add_argument("--child", action="append", metavar="W:comp[:workers]",
+                    help="one-child pairs of this composition instead of --workloads")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, default=1000, help="first pair's seed")
     ap.add_argument("--scratch", help="export/build directory (default: a temp dir)")
@@ -210,6 +253,18 @@ def main():
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     workloads = a.workloads.split(",") if a.workloads else [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
+    # label -> run(binary, seed) -> (values, attempted, failed)
+    cases = {}
+    for spec in a.child or []:
+        try:
+            w, comp, workers = parse_child(spec)
+        except ValueError as e:
+            raise SystemExit(str(e))
+        if f"round_ms.{comp}" not in metrics:
+            raise SystemExit(f"--child {spec}: BENCHMARK.json has no round_ms.{comp}")
+        cases[spec] = lambda b, s, w=w, c=comp, p=workers: run_child(b, w, c, p, s)
+    if not cases:
+        cases = {w: lambda b, s, w=w: run_once(b, w, s, seconds) for w in workloads}
     scratch = Path(a.scratch or tempfile.mkdtemp(prefix="lcws-ab-")).resolve()
     revs = {"base": git("rev-parse", a.base), "head": git("rev-parse", a.head)}
     trees = {side: scratch / f"{side}-{sha[:12]}" for side, sha in revs.items()}
@@ -223,13 +278,13 @@ def main():
 
         before = cpu_times()
         raw = {w: {"base": [], "head": [], "attempted": {"base": 0, "head": 0},
-                   "failed": {"base": 0, "head": 0}} for w in workloads}
+                   "failed": {"base": 0, "head": 0}} for w in cases}
         for i in range(a.pairs):
             seed = a.seed0 + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for w in workloads:
+            for w, run in cases.items():
                 for side in order:
-                    values, attempted, failed = run_once(binaries[side], w, seed, seconds)
+                    values, attempted, failed = run(binaries[side], seed)
                     raw[w][side].append(values)
                     raw[w]["attempted"][side] += attempted
                     raw[w]["failed"][side] += failed
@@ -246,16 +301,17 @@ def main():
     if before and after and after[1] > before[1]:
         steal = f"{100.0 * (after[0] - before[0]) / (after[1] - before[1]):.1f} %"
     print(f"\nhost: nproc {os.cpu_count()}, {cpu_model()}, steal {steal}")
+    form = "one-child runs" if a.child else f"{seconds} s runs"
     print(f"base {revs['base'][:12]} vs head {revs['head'][:12]}, "
-          f"{a.pairs} pairs, seeds {a.seed0}-{a.seed0 + a.pairs - 1}, {seconds} s runs")
+          f"{a.pairs} pairs, seeds {a.seed0}-{a.seed0 + a.pairs - 1}, {form}")
     regressed = False
-    for w in workloads:
+    for w in cases:
         r = raw[w]
         fb, fh = r["failed"]["base"], r["failed"]["head"]
         print(f"\n## {w}  (failed ops: base {fb}/{r['attempted']['base']}, "
               f"head {fh}/{r['attempted']['head']})")
-        print(f"| metric | base median | base IQR | head median | delta | wins | verdict |")
-        print("|---|---:|---:|---:|---:|---:|---|")
+        print("| metric | base median | base IQR | head median | head IQR | delta | wins | verdict |")
+        print("|---|---:|---:|---:|---:|---:|---:|---|")
         for name, m in metrics.items():
             base = [v[name] for v in r["base"] if name in v]
             head = [v[name] for v in r["head"] if name in v]
@@ -264,7 +320,7 @@ def main():
             s = summarize(base, head, m["better"], m["bound"])
             regressed |= s["verdict"] == "worse"
             print(f"| {name} | {s['base_median']:.4g} | {s['base_iqr']:.3g} | "
-                  f"{s['head_median']:.4g} | {100 * s['delta']:+.1f} % | "
+                  f"{s['head_median']:.4g} | {s['head_iqr']:.3g} | {100 * s['delta']:+.1f} % | "
                   f"{s['wins']}/{s['pairs']} | {s['verdict']} |")
         regressed |= fh * max(r["attempted"]["base"], 1) > fb * max(r["attempted"]["head"], 1)
     sys.exit(1 if regressed else 0)

@@ -3,7 +3,7 @@
 //! fraction of WS's fences and CAS ops, conservative exposure never
 //! publishes a victim's last task, and WS never exposes or signals at all.
 
-use lcws::{join, par_for_grain, PoolBuilder, Snapshot, Variant};
+use lcws::{join, par_for_grain, scope, PoolBuilder, Snapshot, Variant};
 
 fn profile(variant: Variant, threads: usize) -> Snapshot {
     let pool = PoolBuilder::new(variant).threads(threads).build();
@@ -111,6 +111,59 @@ fn single_worker_join_counts_are_exact() {
         } else {
             assert_eq!((m.fences(), m.cas()), (0, 0), "{variant}: {m}");
         }
+    }
+}
+
+/// `(tasks_run, pushes, local_pops, wake_attempts, fences, cas)` of `m`.
+fn owner_path_counts(m: &Snapshot) -> [u64; 6] {
+    [
+        m.tasks_run(),
+        m.pushes(),
+        m.local_pops(),
+        m.wake_attempts(),
+        m.fences(),
+        m.cas(),
+    ]
+}
+
+#[test]
+fn single_worker_par_for_and_scope_counts_are_exact() {
+    // P = 1, as above, for the other two owner paths. A grain-1 `par_for`
+    // over 4 096 indices is 4 095 joins; a scope of 1 000 spawns pushes and
+    // pops 1 000 heap jobs. Each push asks `wake_one` once, and the run
+    // close adds one `wake_all`. WS pays two fences per task, plus one CAS
+    // whenever its pop takes the last task of an era (12 in the loop's
+    // call tree, 1 in the scope's); LCWS pays nothing.
+    for variant in Variant::ALL {
+        let pool = PoolBuilder::new(variant).threads(1).build();
+        let (_, m) = pool.run_measured(|| {
+            par_for_grain(0..4096, 1, |i| {
+                std::hint::black_box(i);
+            })
+        });
+        let sync = if variant == Variant::Ws {
+            [8_190, 12]
+        } else {
+            [0, 0]
+        };
+        let want = [4_095, 4_095, 4_095, 4_096, sync[0], sync[1]];
+        assert_eq!(owner_path_counts(&m), want, "{variant} par_for: {m}");
+        let (_, m) = pool.run_measured(|| {
+            scope(|s| {
+                for i in 0..1_000 {
+                    s.spawn(move || {
+                        std::hint::black_box(i);
+                    });
+                }
+            })
+        });
+        let sync = if variant == Variant::Ws {
+            [2_000, 1]
+        } else {
+            [0, 0]
+        };
+        let want = [1_000, 1_000, 1_000, 1_001, sync[0], sync[1]];
+        assert_eq!(owner_path_counts(&m), want, "{variant} scope: {m}");
     }
 }
 
