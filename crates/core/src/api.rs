@@ -9,14 +9,14 @@ use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use parking_lot::Mutex;
 
-use crate::job::{HeapJob, NO_WORKER};
-use crate::pool::PoolInner;
+use crate::job::{Blocks, ScopeJob, NO_WORKER};
+use crate::shim::AtomicUsize;
 use crate::sleep::WAITER_PARK_TIMEOUT;
-use crate::worker::{current_ctx, wake_worker, WorkerCtx};
+use crate::worker::{current_ctx, pool_of, wake_worker};
 
 /// Run `a` and `b` potentially in parallel, returning both results.
 ///
@@ -120,30 +120,18 @@ where
 /// A spawn scope: dynamically many fire-and-forget tasks that are all
 /// guaranteed complete when [`scope`] returns.
 pub struct Scope<'scope> {
-    pending: AtomicUsize,
+    pub(crate) pending: AtomicUsize,
     /// Index of the worker that opened the scope — the only thread that
     /// ever drains it — or `NO_WORKER` outside a pool run. The task that
     /// performs the last `pending` decrement wakes exactly that worker.
-    owner: u32,
+    pub(crate) owner: u32,
     /// Address of the pool that worker belongs to (see [`pool_of`]).
     pool: usize,
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
+    pub(crate) blocks: Blocks,
     // Invariant lifetime, rayon-style: spawned closures may borrow anything
     // that strictly outlives the `scope` call.
     _marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-/// Raw pointer wrapper that asserts cross-thread transferability; the scope
-/// protocol (wait-for-pending-zero) upholds the referent's liveness.
-struct SendPtr<T>(*const T);
-unsafe impl<T> Send for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Send` wrapper under edition-2021 disjoint capture.
-    fn get(&self) -> *const T {
-        self.0
-    }
 }
 
 impl<'scope> Scope<'scope> {
@@ -165,28 +153,30 @@ impl<'scope> Scope<'scope> {
             return;
         }
         self.pending.fetch_add(1, Ordering::AcqRel);
-        let scope_ptr = SendPtr(self as *const Scope<'scope>);
-        // Read now, by value: the scope may be freed the instant the drain
-        // loop observes the final decrement.
-        let owner = self.owner;
-        let job = HeapJob::push_new(move || {
-            // Safety: `scope` blocks until `pending` drops to zero, which
-            // happens strictly after this closure's decrement.
-            let sc = unsafe { &*scope_ptr.get() };
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                sc.record_panic(payload);
-            }
-            // SeqCst publish, then wake: pairs with the drain's announce →
-            // SeqCst `pending` recheck (see `crate::sleep`).
-            if sc.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                wake_worker(owner);
-            }
-        });
-        // On deque overflow the job runs right here: its own closure does
-        // the panic bookkeeping and the `pending` decrement, and the heap
-        // job frees itself — nothing leaks, nothing aborts.
         // Safety: non-null ctx pointers stay valid for this call's extent.
-        unsafe { (*ctx).push_or_run_inline(&[job]) };
+        let ctx = unsafe { &*ctx };
+        // Only the owner carves blocks (unsynchronised bookkeeping).
+        let job = ScopeJob::allocate(self, f, ctx.index() as u32 == self.owner);
+        // On deque overflow the job runs (and settles itself) right here.
+        ctx.push_or_run_inline(&[job]);
+    }
+
+    /// Run a task's closure, record its panic, then settle it.
+    ///
+    /// # Safety
+    /// `scope` is live; not `&self`, as the final decrement may free it.
+    pub(crate) unsafe fn complete(scope: *const Scope<'_>, f: impl FnOnce()) {
+        let sc = &*scope;
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
+            sc.record_panic(payload);
+        }
+        // `owner` by value: the scope may be freed the instant the drain
+        // sees this decrement. SeqCst publish, then wake: pairs with the
+        // drain's announce → SeqCst `pending` recheck (see `crate::sleep`).
+        let owner = sc.owner;
+        if sc.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            wake_worker(owner);
+        }
     }
 
     fn record_panic(&self, payload: Box<dyn Any + Send + 'static>) {
@@ -194,17 +184,6 @@ impl<'scope> Scope<'scope> {
         // Keep the first panic, like rayon / std::thread::scope.
         slot.get_or_insert(payload);
     }
-}
-
-/// Which pool `ctx` belongs to, as an address only compared (0 outside a
-/// pool run): a scope's tasks may only go to its own pool's deques.
-#[inline]
-fn pool_of(ctx: *const WorkerCtx) -> usize {
-    if ctx.is_null() {
-        return 0;
-    }
-    // Safety: non-null ctx pointers stay valid for this call's extent.
-    unsafe { (*ctx).pool() as *const PoolInner as usize }
 }
 
 /// Create a scope in which tasks can be [`Scope::spawn`]ed; returns only
@@ -225,12 +204,14 @@ where
         },
         pool: pool_of(ctx),
         panic: Mutex::new(None),
+        blocks: Blocks::default(),
         _marker: PhantomData,
     };
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&sc)));
     // Drain: help run work until every spawned task has completed. Spawned
     // jobs sit in deques and cannot be abandoned even if `f` panicked.
     // (Outside a pool run every spawn ran inline: nothing is pending.)
+    // Each block came back before its decrement, so `sc` frees its chunks.
     let drained = || sc.pending.load(Ordering::SeqCst) == 0;
     if ctx.is_null() {
         debug_assert!(drained(), "pending scope tasks require a pool");

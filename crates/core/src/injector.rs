@@ -303,8 +303,8 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    /// Allocate the block for `f`: the job to publish and its handle.
-    pub(crate) fn allocate(f: F) -> (*mut Job, JoinHandle<T>) {
+    /// Allocate the block for `f` on `pool`: the job and its handle.
+    pub(crate) fn allocate(f: F, pool: usize) -> (*mut Job, JoinHandle<T>) {
         let block = Arc::new(SpawnJob {
             job: Job::new(Self::run_erased),
             state: TaskState::new(),
@@ -312,7 +312,7 @@ where
         });
         hb::on_write(block.func.get() as usize, "SpawnJob::func (allocate)");
         let job = Arc::into_raw(Arc::clone(&block)) as *mut Job;
-        (job, JoinHandle { block })
+        (job, JoinHandle { block, pool })
     }
 
     /// # Safety
@@ -358,9 +358,11 @@ impl<F: Send, T: Send> Spawned<T> for SpawnJob<F, T> {
 /// blocks until completion and returns the closure's value, rethrowing its
 /// panic. Joining **from a worker thread** (e.g. inside another task) helps
 /// execute queued work instead of blocking, so a task may join a sibling
-/// without deadlocking the pool.
+/// without deadlocking the pool (a worker of another pool just blocks).
 pub struct JoinHandle<T> {
     block: Arc<dyn Spawned<T>>,
+    /// Address of the pool the task was spawned on (whose workers it wakes).
+    pool: usize,
 }
 
 impl<T: Send> JoinHandle<T> {
@@ -374,7 +376,7 @@ impl<T: Send> JoinHandle<T> {
     pub fn join(self) -> T {
         let state = self.block.state();
         let ctx = crate::worker::current_ctx();
-        if ctx.is_null() {
+        if ctx.is_null() || crate::worker::pool_of(ctx) != self.pool {
             state.block_until_done();
         } else {
             // Worker thread: the condvar wake is useless here (we must keep
@@ -409,9 +411,9 @@ mod tests {
 
     // The opaque-cookie trick from the deque tests cannot exercise the
     // intrusive link (push dereferences `next_ptr`), so these tests use
-    // real no-op heap jobs throughout.
+    // real no-op spawn jobs, handles dropped, throughout.
     fn real_job() -> *mut Job {
-        crate::job::HeapJob::push_new(|| {})
+        SpawnJob::allocate(|| {}, 0).0
     }
 
     #[test]
@@ -433,7 +435,7 @@ mod tests {
         assert_eq!(got, vec![a, b, c, d, e], "submission order must survive");
         assert!(inj.is_empty());
         for j in got {
-            // Execute to free the heap jobs.
+            // Execute to free the jobs.
             unsafe { Job::execute(j, NO_WORKER) };
         }
     }
@@ -518,7 +520,7 @@ mod tests {
 
     #[test]
     fn task_state_handshake_external_join() {
-        let (job, h) = SpawnJob::allocate(|| 42u32);
+        let (job, h) = SpawnJob::allocate(|| 42u32, 0);
         // Addresses, not pointers: the thread closure must be `Send`.
         let job = job as usize;
         let t = std::thread::spawn(move || {
@@ -532,7 +534,7 @@ mod tests {
 
     #[test]
     fn task_state_done_before_join_does_not_block() {
-        let (job, h) = SpawnJob::allocate(|| "done");
+        let (job, h) = SpawnJob::allocate(|| "done", 0);
         unsafe { Job::execute(job, NO_WORKER) };
         assert!(h.is_finished());
         assert_eq!(h.join(), "done");
@@ -546,7 +548,7 @@ mod tests {
                 panic!("result destructor");
             }
         }
-        let (job, h) = SpawnJob::allocate(|| Bomb);
+        let (job, h) = SpawnJob::allocate(|| Bomb, 0);
         drop(h);
         // The executor settles the serve count right after `execute`, so
         // the job must return normally.
@@ -563,7 +565,7 @@ mod model_tests {
     use crate::model::{explore, Execution, Options, Report};
 
     /// Two producers (a lone push, a batch of two) race one consumer's `pop`
-    /// over real heap jobs; the explorer thread then pops until `gate` — a
+    /// over real spawn jobs; the explorer thread then pops until `gate` — a
     /// worker's "is there injector work?" — reads empty, and executes
     /// (frees) every job. Properties, after SNIPPETS.md's
     /// `WorkStealing.tla`: **W1** every pushed job is popped, **W2** none
@@ -573,7 +575,7 @@ mod model_tests {
         explore(Options::default(), || {
             let inj = Injector::new();
             // Addresses, not pointers: the thread closures must be `Send`.
-            let [a, b1, b2] = [0; 3].map(|_| crate::job::HeapJob::push_new(|| {}) as usize);
+            let [a, b1, b2] = [0; 3].map(|_| SpawnJob::allocate(|| {}, 0).0 as usize);
             let popped = Mutex::new(Vec::new());
             Execution::new()
                 .thread("producer-a", || {

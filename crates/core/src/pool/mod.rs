@@ -500,6 +500,7 @@ mod tests {
     use super::supervision::stall_report;
     use super::*;
     use crate::worker::{request_age_ns, request_word, REQUEST_SIGNALLED};
+    use std::ptr;
 
     #[test]
     fn pool_builds_and_drops_for_every_variant() {
@@ -573,13 +574,13 @@ mod tests {
             };
             // One task, made public (as if a poll served an exposure
             // request), with a thief's exposure request still pending.
-            d.push_bottom(8 as *mut crate::job::Job);
+            d.push_bottom(ptr::dangling_mut());
             d.update_public_bottom(crate::deque::ExposurePolicy::One);
             w.expose_request.store(request_word(1), Ordering::Relaxed);
             // Private part empty → acquire_local falls through to
             // pop_public_bottom.
             let job = ctx.acquire_local();
-            assert_eq!(job, Some(8 as *mut crate::job::Job));
+            assert_eq!(job, Some(ptr::dangling_mut()));
             assert_eq!(
                 w.expose_request.load(Ordering::Relaxed),
                 0,
@@ -737,7 +738,7 @@ mod tests {
         victim
             .pthread
             .store(signal::current_pthread() as u64, Ordering::Release);
-        d.push_bottom(8 as *mut crate::job::Job);
+        d.push_bottom(ptr::dangling_mut());
         let signals_after_probe_by = |thief: usize| {
             let ctx = WorkerCtx::new(&pool.inner, thief);
             let _guard = ctx.install();

@@ -136,7 +136,7 @@ impl ThreadPool {
             pool.task_done();
             panic!("ThreadPool::spawn requires an open serve window (call serve() first)");
         }
-        SpawnJob::allocate(f)
+        SpawnJob::allocate(f, pool as *const PoolInner as usize)
     }
 
     /// Publish wrapped jobs to the injector as one chain (inline fallback

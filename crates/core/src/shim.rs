@@ -193,7 +193,7 @@ mod imp {
         ($Name:ident $(<$G:ident>)?, $V:ty, $show:expr, [$($rmw:ident),*]) => {
             /// Checker-instrumented stand-in for the `std` atomic of the
             /// same name.
-            #[derive(Debug)]
+            #[derive(Debug, Default)]
             pub struct $Name $(<$G>)? {
                 pub(super) inner: std::sync::atomic::$Name $(<$G>)?,
                 name: &'static str,

@@ -48,6 +48,16 @@ pub(crate) fn current_ctx() -> *const WorkerCtx {
     CURRENT.with(|c| c.get())
 }
 
+/// Which pool `ctx` belongs to, as an address only compared (0 outside one).
+#[inline]
+pub(crate) fn pool_of(ctx: *const WorkerCtx) -> usize {
+    if ctx.is_null() {
+        return 0;
+    }
+    // Safety: non-null ctx pointers stay valid for this call's extent.
+    unsafe { (*ctx).pool() as *const PoolInner as usize }
+}
+
 /// Deliver the completion wake to worker `index`, the thread known to wait
 /// on what the caller just published (a stolen `join` arm's `done`, a
 /// scope's last `pending` decrement, a spawn handle's `DONE`). Goes through

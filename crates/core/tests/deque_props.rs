@@ -225,7 +225,7 @@ proptest! {
             deque.generation() >= 3,
             "expected ≥ 3 resizes, generation = {}", deque.generation()
         );
-        prop_assert!(deque.capacity() as usize >= total - stolen.len());
+        prop_assert!(deque.capacity() >= total - stolen.len());
         // Drain the owner side exactly as the scheduler acquires.
         let mut drained: Vec<usize> = Vec::new();
         loop {

@@ -170,6 +170,39 @@ fn batch_steal_window_reports_no_races() {
     assert_eq!(hb::report_count(), 0);
 }
 
+/// Scope-job blocks under hb: a P = 2 flood-shaped scope whose stolen
+/// tasks hand their blocks back through the return stack, then a second
+/// scope, whose chunks `malloc` may place on the first one's freed pages.
+/// The owner's every reuse of a block is checked against the hand-back
+/// that freed it, so a take that did not join the thief's CAS would be
+/// reported here.
+#[test]
+fn scope_block_reuse_reports_no_races() {
+    use lcws_core::scope;
+
+    let _g = lock();
+    for variant in [Variant::Ws, Variant::UsLcws] {
+        hb::reset();
+        let pool = PoolBuilder::new(variant).threads(2).build();
+        let executed = AtomicU64::new(0);
+        for _scope in 0..2 {
+            pool.run(|| {
+                scope(|s| {
+                    for i in 0..2_000u64 {
+                        let executed = &executed;
+                        s.spawn(move || {
+                            executed.fetch_add(i % 2, Ordering::Relaxed);
+                        });
+                    }
+                });
+            });
+        }
+        assert_eq!(executed.into_inner(), 2_000, "{variant}: tasks lost");
+        drop(pool);
+        assert_clean(&format!("scope block reuse under {variant}"));
+    }
+}
+
 /// Trimmed ingress stress (8 producers × 10⁴ tasks = 8×10⁴): external
 /// submission through the global injector, worker pops, and targeted join
 /// wakes — zero reports, and the `hb_reports` counter that feeds the sweep

@@ -324,7 +324,9 @@ fn spawn_batch_iterator_panic_does_not_strand_the_drain() {
     // instead of hanging it.
     let (tx, rx) = std::sync::mpsc::channel();
     let closer = Arc::clone(&pool);
-    std::thread::spawn(move || tx.send(closer.shutdown()));
+    std::thread::spawn(move || {
+        let _ = tx.send(closer.shutdown());
+    });
     let snap = rx
         .recv_timeout(Duration::from_secs(10))
         .expect("shutdown is stuck on tasks the panicking iterator stranded");

@@ -205,6 +205,49 @@ fn worker_side_handle_join_wake_is_targeted_not_polled() {
     );
 }
 
+/// Regression: `JoinHandle::join` on a worker of *another* pool used to
+/// register that worker's index in the task's waiter slot, but the
+/// completer routes `wake_worker` through its own pool, so the wake went to
+/// the serving pool's worker of that index (or nobody) and the joiner slept
+/// out the 50 ms waiter backstop on every join. It now blocks like an
+/// external thread, so each join of a 5 ms task takes about 5 ms. A batch
+/// of ten with one join slowed by a neighbour gets two more tries; the bug
+/// slows every join of every batch.
+#[test]
+fn join_from_another_pools_worker_is_woken_on_completion() {
+    let _serial = timing_sensitive();
+    let serving = std::sync::Arc::new(PoolBuilder::new(Variant::Signal).threads(2).build());
+    serving.serve();
+    for variant in Variant::ALL {
+        let pool = PoolBuilder::new(variant).threads(2).build();
+        let batch = || -> Vec<Duration> {
+            pool.run(|| {
+                (0..10)
+                    .map(|_| {
+                        let h = serving.spawn(|| std::thread::sleep(Duration::from_millis(5)));
+                        let t0 = Instant::now();
+                        h.join();
+                        t0.elapsed()
+                    })
+                    .collect()
+            })
+        };
+        let mut seen = Vec::new();
+        for _attempt in 0..3 {
+            let joins = batch();
+            if joins.iter().all(|&d| d < Duration::from_millis(25)) {
+                break;
+            }
+            seen.push(joins);
+        }
+        assert!(
+            seen.len() < 3,
+            "{variant}: cross-pool joins of a 5 ms task took {seen:?}"
+        );
+    }
+    serving.shutdown();
+}
+
 /// Regression (lost completion wake): a thief used to publish a stolen
 /// `join` arm's `done` with a Release store and then look for the owner in
 /// the sleeper mask — store-buffering, so the store could still be in flight
