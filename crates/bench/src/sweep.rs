@@ -4,9 +4,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use lcws_core::{
-    Policies, PoolBuilder, Snapshot, StealAmount, ThreadPool, Variant, VictimSelection,
-};
+use lcws_core::{Policies, PoolBuilder, Snapshot, ThreadPool, Variant, VictimSelection};
 use pbbs_rs::registry::{all_instances, Instance};
 
 /// One named scheduler composition: a base variant plus policy-axis
@@ -16,7 +14,7 @@ use pbbs_rs::registry::{all_instances, Instance};
 /// column.
 #[derive(Debug, Clone)]
 pub struct Composition {
-    /// CSV/report label (`signal+near-first+steal-half` style).
+    /// CSV/report label (`signal+near-first` style).
     pub label: String,
     /// Base variant (keys the speedup/ratio joins).
     pub variant: Variant,
@@ -35,10 +33,7 @@ impl Composition {
     }
 
     /// Parse a `variant[+modifier...]` spec. Modifiers: `near-first` /
-    /// `uniform` (victim axis), `steal-half` / `steal-one` (amount axis).
-    /// The resulting bundle is validated — impossible pairings (e.g.
-    /// `ws+steal-half`: ABP has no batch CAS) are rejected here rather than
-    /// panicking at build time.
+    /// `uniform` (victim axis).
     pub fn parse(spec: &str) -> Result<Composition, String> {
         let mut parts = spec.split('+');
         let base = parts.next().unwrap_or_default();
@@ -50,16 +45,11 @@ impl Composition {
             match m {
                 "near-first" => policies.victim = VictimSelection::NearFirst,
                 "uniform" => policies.victim = VictimSelection::Uniform,
-                "steal-half" => policies.steal = StealAmount::Half,
-                "steal-one" => policies.steal = StealAmount::One,
                 other => {
                     return Err(format!("unknown policy modifier `{other}` in `{spec}`"));
                 }
             }
         }
-        policies
-            .validate()
-            .map_err(|e| format!("composition `{spec}` is unsound: {e}"))?;
         Ok(Composition {
             label: spec.to_string(),
             variant,
@@ -158,7 +148,7 @@ impl SweepConfig {
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --variants a,b \
-                         --compositions signal+near-first+steal-half,... \
+                         --compositions signal+near-first,... \
                          --threads 1,2,4 --reps N --scale F --filter SUBSTR \
                          --verify --quiet"
                     );
@@ -373,22 +363,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compositions_parse_modifiers_and_reject_unsound_points() {
-        let c = Composition::parse("signal+near-first+steal-half").unwrap();
+    fn compositions_parse_modifiers_and_reject_unknown_ones() {
+        let c = Composition::parse("signal+near-first").unwrap();
         assert_eq!(c.variant, Variant::Signal);
         assert_eq!(c.policies.victim, VictimSelection::NearFirst);
-        assert_eq!(c.policies.steal, StealAmount::Half);
-        assert_eq!(c.label, "signal+near-first+steal-half");
+        assert_eq!(c.label, "signal+near-first");
+        let c = Composition::parse("half+near-first+uniform").unwrap();
+        assert_eq!(c.policies, Variant::SignalHalf.policies());
 
         // Plain compositions match the variant bundle exactly.
         let plain = Composition::of(Variant::SignalHalf);
         assert_eq!(plain.label, "half");
         assert_eq!(plain.policies, Variant::SignalHalf.policies());
 
-        // ABP has no batch-CAS protocol; the parse rejects it with the
-        // PolicyError text instead of panicking at pool build.
+        // Every pool steals one task per CAS: there is no amount axis.
         let err = Composition::parse("ws+steal-half").unwrap_err();
-        assert!(err.contains("unsound"), "{err}");
+        assert!(
+            err.contains("unknown policy modifier `steal-half`"),
+            "{err}"
+        );
         assert!(Composition::parse("signal+bogus").is_err());
         assert!(Composition::parse("notavariant").is_err());
     }

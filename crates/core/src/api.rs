@@ -158,7 +158,7 @@ impl<'scope> Scope<'scope> {
         // Only the owner carves blocks (unsynchronised bookkeeping).
         let job = ScopeJob::allocate(self, f, ctx.index() as u32 == self.owner);
         // On deque overflow the job runs (and settles itself) right here.
-        ctx.push_or_run_inline(&[job]);
+        ctx.push_or_run_inline(job);
     }
 
     /// Run a task's closure, record its panic, then settle it.

@@ -138,7 +138,8 @@ pub fn double2int(r: f64) -> i32 {
 /// transfer (the first returned task plus up to `STEAL_BATCH_MAX - 1`
 /// extras). Bounds the thief-side stack buffers; the protocol itself caps
 /// the take at half the public part, so this only bites on very full
-/// deques.
+/// deques. Pinned, like `pop_top_batch`, by the benchmark until ROADMAP
+/// item 11.
 pub const STEAL_BATCH_MAX: usize = 16;
 
 /// The split deque (Listing 2). One per worker; the worker is the only
@@ -417,7 +418,12 @@ impl SplitDeque {
     }
 
     /// Thief: steal up to `⌈public/2⌉` tasks with **one** validating `age`
-    /// CAS (the steal-half policy, [`crate::StealAmount::Half`]).
+    /// CAS.
+    ///
+    /// **Unsound, and no pool calls it**: the owner's `pop_public_bottom`
+    /// can take a slot of `[top, top+k)` through `public_bot` alone before
+    /// the CAS, which still succeeds (DESIGN §5h). Pinned by the benchmark
+    /// until ROADMAP item 11.
     ///
     /// Returns the top-most stolen task exactly like
     /// [`SplitDeque::pop_top`]; any *additional* tasks (at most `max_extra`,

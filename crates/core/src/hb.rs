@@ -87,8 +87,9 @@ pub mod negative {
         Ordering::Release
     }
 
-    /// Ordering used by `StackJob::run_erased` for the owner-executed
-    /// `done` store: `Release` normally, `Relaxed` when broken by
+    /// Ordering used by `StackJob::run_erased` for the `done` store (a
+    /// stolen arm, or one its owner popped while helping in `help_until`):
+    /// `SeqCst` normally, `Relaxed` when broken by
     /// [`set_broken_done_store`].
     #[cfg(feature = "hb")]
     #[inline]
@@ -96,7 +97,7 @@ pub mod negative {
         if BROKEN_DONE_STORE.load(Ordering::Relaxed) {
             Ordering::Relaxed
         } else {
-            Ordering::Release
+            Ordering::SeqCst
         }
     }
 
@@ -104,7 +105,7 @@ pub mod negative {
     #[cfg(not(feature = "hb"))]
     #[inline(always)]
     pub fn done_store_order() -> Ordering {
-        Ordering::Release
+        Ordering::SeqCst
     }
 
     /// Break (or restore) the ring-grow buffer publish to `Relaxed`.
@@ -114,7 +115,7 @@ pub mod negative {
         BROKEN_GROW_PUBLISH.store(broken, Ordering::Relaxed);
     }
 
-    /// Break (or restore) the owner-executed `done` publish to `Relaxed`.
+    /// Break (or restore) the erased `join` arm's `done` publish to `Relaxed`.
     /// Test-only; requires `--features hb`.
     #[cfg(feature = "hb")]
     pub fn set_broken_done_store(broken: bool) {
@@ -736,7 +737,7 @@ mod tests {
     mod negative_harness {
         use crate::deque::{SplitDeque, Steal};
         use crate::hb;
-        use crate::job::{Job, StackJob};
+        use crate::job::{Job, StackJob, NO_WORKER};
         use std::sync::Mutex;
 
         /// The broken-ordering switches are process-global; one negative
@@ -826,10 +827,9 @@ mod tests {
                 s.spawn(|| {
                     hb::join_token(fork);
                     // Safety: sole executor of a not-yet-run job. It runs
-                    // as the owner (index 0) so completion takes the
-                    // Release `done` store the switch under test weakens —
-                    // a thief's SeqCst store is not switchable.
-                    unsafe { Job::execute(ptr as *const Job, 0) };
+                    // outside any pool (no pool wake); its erased `done`
+                    // store is the one the switch weakens.
+                    unsafe { Job::execute(ptr as *const Job, NO_WORKER) };
                 });
             });
             // The scope join is real synchronization (invisible to the
@@ -877,6 +877,6 @@ mod tests {
         assert!(super::take_reports().is_empty());
         use std::sync::atomic::Ordering;
         assert_eq!(super::negative::grow_publish_order(), Ordering::Release);
-        assert_eq!(super::negative::done_store_order(), Ordering::Release);
+        assert_eq!(super::negative::done_store_order(), Ordering::SeqCst);
     }
 }

@@ -7,8 +7,9 @@
 //!   a slot for its result, the `done` flag and the index of the worker
 //!   that pushed it (the only thread that can ever wait on it). The frame
 //!   outlives the job because `join` returns only after `done` is set or
-//!   after popping the job back, which it runs as a direct call
-//!   ([`StackJob::run_inline`]): no erased call, result slot or `done`.
+//!   after popping the job back (or failing to push it), which it runs as
+//!   a direct call ([`StackJob::run_inline`]): no erased call, result slot
+//!   or `done`.
 //! * [`ScopeJob`] — a closure spawned into a [`crate::scope`], carved from
 //!   its owner's chunks ([`Blocks`]) and handed back, not freed: a stolen
 //!   task costs no cross-thread `malloc`/`free`. (Ingress: `SpawnJob`.)
@@ -62,8 +63,8 @@ impl Job {
     }
 
     /// Execute the job. `executor` is the index of the pool worker running
-    /// it, or `u32::MAX` outside a pool run; a `join` job compares it with
-    /// the worker that pushed it to tell "run by its owner" from "stolen".
+    /// it, or `u32::MAX` outside a pool run; a scope job compares it with
+    /// its scope's owner to hand its block back without a CAS.
     ///
     /// # Safety
     /// `ptr` must point to a live, not-yet-executed job of the concrete type
@@ -93,7 +94,7 @@ type JobResult<R> = Result<R, Box<dyn Any + Send + 'static>>;
 pub struct StackJob<F, R> {
     job: Job,
     /// Index of the worker whose `join` frame this is — the only thread
-    /// that ever waits on `done`, known before the job is published, so
+    /// that ever waits on `done` — known before the job is published, so
     /// completion needs no waiter registration (see `run_erased`).
     owner: u32,
     /// Set after the job body finished — successfully or by panicking.
@@ -137,7 +138,7 @@ where
         self.done.load(Ordering::SeqCst)
     }
 
-    unsafe fn run_erased(ptr: *const Job, executor: u32) {
+    unsafe fn run_erased(ptr: *const Job, _executor: u32) {
         let this = ptr as *const StackJob<F, R>;
         // Ownership: exactly one executor reaches this point (the deque hands
         // a task to exactly one taker), so the closure slot is uncontended.
@@ -151,34 +152,28 @@ where
             "StackJob::result (run_erased)",
         );
         *(*this).result.get() = Some(result.map_err(|e| e as Box<dyn Any + Send>));
+        // Usually stolen, with the owner perhaps parking on this job right
+        // now; or the owner's own `help_until` popped it while waiting in
+        // `a` (its wake to itself is a no-op). The `done` store is
+        // the frame's last valid access, so `owner` was read first and the
+        // wake goes through pool state only. SeqCst store, then
+        // `wake_worker`'s SeqCst mask load, against the owner's SeqCst mask
+        // announce, then SeqCst `is_done` recheck: either we see the
+        // announced bit or the recheck sees `done`. `done_store_order()` is
+        // that SeqCst unless an hb negative test weakens it.
         let owner = (*this).owner;
-        if executor == owner {
-            // Run by the owner itself (the overflow fallback, or a direct
-            // `Job::execute`; a popped-back arm goes through `run_inline`):
-            // nobody is waiting, the owner reads `done` in program order.
-            // `done_store_order()` is a compile-time `Release` unless an hb
-            // negative test weakens it to show the checker catches the
-            // severed result edge.
-            (*this).done.store(true, hb::negative::done_store_order());
-        } else {
-            // Stolen: the owner may be parking on this job right now. The
-            // `done` store is the frame's last valid access (the owner can
-            // return as soon as it is visible), so `owner` was read first
-            // and the wake goes through pool state only. SeqCst store, then
-            // `wake_worker`'s SeqCst mask load, against the owner's SeqCst
-            // mask announce, then SeqCst `is_done` recheck: either we see
-            // the announced bit or the recheck sees `done`.
-            (*this).done.store(true, Ordering::SeqCst);
-            crate::worker::wake_worker(owner);
-        }
+        (*this).done.store(true, hb::negative::done_store_order());
+        crate::worker::wake_worker(owner);
     }
 
-    /// Run the closure as a direct call after its owner popped the job back:
-    /// nobody else saw it, so no `catch_unwind`, result cell or `done` store
-    /// (a panic unwinds through `join` like a sequential call's would).
+    /// Run the closure as a direct call after its owner popped the job back
+    /// or failed to push it: nobody else saw it, so no `catch_unwind`,
+    /// result cell or `done` store (a panic unwinds through `join` like a
+    /// sequential call's would).
     ///
     /// # Safety
-    /// The job must have been reclaimed from the caller's own deque.
+    /// The job must have been reclaimed from the caller's own deque, or
+    /// never published.
     pub(crate) unsafe fn run_inline(&self) -> R {
         hb::on_read(self.func.get() as usize, "StackJob::func (run_inline)");
         let func = (*self.func.get()).take().expect("StackJob executed twice");

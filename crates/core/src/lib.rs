@@ -27,6 +27,9 @@
 //! | [`Variant::SignalConservative`] | split | as `Signal`, only if victim holds ≥ 2 tasks | 1 task (never the last) |
 //! | [`Variant::SignalHalf`] | split | as `Signal` | `round(r/2)` of `r ≥ 3` tasks |
 //!
+//! Every thief takes one task per steal CAS, on both deques, as in the
+//! paper.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -87,7 +90,7 @@ pub use api::{
 pub use deque::{double2int, ExposurePolicy, PopBottomMode, SplitDeque};
 pub use injector::JoinHandle;
 pub use job::Job;
-pub use policy::{NotifyChannel, Policies, PolicyError, StealAmount, VictimSelection};
+pub use policy::{NotifyChannel, Policies, StealAmount, VictimSelection};
 pub use pool::{PoolBuilder, ThreadPool};
 pub use signal::EXPOSE_SIGNAL;
 #[cfg(feature = "trace")]

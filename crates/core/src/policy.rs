@@ -4,25 +4,21 @@
 //! [`Variant`] is a closed enum because the paper evaluates exactly five
 //! schedulers — but each scheduler is really a *composition* of orthogonal
 //! choices: which deque backs each worker, how thieves ask for work, how
-//! much the victim exposes, which `pop_bottom` flavour the owner needs,
-//! which victim a thief probes, and how many tasks one steal CAS transfers.
-//! This module names those axes and bundles a choice per axis into a
-//! [`Policies`] value.
+//! much the victim exposes, which `pop_bottom` flavour the owner needs and
+//! which victim a thief probes. This module names those axes and bundles a
+//! choice per axis into a [`Policies`] value. Every thief takes one task
+//! per steal CAS, as in the paper; [`StealAmount`] has that one value.
 //!
 //! The variants stay the compatibility surface ([`Variant::policies`]
 //! returns the composition each one denotes), while
-//! [`crate::PoolBuilder::policies`] accepts any *sound* bundle — e.g. the
-//! base signal scheduler with near-first victim order, or Expose Half with
-//! single-task steals. Only the free axes are fields. The deque and the
-//! owner's `pop_bottom` flavour are *consequences* of them — no exposure
-//! channel means everything must be public (ABP), and asynchronous
-//! unconstrained exposure needs the §4 decrement-then-compare — so a
-//! bundle pairing, say, signal-driven exposure with the standard
-//! `pop_bottom` (the lost-task race §4 exists to prevent) cannot be
-//! written down. The one cross-axis rule left is checked by
-//! [`Policies::validate`].
-
-use std::fmt;
+//! [`crate::PoolBuilder::policies`] accepts any bundle — e.g. the base
+//! signal scheduler with near-first victim order. Only the free axes are
+//! fields. The deque and the owner's `pop_bottom` flavour are
+//! *consequences* of them — no exposure channel means everything must be
+//! public (ABP), and asynchronous unconstrained exposure needs the §4
+//! decrement-then-compare — so a bundle pairing, say, signal-driven
+//! exposure with the standard `pop_bottom` (the lost-task race §4 exists
+//! to prevent) cannot be written down, and every bundle is sound.
 
 use crate::deque::{ExposurePolicy, PopBottomMode};
 use crate::variant::Variant;
@@ -65,25 +61,22 @@ pub enum VictimSelection {
 }
 
 /// How many tasks a successful steal CAS transfers to the thief.
+///
+/// One, always: the paper's protocol on both deques. The type and
+/// [`Policies::steal`] stay only because the benchmark (`lcws-e2e`)
+/// assigns the field; the benchmark PR that retires what only it pins
+/// deletes both (ROADMAP item 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StealAmount {
-    /// Exactly one task per CAS — the paper's protocol on both deques.
+    /// Exactly one task per CAS.
     One,
-    /// Split deque only: up to `⌈public/2⌉` tasks (capped at
-    /// `SplitDeque::STEAL_BATCH_MAX`) with one validating age CAS; the
-    /// thief keeps the oldest and requeues the surplus into its own deque,
-    /// where it is immediately re-stealable. Pays off when Expose Half
-    /// publishes whole runs of tasks at once.
-    Half,
 }
 
 /// A full bundle of scheduling policies — one choice per axis.
 ///
 /// Obtain one from a named composition ([`Policies::ws`] …
 /// [`Policies::signal_half`], or [`Variant::policies`]), tweak the open
-/// axes, and hand it to [`crate::PoolBuilder::policies`]. The builder
-/// validates the bundle; see [`Policies::validate`] for the soundness
-/// rules.
+/// axes, and hand it to [`crate::PoolBuilder::policies`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Policies {
     /// Exposure-request channel (and with it the deque, see
@@ -94,29 +87,10 @@ pub struct Policies {
     pub exposure: ExposurePolicy,
     /// Victim probe order.
     pub victim: VictimSelection,
-    /// Tasks transferred per successful steal CAS.
+    /// Tasks transferred per successful steal CAS: always one. Nothing
+    /// reads it; kept for the benchmark until ROADMAP item 11.
     pub steal: StealAmount,
 }
-
-/// Why a [`Policies`] bundle was rejected by [`Policies::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyError {
-    /// Batch steals ride the split deque's `{tag, top}` validation; the
-    /// ABP protocol transfers exactly one task per CAS.
-    AbpStealsOne,
-}
-
-impl fmt::Display for PolicyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PolicyError::AbpStealsOne => f.write_str(
-                "the ABP deque transfers exactly one task per CAS; StealAmount must be One",
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PolicyError {}
 
 impl Policies {
     /// Classic work stealing (the paper's WS baseline): ABP deque, no
@@ -160,10 +134,7 @@ impl Policies {
     }
 
     /// Expose Half (§4.1.2): signal-driven exposure of `round(r/2)` tasks,
-    /// stolen one per CAS as in the paper. [`StealAmount::Half`] composes
-    /// with it (several tasks of the published run per CAS) but is opt-in:
-    /// `SplitDeque::pop_top_batch` has an open double-take window against
-    /// the owner's `pop_public_bottom` (DESIGN.md §5h).
+    /// stolen one per CAS as in the paper.
     pub const fn signal_half() -> Policies {
         Policies {
             exposure: ExposurePolicy::Half,
@@ -200,14 +171,10 @@ impl Policies {
         }
     }
 
-    /// Check the one cross-axis soundness rule: the ABP deque
-    /// ([`NotifyChannel::None`]) has no `{tag, top}` batch validation, so
-    /// it steals one task per CAS. Everything else composes freely (victim
-    /// order touches no protocol invariant).
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if !self.uses_split_deque() && self.steal != StealAmount::One {
-            return Err(PolicyError::AbpStealsOne);
-        }
+    /// Every bundle is sound: the fields that could pair an unsound deque
+    /// and protocol do not exist. Always `Ok`; kept for the benchmark's
+    /// composition check until ROADMAP item 11.
+    pub fn validate(&self) -> Result<(), std::convert::Infallible> {
         Ok(())
     }
 }
@@ -233,23 +200,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn named_compositions_are_sound() {
-        for v in Variant::ALL {
-            v.policies().validate().unwrap_or_else(|e| {
-                panic!("named composition for {v} is unsound: {e}");
-            });
-        }
-    }
-
-    #[test]
     fn variant_predicates_match_policies() {
         use crate::variant::Variant as V;
         for v in Variant::ALL {
             let p = v.policies();
             assert_eq!(p.uses_split_deque(), v != V::Ws, "{v}");
             assert_eq!(p.uses_signals(), !matches!(v, V::Ws | V::UsLcws), "{v}");
-            // The paper's schedulers all steal one task per CAS.
-            assert_eq!(p.steal, StealAmount::One, "{v}");
         }
         assert_eq!(V::SignalHalf.policies().exposure, ExposurePolicy::Half);
         assert_eq!(
@@ -259,25 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn unsound_bundles_are_rejected() {
-        // ABP with batch steals: the one state two free axes can still
-        // make unsound.
-        let mut p = Policies::ws();
-        p.steal = StealAmount::Half;
-        assert_eq!(p.validate(), Err(PolicyError::AbpStealsOne));
-    }
-
-    #[test]
     fn open_axes_compose_freely() {
+        // The victim axis touches no protocol invariant: the derived axes
+        // stay where the variant put them.
         for v in Variant::ALL {
             let mut p = v.policies();
             p.victim = VictimSelection::NearFirst;
-            assert_eq!(p.validate(), Ok(()), "{v} with near-first victims");
+            assert_eq!(p.pop_bottom(), v.policies().pop_bottom(), "{v}");
+            assert_eq!(p.uses_split_deque(), v.policies().uses_split_deque(), "{v}");
         }
-        // Batch steals without Expose Half: legal, just less profitable.
-        let mut p = Policies::signal();
-        p.steal = StealAmount::Half;
-        assert_eq!(p.validate(), Ok(()));
         // Moving a bundle along the notify axis moves the derived axes
         // with it: no channel means ABP, and only asynchronous
         // unconstrained exposure needs the §4 pop.
@@ -287,6 +233,5 @@ mod tests {
         assert_eq!(p.pop_bottom(), PopBottomMode::Standard);
         p.notify = NotifyChannel::None;
         assert!(!p.uses_split_deque());
-        assert_eq!(p.validate(), Ok(()));
     }
 }

@@ -39,8 +39,6 @@ impl PoolBuilder {
     /// composition — `PoolBuilder::new(v)` and
     /// `PoolBuilder::new(v).policies(v.policies())` build identical pools.
     /// The variant remains the pool's label (thread names, CSV rows).
-    ///
-    /// `build` panics on a bundle [`crate::Policies::validate`] rejects.
     pub fn policies(mut self, policies: Policies) -> PoolBuilder {
         self.policies = Some(policies);
         self
@@ -93,11 +91,8 @@ impl PoolBuilder {
         let parallelism = || std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = self.threads.unwrap_or_else(parallelism);
         // Resolve the policy bundle: explicit override, else the variant's
-        // composition. An unsound bundle never reaches a worker.
+        // composition.
         let policies = self.policies.unwrap_or_else(|| self.variant.policies());
-        if let Err(e) = policies.validate() {
-            panic!("invalid policy bundle for {} pool: {e}", self.variant);
-        }
         if policies.uses_signals() {
             signal::install_handler();
         }

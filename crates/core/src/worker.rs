@@ -12,11 +12,10 @@ use lcws_metrics::{self as metrics, Event};
 
 use crate::deque::{
     AbpSteal, AnyDeque, DequeFull, ExposurePolicy, PopBottomMode, SplitDeque, Steal,
-    STEAL_BATCH_MAX,
 };
 use crate::fault::{self, Site};
 use crate::job::{Job, StackJob, NO_WORKER};
-use crate::policy::{NotifyChannel, Policies, StealAmount, VictimSelection};
+use crate::policy::{NotifyChannel, Policies, VictimSelection};
 use crate::pool::{PoolInner, WorkerShared};
 use crate::signal::{self, HandlerCtx};
 use crate::sleep::{IdleAction, IdleBackoff, WAITER_PARK_TIMEOUT};
@@ -79,6 +78,19 @@ pub(crate) fn wake_worker(index: u32) {
             ctx.pool().sleep.wake_worker(index as usize);
         }
     }
+}
+
+/// A push met [`DequeFull`] and its task runs inline instead, counted as
+/// `OverflowInline`.
+#[cold]
+fn note_overflow() {
+    debug_assert!(
+        cfg!(feature = "faultpoints"),
+        "deque overflow without fault injection: growable rings \
+         only report DequeFull when forced (Site::PushBottom / \
+         Site::DequeResize) or at MAX_DEQUE_CAPACITY"
+    );
+    trace::emit(Event::OverflowInline, 1, 0);
 }
 
 /// Per-thread scheduling state. Lives at a stable address (worker stack
@@ -210,9 +222,9 @@ impl WorkerCtx {
     }
 
     /// Try to push a job at the bottom of this worker's deque. No thief is
-    /// woken for it: that is [`WorkerCtx::push_or_run_inline`]'s job, once
-    /// per batch. The handler's deferred wake still drains per push — that
-    /// one belongs to the signal handler, not to the pusher.
+    /// woken for it: the caller does that once the push succeeded. The
+    /// handler's deferred wake still drains per push — that one belongs to
+    /// the signal handler, not to the pusher.
     ///
     /// A pending exposure request is served right after the push (§4 drops
     /// it here, which would lose a request that is still only a flag): a
@@ -234,41 +246,25 @@ impl WorkerCtx {
         Ok(())
     }
 
-    /// Push `jobs` onto this worker's deque, oldest first, and wake **one**
-    /// parked thief for whatever got queued: the tasks became visible
-    /// together, and a wake per task would just stampede sleepers at one
-    /// deque. Returns whether anything was queued.
+    /// Push `job` onto this worker's deque and wake one parked thief for
+    /// it.
     ///
     /// The deque grows on demand, so a push fails only when `faultpoints`
     /// forces `PushBottom`/`DequeResize` or the ring is already at
     /// `MAX_DEQUE_CAPACITY` (2^30 live tasks — runaway recursion, not a
-    /// full deque). Every pusher degrades the same way: the rejected job is
-    /// still exclusively ours, and "right now, on this worker" is a valid
-    /// schedule for any task — overflow costs parallelism, never
-    /// correctness. Counted as `OverflowInline`.
+    /// full deque). The rejected job is still exclusively ours, and "right
+    /// now, on this worker" is a valid schedule for any task — overflow
+    /// costs parallelism, never correctness — so it runs here.
     #[inline]
-    pub(crate) fn push_or_run_inline(&self, jobs: &[*mut Job]) -> bool {
-        let mut queued = false;
-        for &job in jobs {
-            if self.try_push_job(job).is_ok() {
-                queued = true;
-                continue;
-            }
-            debug_assert!(
-                cfg!(feature = "faultpoints"),
-                "deque overflow without fault injection: growable rings \
-                 only report DequeFull when forced (Site::PushBottom / \
-                 Site::DequeResize) or at MAX_DEQUE_CAPACITY"
-            );
-            trace::emit(Event::OverflowInline, 1, 0);
-            self.execute(job);
-        }
-        if queued {
+    pub(crate) fn push_or_run_inline(&self, job: *mut Job) {
+        if self.try_push_job(job).is_ok() {
             // New work is visible: give a parked thief a chance at it (or,
             // for a split deque, a chance to request its exposure).
             self.pool().sleep.wake_one();
+        } else {
+            note_overflow();
+            self.execute(job);
         }
-        queued
     }
 
     /// Perform the wake an exposure serve deferred to us (it only sets
@@ -389,12 +385,7 @@ impl WorkerCtx {
                 AbpSteal::Empty => StealAttempt::NoWork,
             },
             AnyDeque::Split(d) => {
-                let outcome = if self.policies().steal == StealAmount::Half {
-                    self.steal_batch(d)
-                } else {
-                    d.pop_top()
-                };
-                match outcome {
+                match d.pop_top() {
                     Steal::Ok(task) => {
                         trace::record(Event::StealOk, victim_idx as u32);
                         self.note_steal_success();
@@ -413,22 +404,6 @@ impl WorkerCtx {
                 }
             }
         }
-    }
-
-    /// [`StealAmount::Half`]: take up to `⌈public/2⌉` of the victim's
-    /// public tasks with one validating age CAS, keep the oldest as this
-    /// iteration's task, and requeue the surplus into our own deque — where
-    /// the owner pops it synchronization-free and other thieves can
-    /// immediately re-steal it. Requeued oldest-first so our deque keeps
-    /// the global age order (thieves at our top see the oldest first).
-    fn steal_batch(&self, d: &SplitDeque) -> Steal {
-        let mut extras: Vec<*mut Job> = Vec::new();
-        let outcome = d.pop_top_batch(&mut extras, STEAL_BATCH_MAX - 1);
-        if !extras.is_empty() {
-            trace::record(Event::StealBatch, (extras.len() + 1) as u32);
-            self.push_or_run_inline(&extras);
-        }
-        outcome
     }
 
     /// The notification rule for a `PRIVATE_WORK` answer: ask before you
@@ -568,14 +543,16 @@ impl WorkerCtx {
     {
         let job_b = StackJob::new(b, self.index as u32);
         let ptr_b = job_b.as_job_ptr();
-        if !self.push_or_run_inline(&[ptr_b]) {
-            // Overflow: `b` already ran right here and nobody else ever saw
-            // `job_b`; finish sequentially.
+        if self.try_push_job(ptr_b).is_err() {
+            // Overflow: nobody else ever saw `job_b`; finish sequentially,
+            // `b` as a direct call like a popped-back arm.
+            note_overflow();
             let ra = a();
-            // Safety: the inline run completed the job.
-            let rb = unsafe { job_b.take_result() };
-            return (ra, rb);
+            metrics::bump(Event::TaskRun);
+            // Safety: never published, so it is ours alone.
+            return (ra, unsafe { job_b.run_inline() });
         }
+        self.pool().sleep.wake_one();
         let ra = match panic::catch_unwind(AssertUnwindSafe(a)) {
             Ok(v) => v,
             Err(payload) => {
@@ -590,15 +567,15 @@ impl WorkerCtx {
             // Safety: popped back off our own deque, so nobody else has it.
             return (ra, unsafe { job_b.run_inline() });
         }
-        // Safety: stolen, and `await_job` returned only after `done`.
+        // Safety: run erased, and `await_job` returned only after `done`.
         let rb = unsafe { job_b.take_result() };
         (ra, rb)
     }
 
-    /// Wait until a thief has executed the job at `ptr` (`done` reports its
-    /// flag), or reclaim it unrun from our own deque. Returns whether it
-    /// was reclaimed: `join` then runs it inline on the happy path and
-    /// drops it unrun on the panic path.
+    /// Wait until the job at `ptr` ran erased (stolen, or popped by our own
+    /// `help_until` inside `a`; `done` reports it), or reclaim it unrun from
+    /// our own deque. Returns whether it was reclaimed: `join` then runs it
+    /// inline on the happy path and drops it unrun on the panic path.
     ///
     /// On return, either the job ran to completion or it is ours again,
     /// unrun — in both cases no other thread holds a reference to it.
@@ -606,16 +583,15 @@ impl WorkerCtx {
         // Fast path: the job is still at the bottom of our deque. Everything
         // `a` joined above it has been popped or stolen-and-completed, so
         // anything else found here is work `a` left for later — an
-        // outer-scope `spawn`, or a batch steal's surplus a nested wait
-        // requeued after `ptr` was stolen: run it on the way down.
+        // outer-scope `spawn`: run it on the way down.
         while let Some(taken) = self.acquire_local() {
             if taken == ptr {
                 return true;
             }
             self.execute(taken);
         }
-        // The job was stolen: help along until its executor publishes
-        // `done` and wakes us.
+        // The job was taken (stolen, or already run by our own
+        // `help_until`): help along until its executor publishes `done`.
         self.help_until(done, WAITER_PARK_TIMEOUT);
         false
     }

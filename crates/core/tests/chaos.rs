@@ -748,13 +748,13 @@ fn forced_steal_abort_storm_completes_and_is_counted() {
     assert!(guard.fires(Site::PopTop) > 0);
 }
 
-/// Batch-steal ledger under a CAS storm: with roughly every third
-/// `pop_top` CAS forced to abort, an Expose Half pool must still run every
-/// task exactly once, and the deterministic deque-level section must
-/// balance the new ledger exactly — tasks migrated = `steals_ok`
-/// (one per successful batch CAS) + `steal_batch_tasks` (the surplus), with
-/// every forced abort landing in `steal_aborts` and no slot delivered
-/// twice.
+/// Steal ledger under a CAS storm: with roughly every third `pop_top` CAS
+/// forced to abort, an Expose Half pool must still run every task exactly
+/// once, and the deterministic deque-level section must balance the batch
+/// ledger of a direct `pop_top_batch` drive exactly — tasks migrated =
+/// `steals_ok` (one per successful batch CAS) + `steal_batch_tasks` (the
+/// surplus), with every forced abort landing in `steal_aborts` and no slot
+/// delivered twice.
 #[test]
 fn batch_steal_ledger_balances_under_cas_storm() {
     use lcws_core::deque::{Steal, STEAL_BATCH_MAX};
@@ -765,16 +765,11 @@ fn batch_steal_ledger_balances_under_cas_storm() {
     let guard =
         install(FaultPlan::new(0xBA7C4).with(Site::PopTop, SiteAction::fail_always().one_in(3)));
 
-    // Pool section: the storm hits the batch CAS window of a SignalHalf
-    // run; aborts retry hot, and nothing may be lost or doubled.
+    // Pool section: the storm hits the steal CAS of a SignalHalf run,
+    // whose wholesale exposures give thieves runs to fight over; aborts
+    // retry hot, and nothing may be lost or doubled.
     let (executed, m) = run_with_timeout(60, || {
-        // Explicit opt-in: the named composition steals one task per CAS.
-        let mut p = lcws_core::Policies::signal_half();
-        p.steal = lcws_core::StealAmount::Half;
-        let pool = PoolBuilder::new(Variant::SignalHalf)
-            .policies(p)
-            .threads(4)
-            .build();
+        let pool = PoolBuilder::new(Variant::SignalHalf).threads(4).build();
         let executed = AtomicU64::new(0);
         let (_, m) = pool.run_measured(|| {
             scope(|s| {
@@ -788,7 +783,7 @@ fn batch_steal_ledger_balances_under_cas_storm() {
         });
         (executed.into_inner(), m)
     });
-    assert_eq!(executed, 4_000, "batch-steal storm lost or doubled tasks");
+    assert_eq!(executed, 4_000, "steal storm lost or doubled tasks");
     assert_eq!(
         m.tasks_run(),
         4_000,

@@ -122,54 +122,6 @@ fn supervision_round_reports_no_races() {
     assert_clean("supervision round");
 }
 
-/// The batch-steal CAS window under full instrumentation (this PR): the
-/// multi-slot take records one speculative read per transferred slot and
-/// commits them all on the single validating age CAS, so a stale read that
-/// slipped past the validation would surface here as a racing-read report.
-/// Skewed tiny-task rounds on the Expose Half + steal-half + near-first
-/// composition drive real batches (retrying across rounds — one round can
-/// get unlucky with scheduling), and the checker must stay silent.
-#[test]
-fn batch_steal_window_reports_no_races() {
-    use lcws_core::{scope, Policies, StealAmount, VictimSelection};
-
-    let _g = lock();
-    hb::reset();
-    let mut batched = 0u64;
-    for _round in 0..10 {
-        let mut p = Policies::signal_half();
-        p.victim = VictimSelection::NearFirst;
-        p.steal = StealAmount::Half; // opt-in: the named bundle steals one
-        let pool = PoolBuilder::new(Variant::SignalHalf)
-            .policies(p)
-            .threads(4)
-            .build();
-        let executed = AtomicU64::new(0);
-        let (_, snap) = pool.run_measured(|| {
-            scope(|s| {
-                for _ in 0..2_000 {
-                    let executed = &executed;
-                    s.spawn(move || {
-                        executed.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        });
-        assert_eq!(executed.into_inner(), 2_000, "skewed round lost tasks");
-        batched += snap.steal_batch_tasks();
-        drop(pool);
-        if batched > 0 {
-            break;
-        }
-    }
-    assert!(
-        batched > 0,
-        "ten skewed rounds never drove a multi-slot take under hb"
-    );
-    assert_clean("batch-steal window");
-    assert_eq!(hb::report_count(), 0);
-}
-
 /// Scope-job blocks under hb: a P = 2 flood-shaped scope whose stolen
 /// tasks hand their blocks back through the return stack, then a second
 /// scope, whose chunks `malloc` may place on the first one's freed pages.

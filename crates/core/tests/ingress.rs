@@ -176,6 +176,44 @@ fn worker_side_join_helps_instead_of_blocking() {
     pool.shutdown();
 }
 
+/// A handle join inside a `join` arm helps from the worker's own deque, so
+/// the worker can pop and run its own pushed arm `b` through the erased
+/// entry point (executor == owner) before `join` looks for it. `b` must
+/// still complete and `join` return: the serve window's one helper runs
+/// the task, spawns the blocked sibling into the injector, and the outer
+/// `join` finds `b` already done.
+#[test]
+fn handle_join_inside_a_join_arm_runs_the_owners_own_arm() {
+    for variant in Variant::ALL {
+        let pool = Arc::new(ThreadPool::new(variant, 2));
+        pool.serve();
+        let release = Arc::new(AtomicBool::new(false));
+        let h = {
+            let (inner_pool, release) = (Arc::clone(&pool), Arc::clone(&release));
+            pool.spawn(move || {
+                let blocked = inner_pool.spawn(move || {
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    1
+                });
+                lcws_core::join(|| blocked.join(), || 2)
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        release.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !h.is_finished() {
+            // On a hang the task keeps its pool alive, so this panic does
+            // not block in the pool's drop.
+            assert!(Instant::now() < deadline, "{variant}: join never returned");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(h.join(), (1, 2), "{variant}");
+        pool.shutdown();
+    }
+}
+
 /// A worker waiting on a stolen `join` arm runs the same loop as an idle
 /// helper, injector included: with both other helpers held inside stolen
 /// arms, an external batch is served by the waiter. It pulls one task at a

@@ -685,11 +685,13 @@ fn wrapped_era_half_exposure_race() {
 }
 
 // ---------------------------------------------------------------------------
-// Batch steals (this PR): the multi-slot take's single validating CAS.
+// Batch steals: the multi-slot take's single validating CAS. No pool
+// steals in batches; `pop_top_batch` and these scenarios stay, pinned by
+// the benchmark, until ROADMAP item 11.
 // ---------------------------------------------------------------------------
 
 /// A batch thief racing the owner's SignalSafe pop while a handler exposes
-/// Half — the full Expose Half + StealAmount::Half pairing. The batch
+/// Half — the pairing the pool's deleted batch steal ran. The batch
 /// thief's k slot reads are validated by one age CAS (§4's argument
 /// extended to multi-slot takes: the CAS pins `{tag, top}`, and concurrent
 /// exposures only move `public_bot` away from the stolen range); the
@@ -817,17 +819,16 @@ fn batch_steal_vs_scalar_steal_single_winner_per_slot() {
     }
 }
 
-/// The batch steal's open window (ROADMAP item 1, DESIGN.md §5h): the owner
-/// pops *twice* from a fully public region of three while a batch thief
-/// validates `k = 2` slot reads with one `age` CAS. `pop_public_bottom`
+/// The batch steal's open window (DESIGN.md §5h), why no pool steals in
+/// batches: the owner pops *twice* from a fully public region of three
+/// while a batch thief validates `k = 2` slot reads with one `age` CAS. `pop_public_bottom`
 /// takes the bottom public task without touching `age` while more than one
 /// remains, so two owner pops walk `public_bot` down into `[top, top + k)`
 /// and the thief's CAS still succeeds — task 1 is delivered to both.
 /// `batch_steal_vs_owner_and_handler` cannot see it: its owner pops once.
 ///
 /// A *detection* test, like `standard_half_double_take_detected`: the
-/// explorer must find the double take. Repairing the protocol (item 1(b))
-/// flips this to `assert_exhaustive_pass`.
+/// explorer must find the double take while `pop_top_batch` exists.
 #[test]
 fn batch_steal_double_take_detected() {
     const NTASKS: usize = 3;

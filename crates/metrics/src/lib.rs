@@ -229,12 +229,11 @@ event_table! {
     /// `--features hb` is a detected data race (two accesses to a tracked
     /// location unordered by happens-before).
     HbReport { count: hb_reports }
-    /// **Extra** tasks transferred by a batch steal (`pop_top_batch` under
-    /// the steal-half policy), beyond the one task every successful steal
-    /// returns. A batch that took `k` tasks counts [`Event::StealOk`] once
-    /// and this event `k - 1` times, so total tasks migrated by thieves is
-    /// `steals_ok + steal_batch_tasks` and `steal_batch_tasks > steals_ok`
-    /// proves the average batch moved more than two tasks per CAS.
+    /// **Extra** tasks transferred by a direct `SplitDeque::pop_top_batch`
+    /// call, beyond the one task every successful steal returns: a batch
+    /// that took `k` tasks counts this event `k - 1` times. No pool steals
+    /// in batches, so this is 0 in every pool run; it stays because the
+    /// benchmark measures `pop_top_batch`, until ROADMAP item 11.
     StealBatchTask { count: steal_batch_tasks }
     /// Producer-side wake attempts: every `wake_one` / `wake_worker` /
     /// `wake_all` call, counted *before* the has-sleepers fast-path exit, so
@@ -262,10 +261,6 @@ event_table! {
     /// when the request had already been escalated to a signal — still in
     /// flight, or undeliverable — else 0).
     TargetedPoll { trace: targeted_poll }
-    /// A thief's batch steal transferred more than one task with a single
-    /// validating CAS (steal-half policy; payload = total tasks taken,
-    /// including the one the steal returned directly).
-    StealBatch { trace: steal_batch }
 }
 
 thread_local! {
@@ -618,8 +613,8 @@ mod tests {
             column(Event::trace_name).join(","),
             "deque_grow,expose,fallback_reroute,handler_entry,handler_expose,inject,\
              injector_pop,local_pop,overflow_inline,park,public_pop,push,run_close,\
-             run_start,signal_send,signal_send_failed,spurious_wake,steal_batch,\
-             steal_ok,steal_private,targeted_poll,unpark,worker_death,worker_respawn"
+             run_start,signal_send,signal_send_failed,spurious_wake,steal_ok,\
+             steal_private,targeted_poll,unpark,worker_death,worker_respawn"
         );
     }
 

@@ -3,7 +3,7 @@
 //! that lets the paper compare schedulers on timing alone.
 
 use lcws::pbbs::registry::all_instances;
-use lcws::{Policies, PoolBuilder, StealAmount, Variant, VictimSelection};
+use lcws::{Policies, PoolBuilder, Variant, VictimSelection};
 
 fn tiny_scale() {
     std::env::set_var("LCWS_SCALE", "0.01");
@@ -51,8 +51,8 @@ fn checksums_agree_across_variants_and_thread_counts() {
 }
 
 /// The policy layer must preserve the equivalence property: pools built
-/// from a variant's explicit policy bundle, and pools running the new open
-/// axes (near-first victims, steal-half batches), must reproduce the exact
+/// from a variant's explicit policy bundle, and pools running the open
+/// victim axis (near-first victims), must reproduce the exact
 /// checksums of the plain variant pools — scheduling policy may move work,
 /// never change answers.
 #[test]
@@ -89,18 +89,12 @@ fn checksums_agree_across_policy_compositions() {
         for variant in Variant::ALL {
             check(&variant.to_string(), variant, variant.policies());
         }
-        // The new axes over them.
+        // The open axis over them.
         for variant in Variant::ALL {
             let mut p = variant.policies();
             p.victim = VictimSelection::NearFirst;
             check(&format!("{variant}+near-first"), variant, p);
         }
-        let mut p = Policies::signal();
-        p.steal = StealAmount::Half;
-        check("signal+steal-half", Variant::Signal, p);
-        let mut p = Policies::signal_half();
-        p.steal = StealAmount::Half;
-        check("half+steal-half", Variant::SignalHalf, p);
     }
 }
 
