@@ -8,15 +8,17 @@
 //! Figures 3a/8a of the paper ratio against.
 //!
 //! The implementation mirrors Parlay's `work_stealing_deque` (itself the
-//! bounded-array deque of Arora–Blumofe–Plaxton with a tagged `age` word),
-//! with the fence/CAS placement preserved so the counted operations match.
+//! bounded-array deque of Arora–Blumofe–Plaxton), with the fence/CAS
+//! placement preserved so the counted operations match. Where ABP keeps a
+//! tagged `age = {tag, top}` word and resets an empty deque to index 0,
+//! this one keeps Chase–Lev's monotone `u64` indices: the owner's
+//! last-task CAS advances `top`, and an empty pop leaves `bot = top`.
 
 use std::sync::atomic::Ordering;
 
 use crossbeam_utils::CachePadded;
 use lcws_metrics::{self as metrics, Event};
 
-use crate::age::{Age, AtomicAge};
 use crate::deque::ring::GrowableRing;
 // Aliased locally: the ABP outcome type has no `PrivateWork` (there is no
 // private part), and the alias keeps the paper-mirroring internals readable.
@@ -24,19 +26,19 @@ use crate::deque::{sdist, AbpSteal as Steal, DequeFull};
 use crate::fault::{self, Site};
 use crate::hb;
 use crate::job::Job;
-// Index/age words go through the shim atomics: plain std atomics in normal
+// Index words go through the shim atomics: plain std atomics in normal
 // builds, DFS scheduling points under the opt-in `model` feature.
-use crate::shim::{self, AtomicU32};
+use crate::shim::{self, AtomicU64};
 use crate::trace;
 
-/// ABP deque: `age = {tag, top}` at the top, `bot` at the bottom, slots in
+/// ABP deque: a monotone `top` at the top, `bot` at the bottom, slots in
 /// a generation-tagged growable ring (see [`crate::deque::ring`]) instead
 /// of the classic bounded array — `push_bottom` doubles on full, with the
 /// fence/CAS placement of every operation unchanged from the bounded
 /// version.
 pub struct AbpDeque {
-    age: CachePadded<AtomicAge>,
-    bot: CachePadded<AtomicU32>,
+    top: CachePadded<AtomicU64>,
+    bot: CachePadded<AtomicU64>,
     ring: CachePadded<GrowableRing>,
 }
 
@@ -49,8 +51,8 @@ impl AbpDeque {
     /// [`crate::deque::ring::MAX_DEQUE_CAPACITY`].
     pub fn new(capacity: usize) -> Self {
         AbpDeque {
-            age: CachePadded::new(AtomicAge::new()),
-            bot: CachePadded::new(shim::named_u32(0, "bot")),
+            top: CachePadded::new(shim::named_u64(0, "top")),
+            bot: CachePadded::new(shim::named_u64(0, "bot")),
             ring: CachePadded::new(GrowableRing::new(capacity)),
         }
     }
@@ -77,9 +79,7 @@ impl AbpDeque {
         if fault::fail_at(Site::PushBottom) {
             return Err(DequeFull);
         }
-        let buf = self
-            .ring
-            .for_push(b, || self.age.load(Ordering::Relaxed).top)?;
+        let buf = self.ring.for_push(b, || self.top.load(Ordering::Relaxed))?;
         // Unlike the split deque (plain-array slot semantics, ordering
         // carried by `public_bot`/the grow publish), the ABP slot handoff
         // is itself Release/Acquire — so the checker models the slot as an
@@ -88,9 +88,9 @@ impl AbpDeque {
         hb::atomic_store(buf.slot(b) as *const _ as usize, Ordering::Release, || {
             buf.slot(b).store(task, Ordering::Release)
         });
-        self.bot.store(b.wrapping_add(1), Ordering::Release);
+        self.bot.store(b + 1, Ordering::Release);
         shim::fence_seq_cst();
-        trace::emit(Event::Push, 1, b.wrapping_add(1));
+        trace::emit(Event::Push, 1, (b + 1) as u32);
         Ok(())
     }
 
@@ -108,50 +108,50 @@ impl AbpDeque {
         );
     }
 
-    /// Owner: pop from the bottom. Always pays a seq-cst fence; pays a CAS
-    /// too when racing thieves for the last task.
+    /// Owner: pop from the bottom. Pays a seq-cst fence unless an earlier
+    /// pop already found the deque empty and nothing was pushed since;
+    /// pays a CAS too when racing thieves for the last task.
     pub fn pop_bottom(&self) -> Option<*mut Job> {
         fault::point(Site::PopBottom);
         let b = self.bot.load(Ordering::Relaxed);
-        // `b == 0` alone is not proof of emptiness on a wrapped era (a
-        // long-lived deque's indices pass through 0 with `top` near
-        // `u32::MAX`); only `b == top == 0` — the canonical era base — is.
-        if b == 0 && self.age.load(Ordering::Relaxed).top == 0 {
+        // `top_bound <= top <= bot`: `bot` at the owner's cached bound (set
+        // where an empty pop re-anchored) proves the deque empty without a
+        // fence or a read of the thieves' `top` line.
+        if sdist(b, self.ring.top_bound()) <= 0 {
             return None;
         }
-        let b1 = b.wrapping_sub(1);
+        let b1 = b - 1;
         self.bot.store(b1, Ordering::Relaxed);
         // The expensive fence WS pays on every local pop (cf. Attiya et
         // al.'s lower bound, discussed in the paper's introduction).
         shim::fence_seq_cst();
         let task = self.ring.owner().slot(b1).load(Ordering::Relaxed);
-        let old_age = self.age.load(Ordering::Relaxed);
-        if sdist(b1, old_age.top) > 0 {
-            trace::emit(Event::LocalPop, 1, b1);
+        let t = self.top.load(Ordering::Relaxed);
+        if sdist(b1, t) > 0 {
+            trace::emit(Event::LocalPop, 1, b1 as u32);
             return Some(task);
         }
-        // Zero or one task left: reset and possibly race thieves for it.
-        self.bot.store(0, Ordering::Relaxed);
-        // The reset opens a fresh tag era with `top = 0`; the push fast
-        // path's cached bound must not carry over from the old era.
-        self.ring.reset_top_bound();
-        let new_age = old_age.reset();
-        if b1 == old_age.top {
+        // Zero or one task left. Either way the deque ends empty at
+        // `top == b`: a thief already took slot `b1` (`t == b`), or this
+        // CAS or a thief's moves `top` from `b1` to `b`. So `b` is a valid
+        // cached bound from the moment this pop returns.
+        self.bot.store(b, Ordering::Relaxed);
+        self.ring.set_top_bound(b);
+        if b1 == t {
             metrics::record_cas();
             // Failure ordering Relaxed: the loaded-on-failure value is
             // discarded (only `is_ok` is tested), so it synchronizes
             // nothing. Success stays SeqCst — the ABP argument orders this
             // CAS against the owner fence/thief CAS in the SC total order.
             if self
-                .age
-                .compare_exchange(old_age, new_age, Ordering::SeqCst, Ordering::Relaxed)
+                .top
+                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                trace::emit(Event::LocalPop, 1, 0);
+                trace::emit(Event::LocalPop, 1, b as u32);
                 return Some(task);
             }
         }
-        self.age.store(new_age, Ordering::Release);
         None
     }
 
@@ -159,21 +159,20 @@ impl AbpDeque {
     pub fn pop_top(&self) -> Steal {
         fault::point(Site::PopTop);
         metrics::bump(Event::StealAttempt);
-        let old_age = self.age.load(Ordering::Acquire);
+        let t = self.top.load(Ordering::Acquire);
         let b = self.bot.load(Ordering::Acquire);
-        if sdist(b, old_age.top) > 0 {
-            // Single buffer capture per steal, *after* the `age` load: the
+        if sdist(b, t) > 0 {
+            // Single buffer capture per steal, *after* the `top` load: the
             // CAS below fails whenever `top` moved, which is the only way
             // this ring's slot at `top` could have been overwritten or the
             // ring retired-and-superseded mid-steal (see `deque::ring`).
-            let slot = self.ring.capture().slot(old_age.top);
+            let slot = self.ring.capture().slot(t);
             // Atomic-modeled (see `try_push_bottom`): the Acquire joins the
             // pushing owner's release clock, which is the edge the stolen
             // job's content reads rely on.
             let task = hb::atomic_load(slot as *const _ as usize, Ordering::Acquire, || {
                 slot.load(Ordering::Acquire)
             });
-            let new_age = old_age.with_top_incremented();
             // Forced fire: lose the CAS race outright (chaos tests use this
             // to exercise the Abort path deterministically).
             if fault::fail_at(Site::PopTop) {
@@ -184,8 +183,8 @@ impl AbpDeque {
             // Failure ordering Relaxed: a failed steal returns Abort without
             // touching the loaded value (see pop_bottom's CAS).
             if self
-                .age
-                .compare_exchange(old_age, new_age, Ordering::SeqCst, Ordering::Relaxed)
+                .top
+                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
                 metrics::bump(Event::StealOk);
@@ -197,53 +196,41 @@ impl AbpDeque {
         Steal::Empty
     }
 
-    /// Pool (at quiescence): restore the canonical `(bot, age) =
-    /// (0, {tag+1, 0})` empty state before handing this deque to a
-    /// respawned worker. The tag bump invalidates stale thief `age`
-    /// snapshots from the dead worker's era; see
-    /// `SplitDeque::reset_for_respawn` for the safety contract (quiescent,
-    /// under the run lock).
+    /// Pool (at quiescence): empty the deque (`bot = top`) before handing
+    /// it to a respawned worker; see `SplitDeque::reset_for_respawn` for
+    /// the safety contract (quiescent, under the run lock).
     pub(crate) fn reset_for_respawn(&self) {
-        self.bot.store(0, Ordering::Relaxed);
-        self.ring.reset_top_bound();
-        let new_age = self.age.load(Ordering::Relaxed).reset();
-        self.age.store(new_age, Ordering::Relaxed);
+        let top = self.top.load(Ordering::Relaxed);
+        self.bot.store(top, Ordering::Relaxed);
+        self.ring.set_top_bound(top);
     }
 
-    /// Raw `(bot, age)` snapshot. For tests and the model checker, which
-    /// assert the canonical reset to `(0, top = 0)`; not part of the
+    /// Raw `(bot, top)` snapshot. For tests and the model checker, which
+    /// assert that a drained deque rests at `bot == top`; not part of the
     /// stable API.
     #[doc(hidden)]
-    pub fn raw_state(&self) -> (u32, Age) {
+    pub fn raw_state(&self) -> (u64, u64) {
         (
             self.bot.load(Ordering::Relaxed),
-            self.age.load(Ordering::Relaxed),
+            self.top.load(Ordering::Relaxed),
         )
     }
 
     /// Is the deque observably empty (racy)?
     pub fn is_empty(&self) -> bool {
         let b = self.bot.load(Ordering::Relaxed);
-        let top = self.age.load(Ordering::Relaxed).top;
+        let top = self.top.load(Ordering::Relaxed);
         sdist(b, top) <= 0
     }
 
-    /// Test hook: restart the (empty, otherwise-idle) deque's era at
-    /// absolute index `start`. Owner-only; exists so the wraparound tests
-    /// can start `bot`/`top`/the cached push bound near `u32::MAX` and
-    /// drive the protocol across the index boundary. Not part of the
-    /// stable API.
+    /// Test hook: re-anchor the (empty, otherwise-idle) deque at absolute
+    /// index `start`. Owner-only; lets the tests and the model scenarios
+    /// start `bot`/`top`/the cached push bound at high indices. Not part of
+    /// the stable API.
     #[doc(hidden)]
-    pub fn set_start_index(&self, start: u32) {
-        let tag = self.age.load(Ordering::Relaxed).tag;
+    pub fn set_start_index(&self, start: u64) {
         self.bot.store(start, Ordering::Relaxed);
-        self.age.store(
-            Age {
-                tag: tag.wrapping_add(1),
-                top: start,
-            },
-            Ordering::Relaxed,
-        );
+        self.top.store(start, Ordering::Relaxed);
         self.ring.set_top_bound(start);
     }
 
@@ -297,14 +284,9 @@ mod tests {
         d.push_bottom(job(1));
         d.push_bottom(job(2));
         assert_eq!(d.pop_top(), Steal::Ok(job(1)));
-        let tag_before = d.raw_state().1.tag;
         d.reset_for_respawn();
-        let (bot, age) = d.raw_state();
-        assert_eq!((bot, age.top), (0, 0));
-        assert!(
-            age.tag > tag_before,
-            "respawn reset must open a new tag era"
-        );
+        assert_eq!(d.raw_state(), (1, 1), "emptied at `top`, which stays");
+        assert_eq!(d.pop_top(), Steal::Empty);
         d.push_bottom(job(3));
         assert_eq!(d.pop_bottom(), Some(job(3)));
     }
@@ -322,8 +304,8 @@ mod tests {
             assert_eq!(d.pop_bottom(), Some(job(i)));
         }
         assert_eq!(d.pop_bottom(), None);
-        let (bot, age) = d.raw_state();
-        assert_eq!((bot, age.top), (0, 0));
+        // The last pop's CAS advanced `top` to `bot`.
+        assert_eq!(d.raw_state(), (1, 1));
     }
 
     #[test]
@@ -359,20 +341,18 @@ mod tests {
 
     #[test]
     fn wraparound_push_pop_steal_and_grow() {
-        // Start the era 8 indices before the u32 boundary: the pushes
-        // below carry `bot` through the wrap while `top` is still on the
-        // far side, and the capacity-4 ring doubles twice mid-wrap.
+        // Start at a high index (8 below 2³²): the pushes carry `bot` past
+        // 2³² while `top` is still below it, and the capacity-4 ring
+        // doubles twice on the way.
         let d = AbpDeque::new(4);
-        let start = u32::MAX - 7;
+        let start = u64::from(u32::MAX) - 7;
         d.set_start_index(start);
         for i in 1..=16 {
             d.push_bottom(job(i));
         }
-        assert_eq!(d.capacity(), 16, "4 -> 8 -> 16 across the boundary");
-        let (bot, age) = d.raw_state();
-        assert_eq!(bot, start.wrapping_add(16), "bot wrapped past zero");
-        assert!(bot < age.top, "raw compare is inverted across the wrap");
-        // Thief consumes pre-wrap indices, owner post-wrap indices.
+        assert_eq!(d.capacity(), 16, "4 -> 8 -> 16 across 2^32");
+        assert_eq!(d.raw_state(), (start + 16, start));
+        // Thief consumes indices below 2³², owner those above.
         assert_eq!(d.pop_top(), Steal::Ok(job(1)));
         assert_eq!(d.pop_top(), Steal::Ok(job(2)));
         for i in (4..=16).rev() {
@@ -380,9 +360,7 @@ mod tests {
         }
         assert_eq!(d.pop_bottom(), Some(job(3)));
         assert_eq!(d.pop_bottom(), None);
-        let (bot, age) = d.raw_state();
-        assert_eq!((bot, age.top), (0, 0), "drain re-anchors the 0 era");
-        // The deque keeps working in the fresh era.
+        assert_eq!(d.raw_state(), (start + 3, start + 3), "drained at `top`");
         d.push_bottom(job(99));
         assert_eq!(d.pop_bottom(), Some(job(99)));
     }
@@ -393,12 +371,11 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         use std::sync::Mutex;
 
-        // Same owner-vs-thieves storm as below, but the era starts close
-        // enough to u32::MAX that the working indices cross the boundary
-        // while thieves are live.
+        // Same owner-vs-thieves storm as below, started at a high index
+        // that the indices cross (2³²) while thieves are live.
         const N: usize = 2000;
         let d = AbpDeque::new(64);
-        d.set_start_index(u32::MAX - 500);
+        d.set_start_index(u64::from(u32::MAX) - 500);
         let taken = Mutex::new(Vec::<usize>::new());
         let done = AtomicBool::new(false);
 

@@ -3,8 +3,9 @@
 //!
 //! Both deques store thin `*mut Job` pointers in a generation-tagged
 //! growable ring buffer ([`ring`]; the paper's fixed
-//! `array<alligned_task_t, size> deq` is the initial generation) and share
-//! the packed `{tag, top}` [`crate::age::Age`] word at their top end.
+//! `array<alligned_task_t, size> deq` is the initial generation) and guard
+//! their top end with one monotone `u64` `top` index (Chase–Lev style, in
+//! place of the paper's `{tag, top}` `age` word; see [`ring`]).
 //!
 //! Synchronization accounting: every seq-cst fence goes through
 //! [`lcws_metrics::fence_seq_cst`] and every CAS is recorded with
@@ -23,19 +24,15 @@ pub use split::{double2int, ExposurePolicy, PopBottomMode, SplitDeque, STEAL_BAT
 
 use crate::job::Job;
 
-/// Wrap-safe signed distance `a - b` between two absolute ring indices.
+/// Signed distance `a - b` between two absolute ring indices.
 ///
-/// Absolute `u32` indices are monotone within an era but wrap modulo 2³²,
-/// so direct `<`/`>` comparisons are wrong once a long-lived deque (a
-/// `serve`-mode pool that never drains) pushes through the wrap. The
-/// two's-complement reinterpretation is exact whenever the true distance
-/// lies in `[-2³¹, 2³¹)` — guaranteed here because every live extent the
-/// protocols compare (`bot - top`, `bot - public_bot`, `public_bot - top`)
-/// is bounded by [`MAX_DEQUE_CAPACITY`] = 2³⁰, and the transient
-/// negatives (the §4 signal-safe decrement-then-compare) are `-1`.
+/// Indices only grow, but the split deque's SignalSafe pop leaves `bot`
+/// transiently one below `public_bot`, so lengths and emptiness tests need
+/// a signed compare. Every live extent is bounded by
+/// [`MAX_DEQUE_CAPACITY`] = 2³⁰, far inside `i64`.
 #[inline(always)]
-pub(crate) fn sdist(a: u32, b: u32) -> i32 {
-    a.wrapping_sub(b) as i32
+pub(crate) fn sdist(a: u64, b: u64) -> i64 {
+    a.wrapping_sub(b) as i64
 }
 
 /// Error of a fallible bottom push. With growable rings this is nearly
@@ -138,16 +135,16 @@ impl AnyDeque {
     pub(crate) fn depths(&self) -> (u32, u32) {
         match self {
             AnyDeque::Abp(d) => {
-                let (bot, age) = d.raw_state();
-                (0, bot.saturating_sub(age.top))
+                let (bot, top) = d.raw_state();
+                (0, sdist(bot, top).max(0) as u32)
             }
             AnyDeque::Split(d) => (d.private_len(), d.public_len()),
         }
     }
 
-    /// Restore the canonical empty state before a replacement worker takes
-    /// over this slot. Caller must hold quiescence (between runs, under the
-    /// run lock).
+    /// Empty the deque (`bot = public_bot = top`) before a replacement
+    /// worker takes over this slot. Caller must hold quiescence (between
+    /// runs, under the run lock).
     pub(crate) fn reset_for_respawn(&self) {
         match self {
             AnyDeque::Abp(d) => d.reset_for_respawn(),

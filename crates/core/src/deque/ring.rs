@@ -1,25 +1,26 @@
 //! Generation-tagged growable ring buffer shared by both deques.
 //!
 //! The Chase–Lev lineage (Chase & Lev 2005; Le, Pop, Cohen & Zappa Nardelli
-//! 2013) replaces the paper's fixed slot arrays: slot indices stay
-//! *absolute* (monotonically increasing between empty-resets) and map onto a
-//! power-of-two ring as `index & mask`. When `push_bottom` finds the ring
-//! full it allocates a double-size ring, copies the old ring's slots to the
-//! same absolute indices, and publishes the new buffer pointer with a
-//! Release store (`crate::shim::SchedPtr`). Cross-thread readers
-//! capture the pointer **once per operation** with an Acquire load and index
-//! modulo the captured ring's own capacity.
+//! 2013) replaces the paper's fixed slot arrays: slot indices are
+//! *absolute* `u64`s that only grow (`top` never moves back, and an empty
+//! pop re-anchors `bot` at `top`), mapped onto a power-of-two ring as
+//! `index & mask`. When `push_bottom` finds the ring full it allocates a
+//! double-size ring, copies the old ring's slots to the same absolute
+//! indices, and publishes the new buffer pointer with a Release store
+//! (`crate::shim::SchedPtr`). Cross-thread readers capture the pointer
+//! **once per operation** with an Acquire load and index modulo the
+//! captured ring's own capacity.
 //!
 //! ## Why stale captures are safe
 //!
 //! A retired ring is never written again, so a thief still holding it reads
-//! frozen slot values. The thief's `age` CAS validates the read: the slot at
-//! absolute index `t` (with `t = age.top` at CAS time) can only have been
+//! frozen slot values. The thief's `top` CAS validates the read: the slot
+//! at absolute index `t` (the `top` it loaded) can only have been
 //! *overwritten* in the captured ring by a push at `t + capacity` or later,
-//! which the full check forbids until `top > t` — and `top > t` (or an
-//! owner reset, which bumps the ABA tag) makes the CAS fail, discarding the
-//! stale read. The capture therefore has to happen **after** the `age`
-//! load; both `pop_top` implementations do exactly that.
+//! which the full check forbids until `top > t` — and `top > t` makes the
+//! CAS fail, discarding the stale read. The capture therefore has to happen
+//! **after** the `top` load; both `pop_top` implementations do exactly
+//! that.
 //!
 //! ## Reclamation (epoch-free, no GC)
 //!
@@ -31,18 +32,15 @@
 //!
 //! ## Index-width bound
 //!
-//! Absolute indices are `u32`, like the paper's. Because every capacity is
-//! a power of two (and so divides 2³²), slot addressing stays consistent
-//! even across index wrap-around, and the protocols' ordering comparisons
-//! go through the wrap-safe signed distance (`crate::deque::sdist`), which
-//! is exact while every live extent stays below 2³¹ — guaranteed by the
-//! [`MAX_DEQUE_CAPACITY`] = 2³⁰ cap. A deque on a long-lived `serve` pool
-//! can therefore push straight through the 2³² wrap mid-era; no empty-reset
-//! is required for correctness (the wraparound tests in `split.rs`/`abp.rs`
-//! start their indices at `u32::MAX - ε` and cross the boundary live).
-//! Growth is capped at [`MAX_DEQUE_CAPACITY`] slots; a push that would need
-//! more reports [`DequeFull`] and the scheduler degrades to the legacy
-//! inline fallback.
+//! Absolute indices are `u64`. `top` moves by one per taken task and never
+//! back, so reusing a `top` value (the ABA case that the paper's `{tag,
+//! top}` word guards against with its tag) takes 2⁶⁴ steals. Every live
+//! extent the protocols compare is bounded by [`MAX_DEQUE_CAPACITY`] = 2³⁰,
+//! and ordering comparisons go through the signed distance
+//! (`crate::deque::sdist`), which also covers the split deque's transient
+//! `bot = public_bot - 1`. Growth is capped at [`MAX_DEQUE_CAPACITY`]
+//! slots; a push that would need more reports [`DequeFull`] and the
+//! scheduler degrades to the legacy inline fallback.
 
 use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -57,16 +55,15 @@ use crate::shim::SchedPtr;
 use crate::trace;
 
 /// Hard ceiling on a ring's slot count: 2³⁰ slots (8 GiB of task pointers).
-/// Far past any real workload, comfortably inside the `u32` index space,
-/// and the point where growth degrades to the inline-execution fallback
-/// instead of doubling further.
+/// Far past any real workload, and the point where growth degrades to the
+/// inline-execution fallback instead of doubling further.
 pub const MAX_DEQUE_CAPACITY: usize = 1 << 30;
 
 /// One immutable-capacity ring: a power-of-two slot array plus the
 /// generation tag (how many doublings produced it).
 pub(crate) struct RingBuffer {
     gen: u32,
-    mask: u32,
+    mask: u64,
     slots: Box<[AtomicPtr<Job>]>,
 }
 
@@ -78,14 +75,14 @@ impl RingBuffer {
             .collect();
         Box::into_raw(Box::new(RingBuffer {
             gen,
-            mask: (capacity - 1) as u32,
+            mask: (capacity - 1) as u64,
             slots,
         }))
     }
 
     /// Slot holding absolute index `index`.
     #[inline(always)]
-    pub(crate) fn slot(&self, index: u32) -> &AtomicPtr<Job> {
+    pub(crate) fn slot(&self, index: u64) -> &AtomicPtr<Job> {
         // Safety: `mask + 1 == slots.len()`, so the masked index is in
         // range by construction.
         unsafe { self.slots.get_unchecked((index & self.mask) as usize) }
@@ -93,7 +90,7 @@ impl RingBuffer {
 
     /// Slot count (a power of two).
     #[inline(always)]
-    pub(crate) fn capacity(&self) -> u32 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.mask + 1
     }
 
@@ -106,21 +103,20 @@ impl RingBuffer {
 
 /// The growable half of a deque: current-buffer pointer, the owner's
 /// cached lower bound on `top` (keeps the full check off the contended
-/// `age` line), and the retirement list.
+/// `top` line), and the retirement list.
 ///
 /// Thread roles mirror the deques': exactly one owner calls
 /// [`GrowableRing::for_push`] / [`GrowableRing::owner`] /
-/// [`GrowableRing::reset_top_bound`]; any thread may call
-/// [`GrowableRing::capture`].
+/// [`GrowableRing::top_bound`] / [`GrowableRing::set_top_bound`]; any
+/// thread may call [`GrowableRing::capture`].
 pub(crate) struct GrowableRing {
     /// Current ring. Owner publishes (Release) on grow; cross-thread
     /// readers capture with Acquire, once per operation.
     buffer: SchedPtr<RingBuffer>,
-    /// Owner-local lower bound on `age.top`, refreshed only when the cheap
-    /// check fails. Invariant: `cached_top ≤ top` at all times within the
-    /// current tag era (every reset path calls `reset_top_bound`), so a
-    /// passing fast check soundly proves the ring is not full.
-    cached_top: Cell<u32>,
+    /// Owner-local lower bound on `top`, refreshed only when the cheap
+    /// check fails. `top` only grows, so `cached_top ≤ top` holds at all
+    /// times and a passing fast check soundly proves the ring is not full.
+    cached_top: Cell<u64>,
     /// Rings retired by grows; owner-only appends, freed at run-close
     /// quiescence or drop.
     retired: UnsafeCell<Vec<*mut RingBuffer>>,
@@ -151,7 +147,7 @@ impl GrowableRing {
     /// Cross-thread capture of the current ring, **once per operation**.
     /// Acquire pairs with the grow's Release publish, making the copied
     /// slots (and the ring header) visible. Must be called *after* the
-    /// operation's `age` load — see the module docs for why the `age` CAS
+    /// operation's `top` load — see the module docs for why the `top` CAS
     /// then validates any stale capture.
     #[inline(always)]
     pub(crate) fn capture(&self) -> &RingBuffer {
@@ -159,17 +155,18 @@ impl GrowableRing {
     }
 
     /// Owner: the ring to push absolute index `b` into, doubling first when
-    /// full. `load_top` reads the deque's current `age.top`; it is only
-    /// invoked when the cached bound cannot prove a free slot.
+    /// full. `load_top` reads the deque's current `top`; it is only invoked
+    /// when the cached bound cannot prove a free slot.
     #[inline(always)]
     pub(crate) fn for_push(
         &self,
-        b: u32,
-        load_top: impl FnOnce() -> u32,
+        b: u64,
+        load_top: impl FnOnce() -> u64,
     ) -> Result<&RingBuffer, DequeFull> {
         let buf = self.owner();
         // `cached_top ≤ top` ⟹ `b - top ≤ b - cached_top < capacity`:
-        // the live range has a free slot, no shared access needed.
+        // the live range has a free slot, no shared access needed. (`b`
+        // below the bound wraps to a huge distance and takes the slow path.)
         if b.wrapping_sub(self.cached_top.get()) < buf.capacity() {
             return Ok(buf);
         }
@@ -180,16 +177,15 @@ impl GrowableRing {
     #[inline(never)]
     fn refresh_or_grow<'a>(
         &'a self,
-        b: u32,
+        b: u64,
         buf: &'a RingBuffer,
-        load_top: impl FnOnce() -> u32,
+        load_top: impl FnOnce() -> u64,
     ) -> Result<&'a RingBuffer, DequeFull> {
         let top = load_top();
         self.cached_top.set(top);
         // `b` behind `top` is the split deque's transient SignalSafe-miss
         // state (`bot` decremented below `public_bot`); not a full ring.
-        // Signed distance, not `<`: either index may have wrapped.
-        if sdist(b, top) < 0 || b.wrapping_sub(top) < buf.capacity() {
+        if sdist(b, top) < 0 || b - top < buf.capacity() {
             return Ok(buf);
         }
         self.grow(b, buf)
@@ -200,7 +196,7 @@ impl GrowableRing {
     /// steal may already have advanced `top`, which only shrinks the range
     /// actually alive inside the copied window).
     #[cold]
-    fn grow<'a>(&'a self, b: u32, old: &RingBuffer) -> Result<&'a RingBuffer, DequeFull> {
+    fn grow<'a>(&'a self, b: u64, old: &RingBuffer) -> Result<&'a RingBuffer, DequeFull> {
         let old_cap = old.capacity();
         if old_cap as usize >= MAX_DEQUE_CAPACITY || fault::fail_at(Site::DequeResize) {
             return Err(DequeFull);
@@ -210,10 +206,7 @@ impl GrowableRing {
         // Copy the whole old ring to the same absolute indices. Plain
         // (Relaxed) copies: the publish below releases them, and the old
         // ring is the owner's own data.
-        for i in 0..old_cap {
-            // Wrapping: the live window `[b - old_cap, b)` may straddle the
-            // u32 boundary on a long-lived (never-reset) deque.
-            let idx = b.wrapping_sub(old_cap).wrapping_add(i);
+        for idx in b - old_cap..b {
             hb::on_write(
                 new_buf.slot(idx) as *const _ as usize,
                 "ring slot (grow copy)",
@@ -233,23 +226,22 @@ impl GrowableRing {
             .store(new_ptr, hb::negative::grow_publish_order());
         // Retired rings stay readable (never written) until quiescence.
         unsafe { (*self.retired.get()).push(old as *const RingBuffer as *mut RingBuffer) };
-        trace::emit(Event::DequeGrow, 1, new_buf.capacity());
+        trace::emit(Event::DequeGrow, 1, new_buf.capacity() as u32);
         Ok(new_buf)
     }
 
-    /// Owner: reset the cached `top` bound to the fresh era's 0. Must be
-    /// called on every `age` reset path — the cache is only a valid lower
-    /// bound within one tag era.
+    /// Owner: the cached lower bound on `top`. `bot` at or below it proves
+    /// the deque empty without touching the shared `top` line.
     #[inline(always)]
-    pub(crate) fn reset_top_bound(&self) {
-        self.cached_top.set(0);
+    pub(crate) fn top_bound(&self) -> u64 {
+        self.cached_top.get()
     }
 
-    /// Owner (test hook): seed the cached `top` bound at an arbitrary
-    /// absolute index. Used by the deques' `#[doc(hidden)]`
-    /// `set_start_index` hooks, which start an era near `u32::MAX` to
-    /// exercise index wraparound.
-    pub(crate) fn set_top_bound(&self, bound: u32) {
+    /// Owner: set the cached bound to `bound`, a `top` value the owner has
+    /// acquired (an empty pop's re-anchor) or set itself (respawn and the
+    /// `set_start_index` test hooks, at quiescence).
+    #[inline(always)]
+    pub(crate) fn set_top_bound(&self, bound: u64) {
         self.cached_top.set(bound);
     }
 

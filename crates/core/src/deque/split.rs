@@ -1,8 +1,8 @@
 //! The split deque of Listing 2, with the paper's §4 signal-safe
 //! `pop_bottom` variant and the §4.1 exposure policies.
 //!
-//! Layout invariant (see Figure 1): slots `[0, bot)` hold tasks;
-//! `[age.top, public_bot)` is the **public part** (stealable), and
+//! Layout invariant (see Figure 1): slots `[top, bot)` hold tasks;
+//! `[top, public_bot)` is the **public part** (stealable), and
 //! `[public_bot, bot)` is the **private part**, touched only by the owner
 //! with plain (Relaxed) operations — no fences, no CAS.
 //!
@@ -20,18 +20,22 @@
 //!   synchronization cost is unchanged, and the code stays correct on
 //!   weakly-ordered ISAs. The paper itself counts exposure as a
 //!   synchronization event (Figure 3d discussion), consistent with this.
-//! * In `pop_top`, `age` is loaded with Acquire so the subsequent
+//! * In `pop_top`, `top` is loaded with Acquire so the subsequent
 //!   `public_bot` load cannot be hoisted above it on weak ISAs (free on
 //!   x86).
-//! * **Slot reuse.** A thief's steal CAS on `age` is **Release** on
-//!   success, and every owner read of `age` that can observe it — the
-//!   push's top-bound refresh, both loads in `pop_public_bottom`, the
-//!   failed reset CAS — is **Acquire**. The owner overwrites a stolen
-//!   slot's physical cell (ring wrap, or the next era after a reset) only
-//!   after learning through one of those reads that `top` moved past it;
-//!   the pair orders that overwrite after the thief's slot read. The
-//!   listing's plain accesses get this from x86-TSO (same instructions:
-//!   `lock cmpxchg`, `mov`); ABP's steal CAS is SeqCst for the same reason.
+//! * **Slot reuse.** A thief's steal CAS on `top` is **Release** on
+//!   success, and the push's top-bound refresh is **Acquire**. The owner
+//!   overwrites a stolen slot's physical cell (ring wrap) only after
+//!   learning through that read that `top` moved past it; the pair orders
+//!   that overwrite after the thief's slot read. The listing's plain
+//!   accesses get this from x86-TSO (same instructions: `lock cmpxchg`,
+//!   `mov`); ABP's steal CAS is SeqCst for the same reason.
+//! * **Monotone indices.** The listing's `age = {tag, top}` word and its
+//!   empty-reset to index 0 are replaced by Chase–Lev's monotone `u64`
+//!   `top`: the owner's last-task CAS advances `top`, and an empty pop
+//!   re-anchors `bot` and `public_bot` at `top`. The reset let a thief pair
+//!   the old `top` with the new `bot = 0`; with no reset there is nothing
+//!   to pair, and reusing a `top` value takes 2⁶⁴ steals.
 //!
 //! None of these strengthen the *fence/CAS counts* the evaluation measures.
 //!
@@ -41,23 +45,22 @@
 //! can interrupt the owner *between any two instructions* of `pop_bottom`.
 //! [`PopBottomMode::SignalSafe`] implements the paper's fix: decrement `bot`
 //! first, then compare with `public_bot` (`--bot < public_bot`), with
-//! `pop_public_bottom` resetting `bot ← 0` when it finds the deque at an
-//! empty era base. One extra guard not spelled out in the listing: when
-//! `bot == 0` **and** `public_bot == 0` the private part is provably empty
-//! (`public_bot == bot`), so we return `None` before decrementing, which no
-//! handler interleaving can invalidate because the handler never modifies
-//! `bot` and never exposes past it. `bot == 0` alone is *not* proof of
-//! emptiness: absolute indices wrap modulo 2³² on a long-lived `serve`
-//! deque, so every ordering comparison below goes through the wrap-safe
-//! signed distance ([`crate::deque::sdist`]) and every increment/decrement
-//! is wrapping.
+//! `pop_public_bottom` repairing `bot` when it finds the public part empty.
+//! One extra guard not spelled out in the listing: when `bot` is at the
+//! owner's cached lower bound on `top`, the **whole deque** is provably
+//! empty, so we return `None` before decrementing; a handler then reads
+//! `bot == public_bot` and exposes nothing. An empty *private* part alone
+//! is no such proof: `pop_public_bottom` must then run with `bot` one below
+//! `public_bot`, or a handler landing after its `public_bot` decrement
+//! would re-expose the slot the owner is taking. Until the repair,
+//! comparisons go through the signed distance ([`crate::deque::sdist`]).
 //!
 //! ## Growable storage
 //!
 //! Slots live in a generation-tagged growable ring ([`crate::deque::ring`])
 //! rather than a fixed array: `push_bottom` doubles the ring when full
 //! instead of reporting [`DequeFull`], thieves capture the buffer pointer
-//! once per `pop_top` (after the `age` load, which validates stale
+//! once per `pop_top` (after the `top` load, which validates stale
 //! captures), and the handler's `update_public_bottom` never touches the
 //! buffer at all — it only moves `public_bot` — so the §4 argument is
 //! untouched by resizes. The fence/CAS placement of every operation is
@@ -69,15 +72,14 @@ use std::sync::atomic::Ordering;
 use crossbeam_utils::CachePadded;
 use lcws_metrics::{self as metrics, Event};
 
-use crate::age::{Age, AtomicAge};
 use crate::deque::ring::GrowableRing;
 use crate::deque::{sdist, DequeFull, Steal};
 use crate::fault::{self, Site};
 use crate::hb;
 use crate::job::Job;
-// All index/age words go through the shim atomics: plain std atomics in
+// All index words go through the shim atomics: plain std atomics in
 // normal builds, DFS scheduling points under the opt-in `model` feature.
-use crate::shim::{self, AtomicU32};
+use crate::shim::{self, AtomicU64};
 use crate::trace;
 
 /// How the owner's `pop_bottom` guards against concurrent exposure from a
@@ -138,21 +140,21 @@ pub fn double2int(r: f64) -> i32 {
 /// transfer (the first returned task plus up to `STEAL_BATCH_MAX - 1`
 /// extras). Bounds the thief-side stack buffers; the protocol itself caps
 /// the take at half the public part, so this only bites on very full
-/// deques. Pinned, like `pop_top_batch`, by the benchmark until ROADMAP
-/// item 11.
+/// deques. Pinned, like `pop_top_batch`, by the benchmark (`lcws-e2e`),
+/// which compiles against it.
 pub const STEAL_BATCH_MAX: usize = 16;
 
 /// The split deque (Listing 2). One per worker; the worker is the only
 /// caller of `push_bottom` / `pop_bottom` / `pop_public_bottom` /
 /// `update_public_bottom`, while any thief may call `pop_top` /
-/// `has_two_tasks` / `is_public_empty`.
+/// `has_two_tasks` / `is_empty`.
 pub struct SplitDeque {
-    /// Packed `{tag, top}` guarding the public part's top end.
-    age: CachePadded<AtomicAge>,
+    /// Index of the top-most public task; only ever grows.
+    top: CachePadded<AtomicU64>,
     /// One past the bottom-most public task; the private part starts here.
-    public_bot: CachePadded<AtomicU32>,
+    public_bot: CachePadded<AtomicU64>,
     /// One past the bottom-most task overall (owner-local).
-    bot: CachePadded<AtomicU32>,
+    bot: CachePadded<AtomicU64>,
     /// Growable slot ring (current buffer, cached top bound, retirement
     /// list).
     ring: CachePadded<GrowableRing>,
@@ -169,9 +171,9 @@ impl SplitDeque {
     /// [`crate::deque::ring::MAX_DEQUE_CAPACITY`].
     pub fn new(capacity: usize) -> Self {
         SplitDeque {
-            age: CachePadded::new(AtomicAge::new()),
-            public_bot: CachePadded::new(shim::named_u32(0, "public_bot")),
-            bot: CachePadded::new(shim::named_u32(0, "bot")),
+            top: CachePadded::new(shim::named_u64(0, "top")),
+            public_bot: CachePadded::new(shim::named_u64(0, "public_bot")),
+            bot: CachePadded::new(shim::named_u64(0, "bot")),
             ring: CachePadded::new(GrowableRing::new(capacity)),
         }
     }
@@ -203,13 +205,11 @@ impl SplitDeque {
         }
         // Acquire: a `top` that moved frees cells for the write below,
         // which must come after the thief's read of them (*Slot reuse*).
-        let buf = self
-            .ring
-            .for_push(b, || self.age.load(Ordering::Acquire).top)?;
+        let buf = self.ring.for_push(b, || self.top.load(Ordering::Acquire))?;
         hb::on_write(buf.slot(b) as *const _ as usize, "split slot (push_bottom)");
         buf.slot(b).store(task, Ordering::Relaxed);
-        self.bot.store(b.wrapping_add(1), Ordering::Relaxed);
-        trace::emit(Event::Push, 1, b.wrapping_add(1));
+        self.bot.store(b + 1, Ordering::Relaxed);
+        trace::emit(Event::Push, 1, (b + 1) as u32);
         Ok(())
     }
 
@@ -243,21 +243,20 @@ impl SplitDeque {
                 if b == pb {
                     return None;
                 }
-                let b1 = b.wrapping_sub(1);
+                let b1 = b - 1;
                 self.bot.store(b1, Ordering::Relaxed);
                 let task = self.ring.owner().slot(b1).load(Ordering::Relaxed);
-                trace::emit(Event::LocalPop, 1, b1);
+                trace::emit(Event::LocalPop, 1, b1 as u32);
                 Some(task)
             }
             PopBottomMode::SignalSafe => {
                 // §4: `--bot < public_bot ? nullptr : deq[bot]`, plus the
-                // empty-private-part guard discussed in the module docs
-                // (`bot == 0` alone is not proof on a wrapped era).
+                // empty-deque guard discussed in the module docs.
                 let b = self.bot.load(Ordering::Relaxed);
-                if b == 0 && self.public_bot.load(Ordering::Relaxed) == 0 {
+                if sdist(b, self.ring.top_bound()) <= 0 {
                     return None;
                 }
-                let b1 = b.wrapping_sub(1);
+                let b1 = b - 1;
                 self.bot.store(b1, Ordering::Relaxed);
                 // The §4 race window: a handler exposure landing between
                 // the decrement above and the comparison below.
@@ -269,32 +268,32 @@ impl SplitDeque {
                     return None;
                 }
                 let task = self.ring.owner().slot(b1).load(Ordering::Relaxed);
-                trace::emit(Event::LocalPop, 1, b1);
+                trace::emit(Event::LocalPop, 1, b1 as u32);
                 Some(task)
             }
         }
     }
 
     /// Owner: pop the bottom-most task of the **public** part (Listing 2
-    /// lines 9–29, with the §4 `bot ← 0` reset when `public_bot == 0`).
+    /// lines 9–29, with the §4 repair of `bot` when the public part is
+    /// empty).
     ///
-    /// Pays the paper's two seq-cst fences, and a CAS when racing thieves
+    /// Pays the paper's two seq-cst fences unless `public_bot` stands where
+    /// an earlier pop found the deque empty, and a CAS when racing thieves
     /// for the last public task.
     pub fn pop_public_bottom(&self) -> Option<*mut Job> {
         fault::point(Site::PopPublicBottom);
         let pb0 = self.public_bot.load(Ordering::Relaxed);
-        // Every owner read of `age` that can observe a thief's CAS is an
-        // Acquire: it is how the owner learns slots below `top` are free.
-        if pb0 == 0 && self.age.load(Ordering::Acquire).top == 0 {
+        // `top_bound <= top <= public_bot`: `public_bot` at the owner's
+        // cached bound proves the public part empty without a fence or a
+        // read of the thieves' `top` line.
+        if sdist(pb0, self.ring.top_bound()) <= 0 {
             // §4 modification: repair `bot` (the SignalSafe pop_bottom may
-            // have left it decremented below a now-empty deque). The guard
-            // requires `top == 0` too: on a wrapped era `public_bot == 0`
-            // with `top` just below the boundary is a *live* public part
-            // `[top, 0)`, handled by the wrapping decrement below.
-            self.bot.store(0, Ordering::Relaxed);
+            // have left it decremented below `public_bot`).
+            self.bot.store(pb0, Ordering::Relaxed);
             return None;
         }
-        let pb = pb0.wrapping_sub(1);
+        let pb = pb0 - 1;
         // Release, not Relaxed: a plain store would *break the release
         // sequence* headed by the exposure's Release store (C++20), so a
         // thief acquire-loading the decremented value would lose the edge
@@ -303,62 +302,54 @@ impl SplitDeque {
         // paper's Listing 2 uses seq-cst stores here, which release too.)
         self.public_bot.store(pb, Ordering::Release);
         // Fence #1 (Listing 2 line 12): publish the decrement to thieves and
-        // read an up-to-date `age`.
+        // read an up-to-date `top`.
         shim::fence_seq_cst();
         let task = self.ring.owner().slot(pb).load(Ordering::Relaxed);
-        let old_age = self.age.load(Ordering::Acquire);
-        if sdist(pb, old_age.top) > 0 {
+        let t = self.top.load(Ordering::Acquire);
+        if sdist(pb, t) > 0 {
             // More than one public task remained: the bottom-most one is
             // ours without contention. Private part is empty here (this
             // method is only called when pop_bottom failed), so `bot`
             // follows the boundary.
             self.bot.store(pb, Ordering::Relaxed);
-            trace::emit(Event::OwnerPublicPop, 1, pb);
+            trace::emit(Event::OwnerPublicPop, 1, pb as u32);
             return Some(task);
         }
-        // At most one public task remains and thieves may be racing for it:
-        // reset the deque and fight for the task with a CAS. A delay here
-        // (between the two fences) widens the owner-vs-thief CAS race.
+        // At most one public task remains and thieves may be racing for it.
+        // A delay here (between the two fences) widens the owner-vs-thief
+        // CAS race.
         fault::point(Site::PopPublicBottom);
-        self.bot.store(0, Ordering::Relaxed);
-        // The reset opens a fresh tag era with `top = 0`; the push fast
-        // path's cached bound must not carry over from the old era.
-        self.ring.reset_top_bound();
-        let new_age = old_age.reset();
-        let local_bot = pb;
-        // Release (sequence continuation, as above) — and ordered before
-        // the era-opening `age` publishes below: a thief that observes the
-        // fresh era must also observe `public_bot = 0`, or it could pair
-        // the new `age` with a stale (larger) `public_bot` and steal a
-        // *private* new-era slot. The SC fences don't close that window
-        // for thieves (they carry no fence); the Release/Acquire chain
-        // through `age` does, by write-read coherence.
-        self.public_bot.store(0, Ordering::Release);
-        let won = if local_bot == old_age.top {
+        // Either way the deque ends empty at `top == pb0`: a thief already
+        // took slot `pb` (`t == pb0`), or the CAS below or a thief's moves
+        // `top` from `pb` to `pb0`. Re-anchor both bottoms there,
+        // `public_bot` first: a handler landing between the two stores
+        // reads `bot <= public_bot` and exposes nothing.
+        // Release (sequence continuation, as above), before the CAS: a
+        // thief that reads the advanced `top` from it reads this
+        // `public_bot` or a later one.
+        self.public_bot.store(pb0, Ordering::Release);
+        self.bot.store(pb0, Ordering::Relaxed);
+        let won = if pb == t {
             metrics::record_cas();
-            // Failure Acquire: losing means a thief's CAS took the last
-            // task; the next era reuses the slot that thief read.
-            self.age
-                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Acquire)
+            // Success Release as the thieves' CAS; failure Acquire, like
+            // every owner read of `top` here.
+            self.top
+                .compare_exchange(t, pb0, Ordering::Release, Ordering::Acquire)
                 .is_ok()
         } else {
             false
         };
-        let result = if won {
-            trace::emit(Event::OwnerPublicPop, 1, 0);
-            Some(task)
-        } else {
-            // A thief took it (or top had already moved past us): make the
-            // reset visible and report empty. Release for the same
-            // era-vs-`public_bot` coherence argument as the CAS above.
-            self.age.store(new_age, Ordering::Release);
-            None
-        };
-        // Fence #2 (Listing 2 line 27): thieves must not observe the new
-        // `age` together with the old `public_bot`, which could double-run
-        // a task.
+        // The owner has acquired `top == pb0` (the `t` load, a failed CAS)
+        // or set it (a won CAS), as the push's refresh would learn it.
+        self.ring.set_top_bound(pb0);
+        if won {
+            trace::emit(Event::OwnerPublicPop, 1, pb0 as u32);
+        }
+        // Fence #2 (Listing 2 line 27). In the listing it stops thieves
+        // pairing the reset `age` with the old `public_bot`; with no reset
+        // it is kept so the counted synchronisation stays the paper's.
         shim::fence_seq_cst();
-        result
+        won.then_some(task)
     }
 
     /// Thief: try to steal the top-most public task (Listing 2 lines 30–40).
@@ -370,20 +361,19 @@ impl SplitDeque {
     pub fn pop_top(&self) -> Steal {
         fault::point(Site::PopTop);
         metrics::bump(Event::StealAttempt);
-        let old_age = self.age.load(Ordering::Acquire);
+        let t = self.top.load(Ordering::Acquire);
         let pb = self.public_bot.load(Ordering::Acquire);
-        if sdist(pb, old_age.top) > 0 {
-            // Single buffer capture per steal, *after* the `age` load: the
+        if sdist(pb, t) > 0 {
+            // Single buffer capture per steal, *after* the `top` load: the
             // CAS below fails whenever `top` moved, which is the only way
             // this ring's slot at `top` could have been overwritten or the
             // ring retired-and-superseded mid-steal (see `deque::ring`).
-            let slot = self.ring.capture().slot(old_age.top);
+            let slot = self.ring.capture().slot(t);
             // Speculative for the checker: this read only counts (and only
             // races) if the validating CAS below commits it.
             let pending = hb::speculative_read(slot as *const _ as usize, "split slot (pop_top)");
             let task = slot.load(Ordering::Relaxed);
-            let new_age = old_age.with_top_incremented();
-            // Stretch the read-age → CAS window thieves race within; a
+            // Stretch the read-top → CAS window thieves race within; a
             // forced fire models losing the race outright (the chaos tests
             // use it to exercise the Abort path deterministically).
             if fault::fail_at(Site::PopTop) {
@@ -395,8 +385,8 @@ impl SplitDeque {
             // before the owner's reuse of the cell (module docs, *Slot
             // reuse*).
             if self
-                .age
-                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Relaxed)
+                .top
+                .compare_exchange(t, t + 1, Ordering::Release, Ordering::Relaxed)
                 .is_ok()
             {
                 hb::commit_read(pending);
@@ -417,13 +407,13 @@ impl SplitDeque {
         }
     }
 
-    /// Thief: steal up to `⌈public/2⌉` tasks with **one** validating `age`
+    /// Thief: steal up to `⌈public/2⌉` tasks with **one** validating `top`
     /// CAS.
     ///
     /// **Unsound, and no pool calls it**: the owner's `pop_public_bottom`
     /// can take a slot of `[top, top+k)` through `public_bot` alone before
     /// the CAS, which still succeeds (DESIGN §5h). Pinned by the benchmark
-    /// until ROADMAP item 11.
+    /// (`lcws-e2e`), which measures it.
     ///
     /// Returns the top-most stolen task exactly like
     /// [`SplitDeque::pop_top`]; any *additional* tasks (at most `max_extra`,
@@ -435,24 +425,23 @@ impl SplitDeque {
     /// ## Why one CAS over `k` slots is safe (§4 signal-window argument)
     ///
     /// The scalar proof: a thief reads slot `top`, then CASes
-    /// `age: {tag, top} → {tag, top+1}`; the CAS succeeding proves `top`
-    /// never moved between the read and the commit, so the slot could not
-    /// have been overwritten (overwrite requires the owner to reclaim the
-    /// index, which requires the era reset that bumps `tag`) nor taken by
-    /// another thief (which requires advancing `top`).
+    /// `top → top+1`; the CAS succeeding proves `top` never moved between
+    /// the read and the commit, so the slot could not have been overwritten
+    /// (a ring wrap onto it needs `top` past it) nor taken by another thief
+    /// (which requires advancing `top`).
     ///
     /// The multi-slot extension takes `k ≤ ⌈sdist(public_bot, top)/2⌉`
     /// slots `[top, top+k)`. Every index is strictly below the
-    /// `public_bot` value loaded *after* `age`, so every slot was written
+    /// `public_bot` value loaded *after* `top`, so every slot was written
     /// before the exposure's Release store and the Acquire load here — the
     /// per-slot publication edge is the scalar one, `k` times. The single
-    /// CAS `{tag, top} → {tag, top+k}` validates all `k` reads at once: if
-    /// any other taker (thief CAS, owner reset) touched the range first,
-    /// `top` or `tag` changed and the CAS fails, taking nothing. An owner
-    /// `pop_public_bottom` racing on the *last* public task CASes the same
-    /// word, so the two-fence reset protocol is undisturbed: the batch
-    /// either wins wholly before the reset (owner sees `top` advanced,
-    /// resigns) or loses wholly. Signal-handler exposures only move
+    /// CAS `top → top+k` validates all `k` reads at once: if any other CAS
+    /// taker touched the range first, `top` changed and the CAS fails,
+    /// taking nothing. An owner `pop_public_bottom` racing on the *last*
+    /// public task CASes the same word, so the two-fence protocol is
+    /// undisturbed: the batch either wins wholly before the owner's CAS
+    /// (owner sees `top` advanced, resigns) or loses wholly. Signal-handler
+    /// exposures only move
     /// `public_bot` upward, which can only under-count `avail` here —
     /// never expose a slot to double-take. Taking at most *half* (the
     /// ceiling) leaves the remainder immediately re-stealable, preserving
@@ -460,18 +449,18 @@ impl SplitDeque {
     pub fn pop_top_batch(&self, extras: &mut Vec<*mut Job>, max_extra: usize) -> Steal {
         fault::point(Site::PopTop);
         metrics::bump(Event::StealAttempt);
-        let old_age = self.age.load(Ordering::Acquire);
+        let t = self.top.load(Ordering::Acquire);
         let pb = self.public_bot.load(Ordering::Acquire);
-        let avail = sdist(pb, old_age.top);
+        let avail = sdist(pb, t);
         if avail > 0 {
-            let avail = avail as u32;
+            let avail = avail as u64;
             // Half of the public part, rounded up, capped by the caller's
             // budget and the stack-array bound; always at least the one
             // task a scalar steal would take.
             let k = (avail.div_ceil(2))
-                .min(max_extra.min(STEAL_BATCH_MAX - 1) as u32 + 1)
+                .min(max_extra.min(STEAL_BATCH_MAX - 1) as u64 + 1)
                 .max(1) as usize;
-            // Single buffer capture per steal, after the `age` load, exactly
+            // Single buffer capture per steal, after the `top` load, exactly
             // as in pop_top: the CAS below fails whenever `top` moved, which
             // is the only way any of the `k` slots could have been
             // overwritten or the ring retired mid-steal.
@@ -480,7 +469,7 @@ impl SplitDeque {
             let mut pending: [Option<hb::PendingRead>; STEAL_BATCH_MAX] =
                 std::array::from_fn(|_| None);
             for (i, (task, pend)) in tasks.iter_mut().zip(pending.iter_mut()).take(k).enumerate() {
-                let slot = buf.slot(old_age.top.wrapping_add(i as u32));
+                let slot = buf.slot(t + i as u64);
                 // Speculative for the checker: these reads only count (and
                 // only race) if the validating CAS below commits them.
                 *pend = Some(hb::speculative_read(
@@ -489,8 +478,7 @@ impl SplitDeque {
                 ));
                 *task = slot.load(Ordering::Relaxed);
             }
-            let new_age = old_age.with_top_advanced(k as u32);
-            // Same stretchable read-age → CAS window as the scalar steal.
+            // Same stretchable read-top → CAS window as the scalar steal.
             if fault::fail_at(Site::PopTop) {
                 metrics::bump(Event::StealAbort);
                 return Steal::Abort;
@@ -499,8 +487,8 @@ impl SplitDeque {
             // Success Release, as in `pop_top`: orders the `k` slot reads
             // before the owner's reuse of those slots.
             if self
-                .age
-                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Relaxed)
+                .top
+                .compare_exchange(t, t + k as u64, Ordering::Release, Ordering::Relaxed)
                 .is_ok()
             {
                 for pend in pending.iter_mut().take(k) {
@@ -534,8 +522,8 @@ impl SplitDeque {
         fault::point(Site::UpdatePublicBottom);
         let b = self.bot.load(Ordering::Relaxed);
         let pb = self.public_bot.load(Ordering::Relaxed);
-        // Private-part length; sdist keeps it exact across index wrap (the
-        // transient SignalSafe decrement can make it -1, clamped to 0).
+        // Private-part length (the transient SignalSafe decrement can make
+        // it -1, clamped to 0).
         let r = sdist(b, pb).max(0) as u32;
         let exposed = match policy {
             ExposurePolicy::One => {
@@ -570,7 +558,7 @@ impl SplitDeque {
             // Release pairs with the Acquire in pop_top so thieves see the
             // slot contents before the moved boundary.
             self.public_bot
-                .store(pb.wrapping_add(exposed), Ordering::Release);
+                .store(pb + exposed as u64, Ordering::Release);
             // May run in signal-handler context; both halves of the call
             // are async-signal-safe by design (see `crate::trace`).
             trace::emit(Event::Exposure, exposed as u64, exposed);
@@ -602,44 +590,33 @@ impl SplitDeque {
         exposed
     }
 
-    /// Pool (at quiescence): restore the canonical `(bot, public_bot,
-    /// age) = (0, 0, {tag+1, 0})` empty state before handing this deque to
-    /// a respawned worker.
-    ///
-    /// Mirrors the reset arm of [`SplitDeque::pop_public_bottom`]: the tag
-    /// bump invalidates any `age` snapshot a thief captured in the dead
-    /// worker's era, and the push fast path's cached top bound must not
-    /// carry over.
+    /// Pool (at quiescence): empty the deque (`bot = public_bot = top`)
+    /// before handing it to a respawned worker. `top` stays where it is, so
+    /// a thief's stale snapshot of it can never validate again.
     ///
     /// # Safety (enforced by the caller)
     /// Only sound at quiescence with no concurrent owner or thief — the
     /// pool calls this between runs, under the run lock, after the `active`
     /// handshake of the previous generation completed.
     pub(crate) fn reset_for_respawn(&self) {
-        self.bot.store(0, Ordering::Relaxed);
-        self.public_bot.store(0, Ordering::Relaxed);
-        self.ring.reset_top_bound();
-        let new_age = self.age.load(Ordering::Relaxed).reset();
-        self.age.store(new_age, Ordering::Relaxed);
+        let top = self.top.load(Ordering::Relaxed);
+        self.bot.store(top, Ordering::Relaxed);
+        self.public_bot.store(top, Ordering::Relaxed);
+        self.ring.set_top_bound(top);
     }
 
-    /// Test hook: re-anchor an **empty, quiescent** deque so its next era
-    /// starts at absolute index `start`. Lets the wraparound tests (and the
-    /// `model` scenarios) reach the `u32` index boundary in a few pushes
-    /// instead of 2³² operations. Bumps the ABA tag like every other reset
-    /// path and reseeds the ring's cached top bound.
+    /// Test hook: re-anchor an **empty, quiescent** deque at absolute index
+    /// `start` (`bot`, `public_bot`, `top` and the ring's cached top
+    /// bound). Lets the tests and the `model` scenarios start at high
+    /// indices.
     ///
     /// Not part of the stable API; callable only with no concurrent owner,
     /// thief, or handler, like [`SplitDeque::reset_for_respawn`].
     #[doc(hidden)]
-    pub fn set_start_index(&self, start: u32) {
+    pub fn set_start_index(&self, start: u64) {
         self.bot.store(start, Ordering::Relaxed);
         self.public_bot.store(start, Ordering::Relaxed);
-        let new_age = Age {
-            tag: self.age.load(Ordering::Relaxed).tag.wrapping_add(1),
-            top: start,
-        };
-        self.age.store(new_age, Ordering::Relaxed);
+        self.top.store(start, Ordering::Relaxed);
         self.ring.set_top_bound(start);
     }
 
@@ -648,7 +625,7 @@ impl SplitDeque {
     #[inline]
     pub fn has_two_tasks(&self) -> bool {
         let b = self.bot.load(Ordering::Relaxed);
-        let top = self.age.load(Ordering::Relaxed).top;
+        let top = self.top.load(Ordering::Relaxed);
         sdist(b, top) >= 2
     }
 
@@ -663,32 +640,27 @@ impl SplitDeque {
     /// Number of tasks currently in the public part (racy).
     pub fn public_len(&self) -> u32 {
         let pb = self.public_bot.load(Ordering::Relaxed);
-        let top = self.age.load(Ordering::Relaxed).top;
+        let top = self.top.load(Ordering::Relaxed);
         sdist(pb, top).max(0) as u32
     }
 
     /// Is the deque observably empty (racy)?
     pub fn is_empty(&self) -> bool {
         let b = self.bot.load(Ordering::Relaxed);
-        let top = self.age.load(Ordering::Relaxed).top;
+        let top = self.top.load(Ordering::Relaxed);
         sdist(b, top) <= 0
     }
 
-    /// Raw `(bot, public_bot, age)` snapshot. For tests and the model
-    /// checker, which assert the canonical `(0, 0)` empty-state repair;
-    /// not part of the stable API.
+    /// Raw `(bot, public_bot, top)` snapshot. For tests and the model
+    /// checker, which assert that a drained deque rests at
+    /// `bot == public_bot == top`; not part of the stable API.
     #[doc(hidden)]
-    pub fn raw_state(&self) -> (u32, u32, Age) {
+    pub fn raw_state(&self) -> (u64, u64, u64) {
         (
             self.bot.load(Ordering::Relaxed),
             self.public_bot.load(Ordering::Relaxed),
-            self.age.load(Ordering::Relaxed),
+            self.top.load(Ordering::Relaxed),
         )
-    }
-
-    #[cfg(test)]
-    pub(crate) fn raw_indices(&self) -> (u32, u32, Age) {
-        self.raw_state()
     }
 
     /// Free rings retired by growth.
@@ -780,10 +752,8 @@ mod tests {
         assert_eq!(d.pop_public_bottom(), Some(job(2)));
         assert_eq!(d.pop_public_bottom(), Some(job(1)));
         assert_eq!(d.pop_public_bottom(), None);
-        let (bot, pb, age) = d.raw_indices();
-        assert_eq!((bot, pb), (0, 0));
-        assert_eq!(age.top, 0);
-        assert!(age.tag >= 1, "reset path bumps the ABA tag");
+        // The last-task CAS advanced `top`; both bottoms rest there.
+        assert_eq!(d.raw_state(), (1, 1, 1));
     }
 
     #[test]
@@ -833,8 +803,7 @@ mod tests {
         // ...but pop_public_bottom retrieves it and repairs the indices.
         assert_eq!(d.pop_public_bottom(), Some(job(1)));
         assert_eq!(d.pop_public_bottom(), None);
-        let (bot, pb, _) = d.raw_indices();
-        assert_eq!((bot, pb), (0, 0));
+        assert_eq!(d.raw_state(), (1, 1, 1));
     }
 
     #[test]
@@ -850,20 +819,40 @@ mod tests {
     #[test]
     fn pop_public_bottom_repairs_bot_after_signal_safe_miss() {
         // SignalSafe pop decrements bot even when it returns None; the §4
-        // modification makes pop_public_bottom reset bot when public_bot==0.
+        // modification makes pop_public_bottom repair it.
         let d = SplitDeque::new(16);
         d.push_bottom(job(1));
         d.update_public_bottom(ExposurePolicy::One);
         // Thief steals the exposed task.
         assert_eq!(d.pop_top(), Steal::Ok(job(1)));
-        // Owner pops: private empty (bot decremented to 0 by the miss path
-        // or by the compare), then public pop resets cleanly.
+        // The miss leaves `bot` one below `public_bot`; the public pop
+        // finds the deque drained and re-anchors both bottoms at `top`.
         assert_eq!(d.pop_bottom(PopBottomMode::SignalSafe), None);
+        assert_eq!(d.raw_state(), (0, 1, 1));
         assert_eq!(d.pop_public_bottom(), None);
-        let (bot, pb, _) = d.raw_indices();
-        assert_eq!((bot, pb), (0, 0));
+        assert_eq!(d.raw_state(), (1, 1, 1));
+        // Now the empty deque is proved empty before the decrement.
+        assert_eq!(d.pop_bottom(PopBottomMode::SignalSafe), None);
+        assert_eq!(d.raw_state(), (1, 1, 1));
         d.push_bottom(job(2));
         assert_eq!(d.pop_bottom(PopBottomMode::SignalSafe), Some(job(2)));
+    }
+
+    #[test]
+    fn signal_safe_miss_on_an_all_public_deque_decrements_bot() {
+        // An empty private part over a non-empty public part is no proof
+        // of an empty deque: the miss still leaves `bot` one below
+        // `public_bot`, so a handler during the public pop exposes nothing.
+        let d = SplitDeque::new(16);
+        d.push_bottom(job(1));
+        d.push_bottom(job(2));
+        d.push_bottom(job(3));
+        assert_eq!(d.expose_all(), 3);
+        assert_eq!(d.pop_top(), Steal::Ok(job(1)));
+        assert_eq!(d.pop_bottom(PopBottomMode::SignalSafe), None);
+        assert_eq!(d.raw_state(), (2, 3, 1));
+        assert_eq!(d.pop_public_bottom(), Some(job(3)));
+        assert_eq!(d.raw_state(), (2, 2, 1));
     }
 
     #[test]
@@ -915,12 +904,12 @@ mod tests {
     #[test]
     fn batch_steal_across_index_wrap() {
         let d = SplitDeque::new(4);
-        d.set_start_index(u32::MAX - 2);
+        d.set_start_index(u64::from(u32::MAX) - 2);
         for i in 1..=8 {
             d.push_bottom(job(i));
         }
         assert_eq!(d.expose_all(), 8);
-        // The take range [top, top+4) straddles the u32 boundary.
+        // The take range [top, top+4) straddles 2³².
         let mut extras = Vec::new();
         assert_eq!(d.pop_top_batch(&mut extras, 8), Steal::Ok(job(1)));
         assert_eq!(extras, vec![job(2), job(3), job(4)]);
@@ -988,14 +977,9 @@ mod tests {
         d.push_bottom(job(2));
         d.update_public_bottom(ExposurePolicy::One);
         assert_eq!(d.pop_top(), Steal::Ok(job(1)));
-        let tag_before = d.raw_state().2.tag;
         d.reset_for_respawn();
-        let (bot, pb, age) = d.raw_state();
-        assert_eq!((bot, pb, age.top), (0, 0, 0));
-        assert!(
-            age.tag > tag_before,
-            "respawn reset must open a new tag era"
-        );
+        assert_eq!(d.raw_state(), (1, 1, 1), "emptied at `top`, which stays");
+        assert_eq!(d.pop_top(), Steal::Empty);
         // The slot is fully reusable by the replacement owner.
         d.push_bottom(job(3));
         assert_eq!(d.pop_bottom(PopBottomMode::Standard), Some(job(3)));
@@ -1054,7 +1038,7 @@ mod tests {
 
     #[test]
     fn ring_slots_recycle_after_reset_without_growing() {
-        // Steals + resets advance the absolute indices; the ring must
+        // Steals advance the absolute indices for good; the ring must
         // recycle physical slots instead of growing.
         let d = SplitDeque::new(4);
         for round in 0..16 {
@@ -1064,78 +1048,74 @@ mod tests {
             assert!(matches!(d.pop_top(), Steal::Ok(_)));
             assert!(d.pop_bottom(PopBottomMode::SignalSafe).is_some());
             assert!(d.pop_bottom(PopBottomMode::SignalSafe).is_none());
-            assert!(d.pop_public_bottom().is_none()); // canonical reset
+            assert!(d.pop_public_bottom().is_none());
         }
+        assert_eq!(d.raw_state(), (16, 16, 16));
         assert_eq!(d.generation(), 0, "steady-state reuse must not grow");
         assert_eq!(d.capacity(), 4);
     }
 
     #[test]
     fn wraparound_expose_steal_pop_and_grow() {
-        // Start the era 8 slots below the u32 boundary and drive every
-        // protocol operation across the wrap: growth, exposure (the new
-        // public_bot lands exactly on 0), steals, SignalSafe pops, and the
-        // owner's public-bottom pops with a wrapped decrement.
+        // Start at a high index (8 below 2³²) and drive every protocol
+        // operation past 2³²: growth, exposure (the new public_bot lands
+        // exactly on it), steals, SignalSafe pops, and the owner's
+        // public-bottom pops.
         let d = SplitDeque::new(4);
-        let start = u32::MAX - 7;
+        let start = u64::from(u32::MAX) - 7;
         d.set_start_index(start);
 
         for i in 1..=16 {
-            d.push_bottom(job(i)); // grows 4 -> 8 -> 16 across the wrap
+            d.push_bottom(job(i)); // grows 4 -> 8 -> 16 across 2^32
         }
         assert_eq!(d.capacity(), 16);
         assert_eq!(d.generation(), 2);
-        let (bot, pb, _) = d.raw_indices();
-        assert_eq!(bot, start.wrapping_add(16)); // == 8, numerically < pb
-        assert_eq!(pb, start);
-        assert!(bot < pb, "raw indices must be inverted across the wrap");
+        assert_eq!(d.raw_state(), (start + 16, start, start));
         assert_eq!(d.private_len(), 16);
         assert_eq!(d.public_len(), 0);
         assert!(!d.is_empty());
         assert!(d.has_two_tasks());
         assert_eq!(d.pop_top(), Steal::PrivateWork);
 
-        // Half policy: r = 16, expose 8 — public_bot wraps to exactly 0.
+        // Half policy: r = 16, expose 8 — public_bot lands on 2^32.
         assert_eq!(d.update_public_bottom(ExposurePolicy::Half), 8);
-        assert_eq!(d.raw_indices().1, 0);
+        assert_eq!(d.raw_state().1, 1 << 32);
         assert_eq!(d.public_len(), 8);
 
         // Thief steals the two oldest tasks across the top end.
         assert_eq!(d.pop_top(), Steal::Ok(job(1)));
         assert_eq!(d.pop_top(), Steal::Ok(job(2)));
 
-        // Owner drains the private part (indices 0..8 post-wrap).
+        // Owner drains the private part (indices above 2^32).
         for i in (9..=16).rev() {
             assert_eq!(d.pop_bottom(PopBottomMode::SignalSafe), Some(job(i)));
         }
         assert_eq!(d.pop_bottom(PopBottomMode::SignalSafe), None);
 
-        // Public pops decrement public_bot back across the boundary
-        // (0 -> u32::MAX -> ...), ending in the canonical reset.
+        // Public pops walk public_bot back below 2^32; the last one's CAS
+        // advances `top`, and every index rests there.
         for i in (3..=8).rev() {
             assert_eq!(d.pop_public_bottom(), Some(job(i)));
         }
         assert_eq!(d.pop_public_bottom(), None);
-        let (bot, pb, age) = d.raw_indices();
-        assert_eq!((bot, pb, age.top), (0, 0, 0));
+        assert_eq!(d.raw_state(), (start + 3, start + 3, start + 3));
 
-        // The re-anchored deque is fully usable in the fresh era.
         d.push_bottom(job(99));
         assert_eq!(d.pop_bottom(PopBottomMode::Standard), Some(job(99)));
     }
 
     #[test]
     fn wraparound_concurrent_stress_no_loss_no_duplication() {
-        // The concurrent stress, but with the era anchored just below the
-        // u32 boundary and a small initial ring so growth, exposure, steals,
-        // and pops all race across the wrap.
+        // The concurrent stress, but started at a high index (500 below
+        // 2³²) with a small initial ring, so growth, exposure, steals and
+        // pops all race across 2³².
         use std::collections::HashSet;
         use std::sync::atomic::AtomicBool;
         use std::sync::Mutex;
 
         const N: usize = 2000;
         let d = SplitDeque::new(8);
-        d.set_start_index(u32::MAX - 500);
+        d.set_start_index(u64::from(u32::MAX) - 500);
         let taken = Mutex::new(Vec::<usize>::new());
         let done = AtomicBool::new(false);
 

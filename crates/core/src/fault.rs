@@ -72,7 +72,7 @@ pub enum Site {
     /// Owner `pop_public_bottom`, fired again between the paper's two
     /// seq-cst fences where thieves race the owner for the last task.
     PopPublicBottom = 2,
-    /// Thief `pop_top`, fired again between the `age` read and the CAS.
+    /// Thief `pop_top`, fired again between the `top` read and the CAS.
     /// Failable at that second site: a forced fire makes the thief lose
     /// the CAS race outright (`Steal::Abort`), so chaos tests can exercise
     /// the contention path deterministically.

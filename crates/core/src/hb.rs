@@ -36,7 +36,7 @@
 //! conflicting prior access produces a report naming **both** sites.
 //!
 //! Thief-side ring-slot reads are *speculative*: the Chase-Lev steal reads
-//! the slot before the `age` CAS validates ownership, and a read whose CAS
+//! the slot before the `top` CAS validates ownership, and a read whose CAS
 //! fails discards the value. [`speculative_read`] captures the would-be
 //! race at read time; [`commit_read`] files it only if the steal succeeds,
 //! so sound executions under contention produce no false reports.
@@ -540,7 +540,7 @@ mod imp {
     }
 
     /// A pending (not yet validated) racy-by-design read: the Chase-Lev
-    /// thief slot read before its `age` CAS.
+    /// thief slot read before its `top` CAS.
     #[derive(Debug, Default)]
     pub(crate) struct PendingRead {
         addr: usize,

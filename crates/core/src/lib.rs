@@ -66,7 +66,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod age;
 mod api;
 pub mod deque;
 pub mod fault;
@@ -83,7 +82,6 @@ pub mod trace;
 mod variant;
 mod worker;
 
-pub use age::{Age, AtomicAge};
 pub use api::{
     default_grain, in_pool, join, num_workers, par_for, par_for_grain, scope, worker_index, Scope,
 };

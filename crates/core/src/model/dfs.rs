@@ -176,7 +176,11 @@ impl DecisionStack {
     }
 }
 
-type HandlerFn = Box<dyn Fn() + Send + Sync + 'static>;
+/// A signal-handler closure borrowing from its script's environment.
+type Handler<'env> = Box<dyn Fn() + Send + Sync + 'env>;
+type HandlerFn = Handler<'static>;
+/// One named thread's script closure.
+type Script<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 struct SessState {
     /// Thread i is parked on the scheduler, wanting to run.
@@ -406,8 +410,8 @@ impl Drop for FinishGuard<'_> {
 /// threads plus an optional signal handler targeting one of them.
 #[derive(Default)]
 pub struct Execution<'env> {
-    threads: Vec<(&'static str, Box<dyn FnOnce() + Send + 'env>)>,
-    handler: Option<(usize, Box<dyn Fn() + Send + Sync + 'env>)>,
+    threads: Vec<(&'static str, Script<'env>)>,
+    handler: Option<(usize, Handler<'env>)>,
 }
 
 impl<'env> Execution<'env> {
@@ -443,8 +447,7 @@ impl<'env> Execution<'env> {
             // Safety: lifetime erasure only. The session — and with it the
             // only reference to this closure — is dropped before `run`
             // returns, which is within 'env.
-            let f: HandlerFn =
-                unsafe { std::mem::transmute::<Box<dyn Fn() + Send + Sync + 'env>, HandlerFn>(f) };
+            let f: HandlerFn = unsafe { std::mem::transmute::<Handler<'env>, HandlerFn>(f) };
             (t, f)
         });
         let session = Session::new(names, handler);
@@ -546,8 +549,8 @@ mod tests {
     #[test]
     fn two_single_access_threads_have_two_schedules() {
         let report = explore(Options::default(), || {
-            let a = shim::named_u32(0, "a");
-            let b = shim::named_u32(0, "b");
+            let a = shim::AtomicU32::named(0, "a");
+            let b = shim::AtomicU32::named(0, "b");
             Execution::new()
                 .thread("t0", || a.store(1, O::Relaxed))
                 .thread("t1", || b.store(1, O::Relaxed))
@@ -568,8 +571,8 @@ mod tests {
         // so "after access 2" coincides with "never" unless the script adds
         // a trailing pause.)
         let report = explore(Options::default(), || {
-            let x = shim::named_u32(0, "x");
-            let seen = shim::named_u32(0, "seen");
+            let x = shim::AtomicU32::named(0, "x");
+            let seen = shim::AtomicU32::named(0, "seen");
             Execution::new()
                 .thread("owner", || {
                     x.store(1, O::Relaxed);
@@ -590,7 +593,7 @@ mod tests {
     #[test]
     fn trailing_pause_exposes_post_protocol_delivery() {
         let report = explore(Options::default(), || {
-            let x = shim::named_u32(0, "x");
+            let x = shim::AtomicU32::named(0, "x");
             Execution::new()
                 .thread("owner", || {
                     x.store(1, O::Relaxed);
@@ -611,7 +614,7 @@ mod tests {
         // load-then-store(+1) on one cell. Some interleaving must lose an
         // update, and the explorer must find and report it.
         let report = explore(Options::default(), || {
-            let x = shim::named_u32(0, "x");
+            let x = shim::AtomicU32::named(0, "x");
             let bump = || {
                 let v = x.load(O::Relaxed);
                 x.store(v + 1, O::Relaxed);
@@ -641,8 +644,8 @@ mod tests {
         // interleaving where the thief's load sees the handler's first
         // store but not its second.
         let report = explore(Options::default(), || {
-            let a = shim::named_u32(0, "a");
-            let b = shim::named_u32(0, "b");
+            let a = shim::AtomicU32::named(0, "a");
+            let b = shim::AtomicU32::named(0, "b");
             let saw_torn = std::sync::atomic::AtomicBool::new(false);
             Execution::new()
                 .thread("owner", || {
@@ -678,7 +681,7 @@ mod tests {
         // A 3-thread script with several accesses each: exhausting it
         // without a replay-divergence panic is itself the assertion.
         let report = explore(Options::default(), || {
-            let x = shim::named_u32(0, "x");
+            let x = shim::AtomicU32::named(0, "x");
             let work = || {
                 let v = x.load(O::Relaxed);
                 x.store(v | 1, O::Relaxed);

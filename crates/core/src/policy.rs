@@ -65,7 +65,7 @@ pub enum VictimSelection {
 /// One, always: the paper's protocol on both deques. The type and
 /// [`Policies::steal`] stay only because the benchmark (`lcws-e2e`)
 /// assigns the field; the benchmark PR that retires what only it pins
-/// deletes both (ROADMAP item 11).
+/// deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StealAmount {
     /// Exactly one task per CAS.
@@ -88,7 +88,7 @@ pub struct Policies {
     /// Victim probe order.
     pub victim: VictimSelection,
     /// Tasks transferred per successful steal CAS: always one. Nothing
-    /// reads it; kept for the benchmark until ROADMAP item 11.
+    /// reads it; kept because the benchmark assigns it.
     pub steal: StealAmount,
 }
 
@@ -173,7 +173,7 @@ impl Policies {
 
     /// Every bundle is sound: the fields that could pair an unsound deque
     /// and protocol do not exist. Always `Ok`; kept for the benchmark's
-    /// composition check until ROADMAP item 11.
+    /// composition check.
     pub fn validate(&self) -> Result<(), std::convert::Infallible> {
         Ok(())
     }

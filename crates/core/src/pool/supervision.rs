@@ -129,9 +129,9 @@ impl ThreadPool {
                 continue;
             }
             stray_deaths += join_helpers(handles[index - 1].take());
-            // The previous run quiesced, so the slot is ours: restore the
-            // canonical deque state and clear every per-worker flag the
-            // dead owner can no longer serve.
+            // The previous run quiesced, so the slot is ours: empty the
+            // deque and clear every per-worker flag the dead owner can no
+            // longer serve.
             w.deque.reset_for_respawn();
             w.expose_request.store(0, Ordering::Relaxed);
             w.wake_pending.store(false, Ordering::Relaxed);

@@ -1,7 +1,7 @@
 //! The one atomic seam: every shared word of the scheduler — deque
-//! indices, the `age` word, the ring-buffer pointer, sleeper masks, the
-//! injector's Treiber head, job links, pool lifecycle flags — is declared
-//! with a type from this module, and both opt-in checkers hang off it.
+//! indices, the ring-buffer pointer, sleeper masks, the injector's Treiber
+//! head, job links, pool lifecycle flags — is declared with a type from
+//! this module, and both opt-in checkers hang off it.
 //!
 //! * **Default build:** the types *are* `std::sync::atomic`'s (re-exports,
 //!   `TypeId`-asserted below) plus `#[inline(always)]` passthroughs for the
@@ -37,13 +37,7 @@ mod imp {
         AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize,
     };
 
-    /// Passthrough: a plain `AtomicU32`; the name only labels model traces.
-    #[inline(always)]
-    pub fn named_u32(value: u32, _name: &'static str) -> AtomicU32 {
-        AtomicU32::new(value)
-    }
-
-    /// Passthrough: a plain `AtomicU64`.
+    /// Passthrough: a plain `AtomicU64`; the name only labels model traces.
     #[inline(always)]
     pub fn named_u64(value: u64, _name: &'static str) -> AtomicU64 {
         AtomicU64::new(value)
@@ -176,12 +170,6 @@ mod imp {
         v.to_string()
     }
 
-    /// The only u64 the model scripts watch is the packed `{tag, top}`
-    /// `age` word, whose halves are more readable separately.
-    fn show_u64(v: u64) -> String {
-        format!("{}:{}", v >> 32, v as u32)
-    }
-
     fn show_ptr<T>(p: *mut T) -> String {
         format!("{p:p}")
     }
@@ -302,22 +290,11 @@ mod imp {
     shim_atomic!(AtomicBool, bool, show, [swap]);
     shim_atomic!(AtomicU8, u8, show, [swap]);
     shim_atomic!(AtomicU32, u32, show, [swap]);
-    shim_atomic!(
-        AtomicU64,
-        u64,
-        show_u64,
-        [swap, fetch_add, fetch_or, fetch_and]
-    );
+    shim_atomic!(AtomicU64, u64, show, [swap, fetch_add, fetch_or, fetch_and]);
     shim_atomic!(AtomicUsize, usize, show, [swap, fetch_add, fetch_sub]);
     shim_atomic!(AtomicPtr<T>, *mut T, show_ptr, [swap]);
 
-    /// Named `u32` deque word.
-    #[inline]
-    pub fn named_u32(value: u32, name: &'static str) -> AtomicU32 {
-        AtomicU32::named(value, name)
-    }
-
-    /// Named `u64` word (the `age`).
+    /// Named `u64` word (deque indices, the exposure-request word).
     #[inline]
     pub fn named_u64(value: u64, name: &'static str) -> AtomicU64 {
         AtomicU64::named(value, name)
@@ -337,8 +314,7 @@ mod imp {
 }
 
 pub use imp::{
-    fence_seq_cst, named_u32, named_u64, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8,
-    AtomicUsize,
+    fence_seq_cst, named_u64, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize,
 };
 
 /// The growable rings' buffer pointer — the explorer's `Resize` decision

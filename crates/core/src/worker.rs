@@ -84,8 +84,9 @@ pub(crate) fn wake_worker(index: u32) {
 /// `OverflowInline`.
 #[cold]
 fn note_overflow() {
+    #[cfg(not(feature = "faultpoints"))]
     debug_assert!(
-        cfg!(feature = "faultpoints"),
+        false,
         "deque overflow without fault injection: growable rings \
          only report DequeFull when forced (Site::PushBottom / \
          Site::DequeResize) or at MAX_DEQUE_CAPACITY"

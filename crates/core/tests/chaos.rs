@@ -200,7 +200,7 @@ fn exposure_delay_storm_keeps_results_correct() {
 }
 
 /// Steal bursts against a near-empty public part: yield storms at the
-/// thief's age-read → CAS window and delays between the owner's two
+/// thief's top-read → CAS window and delays between the owner's two
 /// seq-cst fences force the last-task CAS races of Listing 2.
 #[test]
 fn steal_bursts_on_last_task_races_stay_linearizable() {
@@ -355,7 +355,7 @@ fn injector_push_fault_storm_degrades_to_inline() {
     const TASKS: u64 = 2_000;
     let _g = lock();
     let guard = install(
-        FaultPlan::new(0x1239_e55).with(Site::InjectorPush, SiteAction::fail_always().one_in(3)),
+        FaultPlan::new(0x0123_9e55).with(Site::InjectorPush, SiteAction::fail_always().one_in(3)),
     );
     let pool = ThreadPool::new(Variant::Signal, 4);
     pool.serve();
@@ -404,7 +404,7 @@ fn injector_push_fault_storm_degrades_to_inline() {
 /// between a grow's copy loop and its buffer publish while thieves keep
 /// stealing from the ring that is about to be retired. The correctness
 /// claim under §4 is that a thief's stale buffer capture is harmless —
-/// its `age` CAS validates that `top` never moved — so the storm must
+/// its `top` CAS validates that `top` never moved — so the storm must
 /// lose nothing and run no task twice, on both deques.
 #[test]
 fn delay_storms_inside_the_resize_window_stay_linearizable() {

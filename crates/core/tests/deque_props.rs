@@ -285,8 +285,7 @@ proptest! {
     /// steals — driven over a seeded deque. Global accounting instead of a
     /// step-by-step model: every pushed task is taken exactly once, and a
     /// full drain always lands in the canonical empty state
-    /// `(bot, public_bot) = (0, 0)` with `age.top = 0`, leaving the deque
-    /// reusable.
+    /// `bot == public_bot == top`, leaving the deque reusable.
     #[test]
     fn interleave_scripts_lose_nothing_and_repair_to_canonical(
         seed in 0usize..12,
@@ -343,11 +342,11 @@ proptest! {
         }
         taken.sort_unstable();
         prop_assert_eq!(taken, (0..next).collect::<Vec<_>>(), "task lost or duplicated");
-        // Canonical §4 repair: a drained deque always reads (0, 0) indices
-        // and a reset top, whatever path emptied it.
-        let (bot, public_bot, age) = deque.raw_state();
-        prop_assert_eq!((bot, public_bot, age.top), (0, 0, 0));
-        // And it is immediately reusable from slot zero.
+        // Canonical §4 repair: a drained deque always rests with both
+        // bottoms at `top`, whatever path emptied it.
+        let (bot, public_bot, top) = deque.raw_state();
+        prop_assert_eq!((bot, public_bot), (top, top));
+        // And it is immediately reusable.
         prop_assert!(deque.try_push_bottom(cookie(0)).is_ok());
         prop_assert_eq!(deque.pop_bottom(PopBottomMode::SignalSafe), Some(cookie(0)));
     }

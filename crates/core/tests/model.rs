@@ -10,9 +10,8 @@
 //! drain the deque on the (unscheduled) explorer thread and check
 //!
 //! 1. no task was lost or executed twice, and
-//! 2. the deque returned to the canonical empty state
-//!    (`bot == public_bot == 0` and `age.top == 0`) — the §4 `bot ← 0`
-//!    repair in `pop_public_bottom`.
+//! 2. the drained deque rests at `bot == public_bot == top` — including
+//!    the §4 repair of `bot` in `pop_public_bottom`.
 //!
 //! The five paper pairings (WS, USLCWS, Signal, Conservative, Half) must
 //! pass exhaustively; the known-unsound pairing `Standard` + `Half` must
@@ -33,8 +32,33 @@ fn cookie(i: usize) -> *mut Job {
     (i + 1) as *mut Job
 }
 
+/// A never-pushed slot reads null, which maps to `usize::MAX` and fails
+/// the loss/duplication check.
 fn uncookie(t: *mut Job) -> usize {
-    t as usize - 1
+    (t as usize).wrapping_sub(1)
+}
+
+/// A drained split deque rests at `bot == public_bot == top`, wherever its
+/// indices started.
+fn check_drained(d: &SplitDeque) -> Result<(), String> {
+    let (bot, public_bot, top) = d.raw_state();
+    if bot == public_bot && public_bot == top {
+        Ok(())
+    } else {
+        Err(format!(
+            "inconsistent empty state: bot={bot} public_bot={public_bot} top={top}"
+        ))
+    }
+}
+
+/// The ABP twin of [`check_drained`]: `bot == top`.
+fn check_abp_drained(d: &AbpDeque) -> Result<(), String> {
+    let (bot, top) = d.raw_state();
+    if bot == top {
+        Ok(())
+    } else {
+        Err(format!("inconsistent empty state: bot={bot} top={top}"))
+    }
 }
 
 /// Sorted multiset check: everything taken during the execution plus
@@ -91,8 +115,20 @@ fn check_split(
     exposer: Exposer,
     ntasks: usize,
 ) -> Report {
+    check_split_from(mode, policy, exposer, ntasks, 0)
+}
+
+/// [`check_split`] with the deque's indices starting at `start`.
+fn check_split_from(
+    mode: PopBottomMode,
+    policy: ExposurePolicy,
+    exposer: Exposer,
+    ntasks: usize,
+    start: u64,
+) -> Report {
     explore(Options::default(), || {
         let d = SplitDeque::new(8);
+        d.set_start_index(start);
         for i in 0..ntasks {
             d.push_bottom(cookie(i));
         }
@@ -136,16 +172,7 @@ fn check_split(
         let mut all = taken.into_inner().unwrap();
         drain_owner(&d, &mut all);
         check_no_loss_no_dup(all, ntasks)?;
-
-        let (bot, public_bot, age) = d.raw_state();
-        if (bot, public_bot, age.top) != (0, 0, 0) {
-            return Err(format!(
-                "non-canonical empty state: bot={bot} public_bot={public_bot} \
-                 top={} (expected 0/0/0)",
-                age.top
-            ));
-        }
-        Ok(())
+        check_drained(&d)
     })
 }
 
@@ -153,11 +180,13 @@ fn check_split(
 // The five paper pairings (positive: must pass exhaustively).
 // ---------------------------------------------------------------------------
 
-/// WS baseline: ABP deque, owner `pop_bottom` racing a thief `pop_top`
-/// for the last task(s).
-fn check_abp(ntasks: usize) -> Report {
+/// WS baseline: ABP deque, owner `pop_bottom` racing a thief for the last
+/// task(s); the thief keeps stealing while it succeeds, up to `steals`
+/// times, and the indices start at `start`.
+fn check_abp(ntasks: usize, start: u64, steals: usize) -> Report {
     explore(Options::default(), || {
         let d = AbpDeque::new(8);
+        d.set_start_index(start);
         for i in 0..ntasks {
             d.push_bottom(cookie(i));
         }
@@ -169,7 +198,8 @@ fn check_abp(ntasks: usize) -> Report {
                 }
             })
             .thread("thief", || {
-                if let AbpSteal::Ok(t) = d.pop_top() {
+                for _ in 0..steals {
+                    let AbpSteal::Ok(t) = d.pop_top() else { break };
                     taken.lock().unwrap().push(uncookie(t));
                 }
             })
@@ -179,21 +209,14 @@ fn check_abp(ntasks: usize) -> Report {
             all.push(uncookie(t));
         }
         check_no_loss_no_dup(all, ntasks)?;
-        let (bot, age) = d.raw_state();
-        if (bot, age.top) != (0, 0) {
-            return Err(format!(
-                "non-canonical empty state: bot={bot} top={} (expected 0/0)",
-                age.top
-            ));
-        }
-        Ok(())
+        check_abp_drained(&d)
     })
 }
 
 #[test]
 fn ws_abp_owner_thief_race() {
     for ntasks in [1, 2] {
-        let report = check_abp(ntasks);
+        let report = check_abp(ntasks, 0, 1);
         report.assert_exhaustive_pass("WS/ABP owner-vs-thief");
         assert!(report.schedules >= 10, "expected a real interleaving space");
     }
@@ -264,7 +287,8 @@ fn signal_half_signalsafe_handler_exposure() {
 
 /// The §4 scenario in isolation: no thief, just the owner's pop racing a
 /// handler exposure of the task under its feet, including the
-/// `pop_public_bottom` index repair (`bot ← 0` when `public_bot == 0`).
+/// `pop_public_bottom` index repair (`bot ← public_bot` when the public
+/// part is empty).
 #[test]
 fn signalsafe_owner_vs_handler_only() {
     let report = explore(Options::default(), || {
@@ -289,15 +313,7 @@ fn signalsafe_owner_vs_handler_only() {
         let mut all = taken.into_inner().unwrap();
         drain_owner(&d, &mut all);
         check_no_loss_no_dup(all, 1)?;
-        let (bot, public_bot, age) = d.raw_state();
-        if (bot, public_bot, age.top) != (0, 0, 0) {
-            return Err(format!(
-                "non-canonical empty state after repair: bot={bot} \
-                 public_bot={public_bot} top={}",
-                age.top
-            ));
-        }
-        Ok(())
+        check_drained(&d)
     });
     report.assert_exhaustive_pass("§4 owner-vs-handler with index repair");
 }
@@ -311,7 +327,7 @@ fn signalsafe_owner_vs_handler_only() {
 /// `HandlerCtx::exposing`: up around the owner's call, and the handler
 /// returns early under it. Checks that `public_bot` never moves down.
 fn check_owner_exposure_vs_own_handler(marked: bool) -> Report {
-    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     const NTASKS: usize = 4;
     explore(Options::default(), || {
         let d = SplitDeque::new(8);
@@ -320,7 +336,7 @@ fn check_owner_exposure_vs_own_handler(marked: bool) -> Report {
         }
         let taken = Mutex::new(Vec::new());
         let exposing = AtomicBool::new(false);
-        let high_water = AtomicU32::new(0);
+        let high_water = AtomicU64::new(0);
         Execution::new()
             .thread("owner", || {
                 pause();
@@ -344,7 +360,7 @@ fn check_owner_exposure_vs_own_handler(marked: bool) -> Report {
             })
             .run();
         let (high, public_bot) = (high_water.into_inner(), d.raw_state().1);
-        if (public_bot.wrapping_sub(high) as i32) < 0 {
+        if public_bot < high {
             return Err(format!("public_bot moved down: {high} -> {public_bot}"));
         }
         let mut all = taken.into_inner().unwrap();
@@ -440,7 +456,7 @@ fn dying_owner_expose_all_vs_thief_and_handler() {
 /// `top` has advanced and the push fits without growing — and, in the
 /// growing branch, every placement of the thief's capture and the
 /// handler's exposure around the copy/publish window. Stale captures must
-/// be harmless (the thief's `age` CAS validates them) and the retired
+/// be harmless (the thief's `top` CAS validates them) and the retired
 /// ring's contents must never be re-read after a steal.
 #[test]
 fn split_resize_vs_thief_and_handler() {
@@ -485,15 +501,7 @@ fn split_resize_vs_thief_and_handler() {
         let mut all = taken.into_inner().unwrap();
         drain_owner(&d, &mut all);
         check_no_loss_no_dup(all, ntasks)?;
-        let (bot, public_bot, age) = d.raw_state();
-        if (bot, public_bot, age.top) != (0, 0, 0) {
-            return Err(format!(
-                "non-canonical empty state: bot={bot} public_bot={public_bot} \
-                 top={} (expected 0/0/0)",
-                age.top
-            ));
-        }
-        Ok(())
+        check_drained(&d)
     });
     report.assert_exhaustive_pass("split resize vs thief vs handler");
     assert!(
@@ -538,14 +546,7 @@ fn abp_resize_vs_thief() {
             all.push(uncookie(t));
         }
         check_no_loss_no_dup(all, ntasks)?;
-        let (bot, age) = d.raw_state();
-        if (bot, age.top) != (0, 0) {
-            return Err(format!(
-                "non-canonical empty state: bot={bot} top={} (expected 0/0)",
-                age.top
-            ));
-        }
-        Ok(())
+        check_abp_drained(&d)
     });
     report.assert_exhaustive_pass("ABP resize vs thief");
     assert!(
@@ -556,90 +557,21 @@ fn abp_resize_vs_thief() {
 }
 
 // ---------------------------------------------------------------------------
-// Index wraparound (PR 8): the same races across the u32 era boundary.
+// High indices: the same races with the indices crossing 2³².
 // ---------------------------------------------------------------------------
 
-/// `check_split`, but with the deque's absolute indices re-anchored just
-/// below `u32::MAX` so pushes, pops, steals, and exposures cross the wrap
-/// boundary *during* the race. The emptiness/ordering guards are
-/// `sdist`-based (wrap-safe signed distance) rather than raw comparisons;
-/// a regression to raw `<`/`== 0` reasoning shows up here as task loss
-/// (e.g. the old SignalSafe guard read `bot == 0` as "empty" — on a
-/// wrapped era that is a *full* deque whose bottom index happens to be 0).
-///
-/// The canonical-empty assertion is relaxed to "all three indices equal":
-/// the `bot ← 0` repair re-anchors only at the era base (`public_bot == 0
-/// && top == 0`), so a deque drained privately in a wrapped era rests at
-/// its wrapped indices — empty, consistent, just not at zero.
-fn check_split_wrapped(
-    mode: PopBottomMode,
-    policy: ExposurePolicy,
-    exposer: Exposer,
-    ntasks: usize,
-    start: u32,
-) -> Report {
-    explore(Options::default(), || {
-        let d = SplitDeque::new(8);
-        d.set_start_index(start);
-        for i in 0..ntasks {
-            d.push_bottom(cookie(i));
-        }
-        let taken = Mutex::new(Vec::new());
-
-        let exec = Execution::new()
-            .thread("owner", || {
-                pause();
-                if exposer == Exposer::Owner {
-                    d.update_public_bottom(policy);
-                }
-                let job = d.pop_bottom(mode).or_else(|| d.pop_public_bottom());
-                if let Some(t) = job {
-                    taken.lock().unwrap().push(uncookie(t));
-                }
-                pause();
-            })
-            .thread("thief", || {
-                if let Steal::Ok(t) = d.pop_top() {
-                    taken.lock().unwrap().push(uncookie(t));
-                }
-            });
-        let exec = match exposer {
-            Exposer::Owner => exec,
-            Exposer::Handler => exec.handler_on(0, || {
-                d.update_public_bottom(policy);
-            }),
-        };
-        exec.run();
-
-        let mut all = taken.into_inner().unwrap();
-        drain_owner(&d, &mut all);
-        check_no_loss_no_dup(all, ntasks)?;
-
-        let (bot, public_bot, age) = d.raw_state();
-        if bot != public_bot || public_bot != age.top {
-            return Err(format!(
-                "inconsistent empty state across the index boundary: \
-                 bot={bot} public_bot={public_bot} top={}",
-                age.top
-            ));
-        }
-        Ok(())
-    })
-}
-
-/// Signal pairing (SignalSafe + One, handler injection) with every index
-/// crossing the u32 boundary mid-race. With `start = u32::MAX - 1` and two
-/// tasks, `bot` sits at exactly 0 while the deque is full — the state the
-/// pre-`sdist` emptiness guards misread.
+/// Signal pairing (SignalSafe + One, handler injection) with the indices
+/// crossing 2³² mid-race: two tasks from `u32::MAX - 1` put `bot` exactly
+/// on 2³² while the deque is full.
 #[test]
 fn wrapped_era_signalsafe_handler_race() {
     for ntasks in [1, 2, 3] {
-        let report = check_split_wrapped(
+        let report = check_split_from(
             PopBottomMode::SignalSafe,
             ExposurePolicy::One,
             Exposer::Handler,
             ntasks,
-            u32::MAX - 1,
+            u64::from(u32::MAX) - 1,
         );
         report.assert_exhaustive_pass("wrapped era (SignalSafe + One, handler)");
         assert!(
@@ -651,59 +583,169 @@ fn wrapped_era_signalsafe_handler_race() {
 }
 
 /// USLCWS pairing (Standard + One, owner-side exposure) across the same
-/// boundary: the Standard pop's decrement and the public-bottom compare
-/// both wrap.
+/// index: the Standard pop's decrement and the public-bottom compare both
+/// cross it.
 #[test]
 fn wrapped_era_uslcws_owner_race() {
     for ntasks in [1, 2] {
-        check_split_wrapped(
+        check_split_from(
             PopBottomMode::Standard,
             ExposurePolicy::One,
             Exposer::Owner,
             ntasks,
-            u32::MAX - 1,
+            u64::from(u32::MAX) - 1,
         )
         .assert_exhaustive_pass("wrapped era (Standard + One, owner-side)");
     }
 }
 
-/// Half exposure across the boundary: `round(r/2)` of the public-bottom
-/// advance lands on the far side of the wrap while the thief steals from
-/// just below it.
+/// Half exposure across 2³²: `round(r/2)` of the public-bottom advance
+/// lands above it while the thief steals from just below it.
 #[test]
 fn wrapped_era_half_exposure_race() {
     for ntasks in [2, 3] {
-        check_split_wrapped(
+        check_split_from(
             PopBottomMode::SignalSafe,
             ExposurePolicy::Half,
             Exposer::Handler,
             ntasks,
-            u32::MAX - 2,
+            u64::from(u32::MAX) - 2,
         )
         .assert_exhaustive_pass("wrapped era (SignalSafe + Half, handler)");
     }
 }
 
+/// Start index for the drained-deque scenarios below: past 2³¹, which an
+/// empty pop that stored an index far below `top` would turn into a
+/// *positive* signed distance for a draining thief.
+const DRAINED_START: u64 = u32::MAX as u64 - 2;
+
+/// One task, a thief that steals twice, and an owner pop that finds the
+/// deque already drained. The owner's empty pop must leave `bot` at `top`:
+/// a thief pairing `top` with a `bot` it could read as ahead of it would
+/// pass its CAS and return a slot that was never pushed (null).
+#[test]
+fn ws_abp_drained_pop_vs_thief_stealing_twice() {
+    check_abp(1, DRAINED_START, 2).assert_exhaustive_pass("ABP drained pop vs two steals");
+}
+
+/// The split twins: one task at [`DRAINED_START`], exposed by the owner
+/// (USLCWS) or by a handler (Signal), one owner pop round, and a thief that
+/// keeps stealing while it succeeds, up to twice: the owner's drained
+/// public pop must leave `public_bot` at `top`. No leading or trailing
+/// pause, unlike [`check_split`]: a delivery before the owner's first access
+/// is already an option, and the second steal would make the space too
+/// large to exhaust.
+fn check_split_drained(mode: PopBottomMode, exposer: Exposer) -> Report {
+    explore(Options::default(), || {
+        let d = SplitDeque::new(8);
+        d.set_start_index(DRAINED_START);
+        d.push_bottom(cookie(0));
+        let taken = Mutex::new(Vec::new());
+        let exec = Execution::new()
+            .thread("owner", || {
+                if exposer == Exposer::Owner {
+                    d.update_public_bottom(ExposurePolicy::One);
+                }
+                if let Some(t) = d.pop_bottom(mode).or_else(|| d.pop_public_bottom()) {
+                    taken.lock().unwrap().push(uncookie(t));
+                }
+            })
+            .thread("thief", || {
+                for _ in 0..2 {
+                    let Steal::Ok(t) = d.pop_top() else { break };
+                    taken.lock().unwrap().push(uncookie(t));
+                }
+            });
+        let exec = match exposer {
+            Exposer::Owner => exec,
+            Exposer::Handler => exec.handler_on(0, || {
+                d.update_public_bottom(ExposurePolicy::One);
+            }),
+        };
+        exec.run();
+        let mut all = taken.into_inner().unwrap();
+        drain_owner(&d, &mut all);
+        check_no_loss_no_dup(all, 1)?;
+        check_drained(&d)
+    })
+}
+
+#[test]
+fn uslcws_drained_public_pop_vs_thief_stealing_twice() {
+    check_split_drained(PopBottomMode::Standard, Exposer::Owner)
+        .assert_exhaustive_pass("USLCWS drained public pop vs two steals");
+}
+
+#[test]
+fn signal_drained_public_pop_vs_thief_stealing_twice() {
+    check_split_drained(PopBottomMode::SignalSafe, Exposer::Handler)
+        .assert_exhaustive_pass("Signal drained public pop vs two steals");
+}
+
+/// Signal pairing with every task already public and the private part
+/// empty (what a `Half` serve of three or more, or two `One` serves,
+/// leaves): the owner's SignalSafe pop must still decrement `bot` before it
+/// reports a miss. If it returned with `bot == public_bot`, the handler
+/// could land after `pop_public_bottom`'s `public_bot` decrement, read one
+/// private task and re-expose the slot the owner is taking; the owner's
+/// next public pop (the drain) or a thief would then take it again. The
+/// thief steals once: the drain already exposes the double take, and a
+/// second steal multiplies the space past what a test run can exhaust.
+#[test]
+fn signal_all_public_pop_vs_handler_and_thief() {
+    const NTASKS: usize = 2;
+    let report = explore(Options::default(), || {
+        let d = SplitDeque::new(8);
+        for i in 0..NTASKS {
+            d.push_bottom(cookie(i));
+        }
+        d.expose_all();
+        let taken = Mutex::new(Vec::new());
+        Execution::new()
+            .thread("owner", || {
+                let job = d
+                    .pop_bottom(PopBottomMode::SignalSafe)
+                    .or_else(|| d.pop_public_bottom());
+                if let Some(t) = job {
+                    taken.lock().unwrap().push(uncookie(t));
+                }
+            })
+            .thread("thief", || {
+                if let Steal::Ok(t) = d.pop_top() {
+                    taken.lock().unwrap().push(uncookie(t));
+                }
+            })
+            .handler_on(0, || {
+                d.update_public_bottom(ExposurePolicy::One);
+            })
+            .run();
+        let mut all = taken.into_inner().unwrap();
+        drain_owner(&d, &mut all);
+        check_no_loss_no_dup(all, NTASKS)?;
+        check_drained(&d)
+    });
+    report.assert_exhaustive_pass("Signal all-public pop vs handler and thief");
+}
+
 // ---------------------------------------------------------------------------
 // Batch steals: the multi-slot take's single validating CAS. No pool
-// steals in batches; `pop_top_batch` and these scenarios stay, pinned by
-// the benchmark, until ROADMAP item 11.
+// steals in batches; `pop_top_batch` and these scenarios stay while the
+// benchmark (`lcws-e2e`) measures it.
 // ---------------------------------------------------------------------------
 
 /// A batch thief racing the owner's SignalSafe pop while a handler exposes
 /// Half — the pairing the pool's deleted batch steal ran. The batch
-/// thief's k slot reads are validated by one age CAS (§4's argument
-/// extended to multi-slot takes: the CAS pins `{tag, top}`, and concurrent
+/// thief's k slot reads are validated by one `top` CAS (§4's argument
+/// extended to multi-slot takes: the CAS pins `top`, and concurrent
 /// exposures only move `public_bot` away from the stolen range); the
 /// explorer must find no interleaving where a slot is delivered twice or
 /// dropped, including handler exposures landing between the batch's slot
 /// reads and its CAS.
-fn check_split_batch(ntasks: usize, start: Option<u32>) -> Report {
+fn check_split_batch(ntasks: usize, start: u64) -> Report {
     explore(Options::default(), || {
         let d = SplitDeque::new(8);
-        if let Some(s) = start {
-            d.set_start_index(s);
-        }
+        d.set_start_index(start);
         for i in 0..ntasks {
             d.push_bottom(cookie(i));
         }
@@ -730,23 +772,14 @@ fn check_split_batch(ntasks: usize, start: Option<u32>) -> Report {
         let mut all = taken.into_inner().unwrap();
         drain_owner(&d, &mut all);
         check_no_loss_no_dup(all, ntasks)?;
-
-        let (bot, public_bot, age) = d.raw_state();
-        if bot != public_bot || public_bot != age.top {
-            return Err(format!(
-                "inconsistent empty state after batch race: bot={bot} \
-                 public_bot={public_bot} top={}",
-                age.top
-            ));
-        }
-        Ok(())
+        check_drained(&d)
     })
 }
 
 #[test]
 fn batch_steal_vs_owner_and_handler() {
     for ntasks in [2, 3] {
-        let report = check_split_batch(ntasks, None);
+        let report = check_split_batch(ntasks, 0);
         report.assert_exhaustive_pass("batch steal (SignalSafe + Half + batch CAS)");
         assert!(
             report.schedules >= 100,
@@ -756,15 +789,12 @@ fn batch_steal_vs_owner_and_handler() {
     }
 }
 
-/// The same batch race re-anchored just below `u32::MAX`: the batch's
-/// `top.wrapping_add(i)` slot walk and its `with_top_advanced(k)` CAS both
-/// straddle the era boundary. A regression to raw index arithmetic in the
-/// k-computation (`avail` as unsigned difference) or the slot loop shows
-/// up as loss or double-delivery here.
+/// The same batch race started just below 2³²: the batch's `top + i` slot
+/// walk and its `top + k` CAS both cross it.
 #[test]
 fn wrapped_era_batch_steal_race() {
     for ntasks in [2, 3] {
-        check_split_batch(ntasks, Some(u32::MAX - 2))
+        check_split_batch(ntasks, u64::from(u32::MAX) - 2)
             .assert_exhaustive_pass("wrapped era batch steal");
     }
 }
@@ -821,8 +851,8 @@ fn batch_steal_vs_scalar_steal_single_winner_per_slot() {
 
 /// The batch steal's open window (DESIGN.md §5h), why no pool steals in
 /// batches: the owner pops *twice* from a fully public region of three
-/// while a batch thief validates `k = 2` slot reads with one `age` CAS. `pop_public_bottom`
-/// takes the bottom public task without touching `age` while more than one
+/// while a batch thief validates `k = 2` slot reads with one `top` CAS. `pop_public_bottom`
+/// takes the bottom public task without touching `top` while more than one
 /// remains, so two owner pops walk `public_bot` down into `[top, top + k)`
 /// and the thief's CAS still succeeds — task 1 is delivered to both.
 /// `batch_steal_vs_owner_and_handler` cannot see it: its owner pops once.
@@ -871,7 +901,7 @@ fn batch_steal_double_take_detected() {
     let cas = v
         .trace
         .iter()
-        .position(|l| l.starts_with("batch-thief: cas age") && l.ends_with("ok"))
+        .position(|l| l.starts_with("batch-thief: cas top") && l.ends_with("ok"))
         .unwrap_or_else(|| panic!("no successful batch CAS in:\n{}", v.render()));
     let owner_stores = v.trace[..cas]
         .iter()

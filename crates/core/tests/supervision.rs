@@ -246,7 +246,7 @@ mod faulted {
                 .threads(2)
                 .stall_timeout(Duration::from_millis(2))
                 .build();
-            let guard = install(FaultPlan::new(0x57A1_1).with(
+            let guard = install(FaultPlan::new(0x0005_7A11).with(
                 Site::SleeperPark,
                 // Every park entry spins ~tens of ms, far past the 2ms
                 // watchdog, wedging the helper across the run close.

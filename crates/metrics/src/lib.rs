@@ -146,7 +146,7 @@ event_table! {
     Exposure { count: exposures, trace: expose }
     /// Exposed tasks that were re-taken by their owner via
     /// `pop_public_bottom` — the paper's "exposed work that is not stolen"
-    /// (payload = new public boundary).
+    /// (payload = new public boundary, low 32 bits).
     OwnerPublicPop { count: owner_public_pops, trace: public_pop }
     /// `pthread_kill(SIGUSR1)` notifications that reached a victim.
     SignalSent { count: signals_sent }
@@ -158,11 +158,11 @@ event_table! {
     IdleIter { count: idle_iters }
     /// Tasks executed (both locally popped and stolen).
     TaskRun { count: tasks_run }
-    /// Local bottom pushes (`push_bottom`; payload = deque depth after the
-    /// push).
+    /// Local bottom pushes (`push_bottom`; payload = the new bottom index,
+    /// low 32 bits: deque indices only grow, so it is not a depth).
     Push { count: pushes, trace: push }
     /// Successful local bottom pops (`pop_bottom` returned a task;
-    /// payload = depth after the pop).
+    /// payload = the new bottom index, low 32 bits).
     LocalPop { count: local_pops, trace: local_pop }
     /// Times a worker fully escalated its idle backoff and blocked on its
     /// sleeper slot (condvar park; payload = 0).
@@ -190,7 +190,7 @@ event_table! {
     /// failure). Always zero unless the `faultpoints` feature of
     /// `lcws-core` is enabled and a plan is installed.
     FaultInjected { count: faults_injected }
-    /// Steal attempts that lost the `age` CAS race to another taker
+    /// Steal attempts that lost the `top` CAS race to another taker
     /// (`Steal::Abort`). Distinct from an empty victim: an abort proves the
     /// victim held work an instant ago, so thieves must not treat it as
     /// emptiness when escalating their idle backoff.
@@ -233,7 +233,7 @@ event_table! {
     /// call, beyond the one task every successful steal returns: a batch
     /// that took `k` tasks counts this event `k - 1` times. No pool steals
     /// in batches, so this is 0 in every pool run; it stays because the
-    /// benchmark measures `pop_top_batch`, until ROADMAP item 11.
+    /// benchmark (`lcws-e2e`) measures `pop_top_batch`.
     StealBatchTask { count: steal_batch_tasks }
     /// Producer-side wake attempts: every `wake_one` / `wake_worker` /
     /// `wake_all` call, counted *before* the has-sleepers fast-path exit, so
