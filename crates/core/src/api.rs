@@ -157,8 +157,7 @@ impl<'scope> Scope<'scope> {
         let ctx = unsafe { &*ctx };
         // Only the owner carves blocks (unsynchronised bookkeeping).
         let job = ScopeJob::allocate(self, f, ctx.index() as u32 == self.owner);
-        // On deque overflow the job runs (and settles itself) right here.
-        ctx.push_or_run_inline(job);
+        ctx.push_and_wake(job);
     }
 
     /// Run a task's closure, record its panic, then settle it.

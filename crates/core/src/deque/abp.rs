@@ -22,7 +22,7 @@ use lcws_metrics::{self as metrics, Event};
 use crate::deque::ring::GrowableRing;
 // Aliased locally: the ABP outcome type has no `PrivateWork` (there is no
 // private part), and the alias keeps the paper-mirroring internals readable.
-use crate::deque::{sdist, AbpSteal as Steal, DequeFull};
+use crate::deque::{sdist, AbpSteal as Steal};
 use crate::fault::{self, Site};
 use crate::hb;
 use crate::job::Job;
@@ -70,16 +70,11 @@ impl AbpDeque {
 
     /// Owner: push at the bottom, doubling the ring when full. Publishes
     /// with a seq-cst fence so concurrent thieves observe the slot before
-    /// the new `bot`. [`DequeFull`] remains only for a `faultpoints`-forced
-    /// failure or a ring at maximum capacity, and leaves the deque
-    /// untouched.
+    /// the new `bot`.
     #[inline]
-    pub fn try_push_bottom(&self, task: *mut Job) -> Result<(), DequeFull> {
+    pub fn push_bottom(&self, task: *mut Job) {
         let b = self.bot.load(Ordering::Relaxed);
-        if fault::fail_at(Site::PushBottom) {
-            return Err(DequeFull);
-        }
-        let buf = self.ring.for_push(b, || self.top.load(Ordering::Relaxed))?;
+        let buf = self.ring.for_push(b, || self.top.load(Ordering::Relaxed));
         // Unlike the split deque (plain-array slot semantics, ordering
         // carried by `public_bot`/the grow publish), the ABP slot handoff
         // is itself Release/Acquire — so the checker models the slot as an
@@ -91,21 +86,6 @@ impl AbpDeque {
         self.bot.store(b + 1, Ordering::Release);
         shim::fence_seq_cst();
         trace::emit(Event::Push, 1, (b + 1) as u32);
-        Ok(())
-    }
-
-    /// Owner: push at the bottom, growing the ring as needed; panics only
-    /// when growth itself is impossible (ring at maximum capacity, or a
-    /// forced `DequeResize` fault under `faultpoints`). The scheduler goes
-    /// through [`AbpDeque::try_push_bottom`] instead.
-    #[inline]
-    pub fn push_bottom(&self, task: *mut Job) {
-        assert!(
-            self.try_push_bottom(task).is_ok(),
-            "ABP deque overflow (capacity {}): ring growth failed \
-             (maximum capacity or forced DequeResize fault)",
-            self.capacity()
-        );
     }
 
     /// Owner: pop from the bottom. Pays a seq-cst fence unless an earlier
@@ -167,7 +147,7 @@ impl AbpDeque {
             // this ring's slot at `top` could have been overwritten or the
             // ring retired-and-superseded mid-steal (see `deque::ring`).
             let slot = self.ring.capture().slot(t);
-            // Atomic-modeled (see `try_push_bottom`): the Acquire joins the
+            // Atomic-modeled (see `push_bottom`): the Acquire joins the
             // pushing owner's release clock, which is the edge the stolen
             // job's content reads rely on.
             let task = hb::atomic_load(slot as *const _ as usize, Ordering::Acquire, || {

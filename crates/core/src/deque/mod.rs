@@ -35,23 +35,6 @@ pub(crate) fn sdist(a: u64, b: u64) -> i64 {
     a.wrapping_sub(b) as i64
 }
 
-/// Error of a fallible bottom push. With growable rings this is nearly
-/// extinct: it arises only when the `faultpoints` layer forces the
-/// `PushBottom` or `DequeResize` outcome, or when the ring already sits at
-/// [`MAX_DEQUE_CAPACITY`]. The task was **not** enqueued; the caller still
-/// owns it and is expected to degrade gracefully (the scheduler runs it
-/// inline on the owner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DequeFull;
-
-impl std::fmt::Display for DequeFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("deque is full")
-    }
-}
-
-impl std::error::Error for DequeFull {}
-
 /// Outcome of a thief's `pop_top` attempt on the **split** deque.
 ///
 /// The ABP deque has its own outcome type ([`AbpSteal`]) without the
@@ -153,11 +136,10 @@ impl AnyDeque {
     }
 }
 
-/// Default *initial* number of slots per worker deque.
+/// *Initial* number of slots of every pool worker's deque.
 ///
 /// Fork-join recursion depth bounds the live extent for `join`-structured
 /// programs (depth ≤ log2 n), while `scope` spawns can fill it linearly;
 /// either way the ring doubles itself on demand, so the initial capacity
 /// only tunes how many early doublings a deep workload pays.
-/// [`crate::PoolBuilder::deque_capacity`] sets it per pool.
 pub const DEFAULT_DEQUE_CAPACITY: usize = 1 << 13;

@@ -39,15 +39,16 @@
 //! and ordering comparisons go through the signed distance
 //! (`crate::deque::sdist`), which also covers the split deque's transient
 //! `bot = public_bot - 1`. Growth is capped at [`MAX_DEQUE_CAPACITY`]
-//! slots; a push that would need more reports [`DequeFull`] and the
-//! scheduler degrades to the legacy inline fallback.
+//! slots; a push that would need more aborts the process, as the allocator
+//! does when it cannot grow.
 
 use std::cell::{Cell, UnsafeCell};
+use std::io::Write;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 use lcws_metrics::Event;
 
-use crate::deque::{sdist, DequeFull};
+use crate::deque::sdist;
 use crate::fault::{self, Site};
 use crate::hb;
 use crate::job::Job;
@@ -55,8 +56,7 @@ use crate::shim::SchedPtr;
 use crate::trace;
 
 /// Hard ceiling on a ring's slot count: 2³⁰ slots (8 GiB of task pointers).
-/// Far past any real workload, and the point where growth degrades to the
-/// inline-execution fallback instead of doubling further.
+/// Far past any real workload: a push beyond it aborts the process.
 pub const MAX_DEQUE_CAPACITY: usize = 1 << 30;
 
 /// One immutable-capacity ring: a power-of-two slot array plus the
@@ -158,17 +158,13 @@ impl GrowableRing {
     /// full. `load_top` reads the deque's current `top`; it is only invoked
     /// when the cached bound cannot prove a free slot.
     #[inline(always)]
-    pub(crate) fn for_push(
-        &self,
-        b: u64,
-        load_top: impl FnOnce() -> u64,
-    ) -> Result<&RingBuffer, DequeFull> {
+    pub(crate) fn for_push(&self, b: u64, load_top: impl FnOnce() -> u64) -> &RingBuffer {
         let buf = self.owner();
         // `cached_top ≤ top` ⟹ `b - top ≤ b - cached_top < capacity`:
         // the live range has a free slot, no shared access needed. (`b`
         // below the bound wraps to a huge distance and takes the slow path.)
         if b.wrapping_sub(self.cached_top.get()) < buf.capacity() {
-            return Ok(buf);
+            return buf;
         }
         self.refresh_or_grow(b, buf, load_top)
     }
@@ -180,13 +176,13 @@ impl GrowableRing {
         b: u64,
         buf: &'a RingBuffer,
         load_top: impl FnOnce() -> u64,
-    ) -> Result<&'a RingBuffer, DequeFull> {
+    ) -> &'a RingBuffer {
         let top = load_top();
         self.cached_top.set(top);
         // `b` behind `top` is the split deque's transient SignalSafe-miss
         // state (`bot` decremented below `public_bot`); not a full ring.
         if sdist(b, top) < 0 || b - top < buf.capacity() {
-            return Ok(buf);
+            return buf;
         }
         self.grow(b, buf)
     }
@@ -195,11 +191,21 @@ impl GrowableRing {
     /// exactly the whole old ring, possibly conservatively: a concurrent
     /// steal may already have advanced `top`, which only shrinks the range
     /// actually alive inside the copied window).
+    ///
+    /// At [`MAX_DEQUE_CAPACITY`] it prints a message and aborts, like the
+    /// allocator when it cannot grow. A panic would unwind out of the push
+    /// with the caller's bookkeeping already raised for a job that was
+    /// never queued (a scope's `pending`), and the caller would hang.
     #[cold]
-    fn grow<'a>(&'a self, b: u64, old: &RingBuffer) -> Result<&'a RingBuffer, DequeFull> {
+    fn grow<'a>(&'a self, b: u64, old: &RingBuffer) -> &'a RingBuffer {
         let old_cap = old.capacity();
-        if old_cap as usize >= MAX_DEQUE_CAPACITY || fault::fail_at(Site::DequeResize) {
-            return Err(DequeFull);
+        if old_cap as usize >= MAX_DEQUE_CAPACITY {
+            // Not `eprintln!`: that panics if stderr is gone.
+            let _ = writeln!(
+                std::io::stderr(),
+                "deque ring at its {MAX_DEQUE_CAPACITY}-slot maximum: cannot grow"
+            );
+            std::process::abort();
         }
         let new_ptr = RingBuffer::alloc(old_cap as usize * 2, old.generation() + 1);
         let new_buf = unsafe { &*new_ptr };
@@ -227,7 +233,7 @@ impl GrowableRing {
         // Retired rings stay readable (never written) until quiescence.
         unsafe { (*self.retired.get()).push(old as *const RingBuffer as *mut RingBuffer) };
         trace::emit(Event::DequeGrow, 1, new_buf.capacity() as u32);
-        Ok(new_buf)
+        new_buf
     }
 
     /// Owner: the cached lower bound on `top`. `bot` at or below it proves

@@ -58,8 +58,8 @@
 //! ## Growable storage
 //!
 //! Slots live in a generation-tagged growable ring ([`crate::deque::ring`])
-//! rather than a fixed array: `push_bottom` doubles the ring when full
-//! instead of reporting [`DequeFull`], thieves capture the buffer pointer
+//! rather than a fixed array: `push_bottom` doubles the ring when full,
+//! thieves capture the buffer pointer
 //! once per `pop_top` (after the `top` load, which validates stale
 //! captures), and the handler's `update_public_bottom` never touches the
 //! buffer at all — it only moves `public_bot` — so the §4 argument is
@@ -73,7 +73,7 @@ use crossbeam_utils::CachePadded;
 use lcws_metrics::{self as metrics, Event};
 
 use crate::deque::ring::GrowableRing;
-use crate::deque::{sdist, DequeFull, Steal};
+use crate::deque::{sdist, Steal};
 use crate::fault::{self, Site};
 use crate::hb;
 use crate::job::Job;
@@ -192,40 +192,17 @@ impl SplitDeque {
 
     /// Owner: push a task at the bottom. Synchronization-free (Listing 2
     /// line 5) on the fast path: one plain store of the slot, one plain
-    /// store of `bot`. A full ring is doubled in place (amortized O(1));
-    /// [`DequeFull`] remains only for a `faultpoints`-forced
-    /// [`Site::DequeResize`] failure or a ring already at its maximum
-    /// capacity, and leaves the deque untouched and the task with the
-    /// caller so the scheduler can degrade to running it inline.
+    /// store of `bot`. A full ring is doubled in place (amortized O(1)).
     #[inline]
-    pub fn try_push_bottom(&self, task: *mut Job) -> Result<(), DequeFull> {
+    pub fn push_bottom(&self, task: *mut Job) {
         let b = self.bot.load(Ordering::Relaxed);
-        if fault::fail_at(Site::PushBottom) {
-            return Err(DequeFull);
-        }
         // Acquire: a `top` that moved frees cells for the write below,
         // which must come after the thief's read of them (*Slot reuse*).
-        let buf = self.ring.for_push(b, || self.top.load(Ordering::Acquire))?;
+        let buf = self.ring.for_push(b, || self.top.load(Ordering::Acquire));
         hb::on_write(buf.slot(b) as *const _ as usize, "split slot (push_bottom)");
         buf.slot(b).store(task, Ordering::Relaxed);
         self.bot.store(b + 1, Ordering::Relaxed);
         trace::emit(Event::Push, 1, (b + 1) as u32);
-        Ok(())
-    }
-
-    /// Owner: push a task at the bottom, growing the ring as needed;
-    /// panics only when growth itself is impossible (ring at maximum
-    /// capacity, or a forced `DequeResize` fault under `faultpoints`). The
-    /// scheduler goes through [`SplitDeque::try_push_bottom`] and degrades
-    /// gracefully instead.
-    #[inline]
-    pub fn push_bottom(&self, task: *mut Job) {
-        assert!(
-            self.try_push_bottom(task).is_ok(),
-            "split deque overflow (capacity {}): ring growth failed \
-             (maximum capacity or forced DequeResize fault)",
-            self.capacity()
-        );
     }
 
     /// Owner: pop the bottom-most **private** task. Synchronization-free.

@@ -6,13 +6,16 @@
 //! handler exposures — but ordinary stress tests only ever sample a thin
 //! slice of those interleavings. This module lets tests *force* the rare
 //! ones: a named [`Site`] is compiled into every critical transition
-//! (`push_bottom`/`pop_bottom`/`pop_top` in both deques, exposure, signal
+//! (`pop_bottom`/`pop_top` and ring growth in both deques, exposure, signal
 //! send and handler entry, exposure-request polls, sleeper park/unpark,
-//! worker-thread spawn, the helper work loop), and a seeded [`FaultPlan`]
-//! decides, per site and
-//! deterministically in hit order, whether to perturb the schedule (busy
-//! delay, yield storm) or to force the site's failure outcome (deque
-//! overflow, `pthread_kill` error, spawn error).
+//! worker-thread spawn, the helper work loop, the injector pop), and a
+//! seeded [`FaultPlan`] decides, per site and deterministically in hit
+//! order, whether to perturb the schedule (busy delay, yield storm) or to
+//! force the site's failure outcome (a lost steal CAS, a `pthread_kill`
+//! error, a spawn error, a worker death, an empty injector round).
+//!
+//! Pushes have no failure outcome: both deques grow on demand and the
+//! injector is unbounded, so a push always enqueues.
 //!
 //! ## Zero cost when disabled
 //!
@@ -62,46 +65,41 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Site {
-    /// Owner push onto a deque bottom (both deques). Failable: a forced
-    /// fire reports the deque full, exercising the overflow fallback.
-    PushBottom = 0,
     /// Owner `pop_bottom`, fired again between the `bot` decrement and the
     /// `public_bot` comparison of the `SignalSafe` flavour — the exact
     /// window of the §4 owner-vs-handler race.
-    PopBottom = 1,
+    PopBottom = 0,
     /// Owner `pop_public_bottom`, fired again between the paper's two
     /// seq-cst fences where thieves race the owner for the last task.
-    PopPublicBottom = 2,
+    PopPublicBottom = 1,
     /// Thief `pop_top`, fired again between the `top` read and the CAS.
     /// Failable at that second site: a forced fire makes the thief lose
     /// the CAS race outright (`Steal::Abort`), so chaos tests can exercise
     /// the contention path deterministically.
-    PopTop = 3,
+    PopTop = 2,
     /// `update_public_bottom` exposure (possibly in signal-handler
     /// context: spin delays only).
-    UpdatePublicBottom = 4,
+    UpdatePublicBottom = 3,
     /// Thief-side `pthread_kill` notification. Failable: a forced fire
     /// simulates ESRCH from a victim racing with thread teardown.
-    SignalSend = 5,
+    SignalSend = 4,
     /// `SIGUSR1` handler entry (signal-handler context: spin delays only).
-    HandlerEntry = 6,
+    HandlerEntry = 5,
     /// Owner-side serve of a pending exposure request.
-    TargetedPoll = 7,
+    TargetedPoll = 6,
     /// Sleeper park entry, before the worker announces itself — delays
     /// here stretch the announce-then-sleep race window.
-    SleeperPark = 8,
+    SleeperPark = 7,
     /// Sleeper wake delivery, between choosing a sleeper and pinging it.
-    SleeperUnpark = 9,
+    SleeperUnpark = 8,
     /// Worker-thread spawn in `PoolBuilder::build`. Failable: a forced
     /// fire makes the spawn report an OS error, exercising the
     /// partial-build teardown.
-    ThreadSpawn = 10,
-    /// Deque ring-buffer growth in `push_bottom`: probed once at grow
-    /// entry (failable: a forced fire vetoes the doubling so the push
-    /// reports `DequeFull`, exercising the legacy overflow fallback) and
-    /// again between the slot copy and the new-buffer publish — delays at
-    /// that second hit stretch the resize window thieves race against.
-    DequeResize = 11,
+    ThreadSpawn = 9,
+    /// Deque ring-buffer growth in `push_bottom`, between the slot copy
+    /// and the new-buffer publish: delays there stretch the resize window
+    /// thieves race against.
+    DequeResize = 10,
     /// Wherever the helper main loop asks whether its generation is still
     /// open (top of each iteration, and the park recheck). Failable: a
     /// forced fire panics the helper thread, killing it mid-run — the
@@ -110,22 +108,16 @@ pub enum Site {
     /// provably holds no task in hand, so an injected death can strand
     /// tasks only in the deque (where the dying-owner expose-all rescues
     /// them), never a task mid-transfer.
-    WorkerLoop = 12,
-    /// External submission into the global injector
-    /// (`ThreadPool::spawn`/`spawn_batch`). *Failable*: a forced fire
-    /// rejects the enqueue and the producer runs the task inline on its
-    /// own thread — the injector's graceful-degradation path, mirroring
-    /// the deque-overflow inline fallback.
-    InjectorPush = 13,
+    WorkerLoop = 11,
     /// Worker-side injector consumption (the one-task pop between steal
     /// attempts). A forced fire makes the pop round come back empty
     /// (contention-storm simulation); delay/yield storms stretch the
     /// Treiber-swap → ready-list window while producers keep pushing.
-    InjectorPop = 14,
+    InjectorPop = 12,
 }
 
 /// Number of distinct [`Site`]s.
-pub const NUM_SITES: usize = 15;
+pub const NUM_SITES: usize = 13;
 
 /// What a site does when it fires, and how often it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,8 +128,8 @@ pub struct SiteAction {
     /// thread at exactly the perturbed transition). Avoid in handler sites.
     pub yields: u32,
     /// Force the site's failure outcome on fire (only meaningful at the
-    /// failable sites: `PushBottom`, `SignalSend`, `ThreadSpawn`,
-    /// `DequeResize`).
+    /// failable sites: `PopTop`, `SignalSend`, `ThreadSpawn`,
+    /// `WorkerLoop`, `InjectorPop`).
     pub fail: bool,
     /// Fire on roughly 1 in `one_in` hits, chosen by the seeded hash
     /// (`1` = every hit, `0` = never).
@@ -389,8 +381,8 @@ pub(crate) fn point(site: Site) {
 }
 
 /// Failable injection site: perturbs like [`point`] and reports whether the
-/// site must take its failure path (deque full, `pthread_kill` error,
-/// spawn error).
+/// site must take its failure path (lost steal CAS, `pthread_kill` error,
+/// spawn error, worker death, empty injector round).
 ///
 /// With `faultpoints` disabled this is a constant `false` the compiler
 /// folds away, so the failure branches compile to the plain success path.
@@ -451,11 +443,11 @@ mod tests {
 
     #[test]
     fn fail_always_fires_every_hit() {
-        let state = local(FaultPlan::new(2).with(Site::PushBottom, SiteAction::fail_always()));
+        let state = local(FaultPlan::new(2).with(Site::SignalSend, SiteAction::fail_always()));
         for _ in 0..10 {
-            assert!(state.hit(Site::PushBottom));
+            assert!(state.hit(Site::SignalSend));
         }
-        assert_eq!(fires(&state, Site::PushBottom), 10);
+        assert_eq!(fires(&state, Site::SignalSend), 10);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! fork-join never touch it. §4's signal-window argument is untouched:
 //! injector pops happen at task boundaries on the worker's own schedule,
 //! never from handler context, and submissions reach deques exclusively via
-//! `try_push_job` — the owner-only path the argument already covers.
+//! `push_and_wake` — the owner-only path the argument already covers.
 //!
 //! ## Handle lifecycle
 //!
@@ -96,18 +96,11 @@ impl Injector {
     /// Push `jobs` as one chain with a single CAS on the uncontended path,
     /// whatever the batch size (a lone `spawn` is a slice of one). The
     /// slice order is submission order (restored on the consumer side by
-    /// the reversal). On a `faultpoints`-forced [`Site::InjectorPush`] fire
-    /// nothing is enqueued and ownership of the whole batch stays with the
-    /// caller, which degrades to running it inline — submissions are never
-    /// lost.
-    pub(crate) fn push_batch(&self, jobs: &[*mut Job]) -> Result<(), ()> {
-        let (&tail, rest) = match jobs.split_first() {
-            Some(s) => s,
-            None => return Ok(()),
+    /// the reversal).
+    pub(crate) fn push_batch(&self, jobs: &[*mut Job]) {
+        let Some((&tail, rest)) = jobs.split_first() else {
+            return;
         };
-        if fault::fail_at(Site::InjectorPush) {
-            return Err(());
-        }
         // Link locally: stack order is reversed submission order, so chain
         // the slice back-to-front and publish the *last* element as head.
         let mut head = tail;
@@ -127,7 +120,7 @@ impl Injector {
                 Ordering::Release,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Ok(()),
+                Ok(_) => return,
                 Err(actual) => cur = actual,
             }
         }
@@ -424,12 +417,12 @@ mod tests {
         let c = real_job();
         let d = real_job();
         let e = real_job();
-        inj.push_batch(&[a]).unwrap();
-        inj.push_batch(&[b, c]).unwrap();
-        inj.push_batch(&[d]).unwrap();
+        inj.push_batch(&[a]);
+        inj.push_batch(&[b, c]);
+        inj.push_batch(&[d]);
         assert_eq!(inj.pop(), Some(a));
         assert!(!inj.is_empty(), "the refilled FIFO still holds b, c, d");
-        inj.push_batch(&[e]).unwrap();
+        inj.push_batch(&[e]);
         let mut got = vec![a];
         got.extend(std::iter::from_fn(|| inj.pop()));
         assert_eq!(got, vec![a, b, c, d, e], "submission order must survive");
@@ -444,7 +437,7 @@ mod tests {
     fn pop_takes_one_and_leaves_the_rest_queued() {
         let inj = Injector::new();
         let jobs: Vec<_> = (0..7).map(|_| real_job()).collect();
-        inj.push_batch(&jobs).unwrap();
+        inj.push_batch(&jobs);
         assert_eq!(inj.pop(), Some(jobs[0]));
         assert!(!inj.is_empty(), "one pop leaves the other six queued");
         let rest: Vec<_> = std::iter::from_fn(|| inj.pop()).collect();
@@ -459,7 +452,7 @@ mod tests {
     fn empty_pop_is_cheap_and_empty_batch_push_ok() {
         let inj = Injector::new();
         assert!(inj.pop().is_none());
-        inj.push_batch(&[]).unwrap();
+        inj.push_batch(&[]);
         assert!(inj.is_empty());
     }
 
@@ -485,7 +478,7 @@ mod tests {
                     for i in 0..PER {
                         let j = real_job();
                         ids.lock().insert(j as usize, p * PER + i);
-                        inj.push_batch(&[j]).unwrap();
+                        inj.push_batch(&[j]);
                     }
                     producing.fetch_sub(1, Ordering::Release);
                 });
@@ -579,10 +572,10 @@ mod model_tests {
             let popped = Mutex::new(Vec::new());
             Execution::new()
                 .thread("producer-a", || {
-                    inj.push_batch(&[a as *mut Job]).unwrap();
+                    inj.push_batch(&[a as *mut Job]);
                 })
                 .thread("producer-b", || {
-                    inj.push_batch(&[b1 as *mut Job, b2 as *mut Job]).unwrap();
+                    inj.push_batch(&[b1 as *mut Job, b2 as *mut Job]);
                 })
                 .thread("consumer", || {
                     popped.lock().extend(inj.pop().map(|j| j as usize));

@@ -14,7 +14,6 @@ pub struct PoolBuilder {
     /// composition".
     policies: Option<Policies>,
     threads: Option<usize>,
-    deque_capacity: usize,
     stall_timeout: Option<Duration>,
     #[cfg(feature = "trace")]
     trace_capacity: usize,
@@ -27,7 +26,6 @@ impl PoolBuilder {
             variant,
             policies: None,
             threads: None,
-            deque_capacity: DEFAULT_DEQUE_CAPACITY,
             stall_timeout: None,
             #[cfg(feature = "trace")]
             trace_capacity: trace::DEFAULT_TRACE_CAPACITY,
@@ -49,15 +47,6 @@ impl PoolBuilder {
     pub fn threads(mut self, threads: usize) -> PoolBuilder {
         assert!(threads >= 1, "a pool needs at least one worker");
         self.threads = Some(threads);
-        self
-    }
-
-    /// Per-worker *initial* deque capacity in slots (rounded up to a power
-    /// of two). Deques grow by doubling whenever a push finds the ring
-    /// full, so this only tunes how many early doublings a deep workload
-    /// pays — it is no longer a hard limit.
-    pub fn deque_capacity(mut self, capacity: usize) -> PoolBuilder {
-        self.deque_capacity = capacity;
         self
     }
 
@@ -156,9 +145,9 @@ impl PoolBuilder {
     #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     fn worker_slot(&self, policies: &Policies, index: usize) -> WorkerShared {
         let deque = if policies.uses_split_deque() {
-            AnyDeque::Split(SplitDeque::new(self.deque_capacity))
+            AnyDeque::Split(SplitDeque::new(DEFAULT_DEQUE_CAPACITY))
         } else {
-            AnyDeque::Abp(AbpDeque::new(self.deque_capacity))
+            AnyDeque::Abp(AbpDeque::new(DEFAULT_DEQUE_CAPACITY))
         };
         WorkerShared {
             deque,

@@ -610,7 +610,7 @@ mod tests {
                     .store(request_word(trace::now_ns()), Ordering::Relaxed)
             };
             ask();
-            ctx.push_or_run_inline(job(3));
+            ctx.push_and_wake(job(3));
             assert_eq!(w.expose_request.load(Ordering::Relaxed), 0, "{variant}");
             let public = d.public_len();
             assert!(public >= 1, "{variant}: the push served it");

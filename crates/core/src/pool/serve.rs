@@ -6,7 +6,7 @@
 
 use super::*;
 use crate::injector::{JoinHandle, SpawnJob};
-use crate::job::{Job, NO_WORKER};
+use crate::job::Job;
 
 impl PoolInner {
     /// Completion side of the serve window's outstanding count, called by
@@ -68,9 +68,7 @@ impl ThreadPool {
     ///
     /// The task is pushed into the global injector, a parked worker is
     /// woken for it, and a worker pulls it after its next fruitless steal
-    /// round. A `faultpoints`-forced injector-push failure degrades to
-    /// running the task inline on the submitting thread — submissions are
-    /// never lost.
+    /// round.
     ///
     /// ```
     /// use lcws_core::{PoolBuilder, Variant};
@@ -139,35 +137,23 @@ impl ThreadPool {
         SpawnJob::allocate(f, pool as *const PoolInner as usize)
     }
 
-    /// Publish wrapped jobs to the injector as one chain (inline fallback
-    /// on a forced push failure) and wake a worker per job, up to the pool
-    /// size: a worker pulls one task and passes no wake on, so each task
-    /// that may run in parallel needs its own.
+    /// Publish wrapped jobs to the injector as one chain and wake a worker
+    /// per job, up to the pool size: a worker pulls one task and passes no
+    /// wake on, so each task that may run in parallel needs its own.
     fn submit_batch(&self, jobs: &[*mut Job]) {
         if jobs.is_empty() {
             return;
         }
         let pool = &*self.inner;
-        match pool.injector.push_batch(jobs) {
-            // External threads have no TLS metrics cells to flush, so the
-            // ingress count goes to the collector directly (not a
-            // `trace::emit`); the trace half is a no-op unless the
-            // submitter is itself a worker thread.
-            Ok(()) => {
-                pool.collector.add(Event::InjectorPush, jobs.len() as u64);
-                trace::record(Event::InjectorPush, jobs.len() as u32);
-                for _ in 0..jobs.len().min(pool.workers.len()) {
-                    pool.sleep.wake_one();
-                }
-            }
-            Err(()) => {
-                pool.collector.add(Event::OverflowInline, jobs.len() as u64);
-                for &job in jobs {
-                    // Safety: rejected batch, sole ownership retained.
-                    unsafe { Job::execute(job, NO_WORKER) };
-                    pool.task_done();
-                }
-            }
+        pool.injector.push_batch(jobs);
+        // External threads have no TLS metrics cells to flush, so the
+        // ingress count goes to the collector directly (not a
+        // `trace::emit`); the trace half is a no-op unless the submitter is
+        // itself a worker thread.
+        pool.collector.add(Event::InjectorPush, jobs.len() as u64);
+        trace::record(Event::InjectorPush, jobs.len() as u32);
+        for _ in 0..jobs.len().min(pool.workers.len()) {
+            pool.sleep.wake_one();
         }
     }
 

@@ -40,7 +40,7 @@
 //!
 //! ## What wakes sleepers
 //!
-//! * A successful push on any deque (`join`'s arm, `Scope::spawn`'s task:
+//! * Every push on any deque (`join`'s arm, `Scope::spawn`'s task:
 //!   new local work a thief could take or expose): one wake per push.
 //! * Work-exposure events on a split deque, served by the owner's poll or
 //!   by the `SIGUSR1` handler, and *deferred to the owner* either way (next
@@ -76,12 +76,12 @@
 //!   The completer reads it *before* publishing (its last legal touch of a
 //!   frame the waiter may free the instant completion is visible), and —
 //!   for a `join` arm — pays the SeqCst store and the wake only on a
-//!   *steal*: the pop-it-back and overflow paths run the arm as a direct
-//!   call and store nothing. A spawn handle's joiner is
-//!   not known at spawn time, so `TaskState` keeps a slot the joining
-//!   worker writes once before it starts helping; the `Arc` keeps the
-//!   slot alive, so the completer loads it *after* publishing `DONE` and
-//!   the same argument covers a registration racing the completion.
+//!   *steal*: the pop-it-back path runs the arm as a direct call and
+//!   stores nothing. A spawn handle's joiner is not known at spawn time,
+//!   so `TaskState` keeps a slot the joining worker writes once before it
+//!   starts helping; the `Arc` keeps the slot alive, so the completer
+//!   loads it *after* publishing `DONE` and the same argument covers a
+//!   registration racing the completion.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;

@@ -10,9 +10,7 @@ use std::time::Duration;
 
 use lcws_metrics::{self as metrics, Event};
 
-use crate::deque::{
-    AbpSteal, AnyDeque, DequeFull, ExposurePolicy, PopBottomMode, SplitDeque, Steal,
-};
+use crate::deque::{AbpSteal, AnyDeque, ExposurePolicy, PopBottomMode, SplitDeque, Steal};
 use crate::fault::{self, Site};
 use crate::job::{Job, StackJob, NO_WORKER};
 use crate::policy::{NotifyChannel, Policies, VictimSelection};
@@ -78,20 +76,6 @@ pub(crate) fn wake_worker(index: u32) {
             ctx.pool().sleep.wake_worker(index as usize);
         }
     }
-}
-
-/// A push met [`DequeFull`] and its task runs inline instead, counted as
-/// `OverflowInline`.
-#[cold]
-fn note_overflow() {
-    #[cfg(not(feature = "faultpoints"))]
-    debug_assert!(
-        false,
-        "deque overflow without fault injection: growable rings \
-         only report DequeFull when forced (Site::PushBottom / \
-         Site::DequeResize) or at MAX_DEQUE_CAPACITY"
-    );
-    trace::emit(Event::OverflowInline, 1, 0);
 }
 
 /// Per-thread scheduling state. Lives at a stable address (worker stack
@@ -222,50 +206,27 @@ impl WorkerCtx {
         }
     }
 
-    /// Try to push a job at the bottom of this worker's deque. No thief is
-    /// woken for it: the caller does that once the push succeeded. The
-    /// handler's deferred wake still drains per push — that one belongs to
-    /// the signal handler, not to the pusher.
+    /// Push `job` at the bottom of this worker's deque and wake one parked
+    /// thief for it (or, for a split deque, give one the chance to request
+    /// its exposure). The deque grows on demand, so the push cannot fail.
     ///
     /// A pending exposure request is served right after the push (§4 drops
     /// it here, which would lose a request that is still only a flag): a
     /// `scope` spawning for a long time without popping feeds its thieves.
-    ///
-    /// On [`DequeFull`] the job was **not** enqueued and the caller still
-    /// owns it.
+    /// The handler's deferred wake drains here too: it belongs to the
+    /// signal handler, not to the pusher.
     #[inline]
-    fn try_push_job(&self, job: *mut Job) -> Result<(), DequeFull> {
+    pub(crate) fn push_and_wake(&self, job: *mut Job) {
         let w = self.shared();
         match &w.deque {
-            AnyDeque::Abp(d) => d.try_push_bottom(job)?,
+            AnyDeque::Abp(d) => d.push_bottom(job),
             AnyDeque::Split(d) => {
-                d.try_push_bottom(job)?;
+                d.push_bottom(job);
                 self.poll_request(w);
             }
         }
         self.drain_deferred_wake(w);
-        Ok(())
-    }
-
-    /// Push `job` onto this worker's deque and wake one parked thief for
-    /// it.
-    ///
-    /// The deque grows on demand, so a push fails only when `faultpoints`
-    /// forces `PushBottom`/`DequeResize` or the ring is already at
-    /// `MAX_DEQUE_CAPACITY` (2^30 live tasks — runaway recursion, not a
-    /// full deque). The rejected job is still exclusively ours, and "right
-    /// now, on this worker" is a valid schedule for any task — overflow
-    /// costs parallelism, never correctness — so it runs here.
-    #[inline]
-    pub(crate) fn push_or_run_inline(&self, job: *mut Job) {
-        if self.try_push_job(job).is_ok() {
-            // New work is visible: give a parked thief a chance at it (or,
-            // for a split deque, a chance to request its exposure).
-            self.pool().sleep.wake_one();
-        } else {
-            note_overflow();
-            self.execute(job);
-        }
+        self.pool().sleep.wake_one();
     }
 
     /// Perform the wake an exposure serve deferred to us (it only sets
@@ -544,16 +505,7 @@ impl WorkerCtx {
     {
         let job_b = StackJob::new(b, self.index as u32);
         let ptr_b = job_b.as_job_ptr();
-        if self.try_push_job(ptr_b).is_err() {
-            // Overflow: nobody else ever saw `job_b`; finish sequentially,
-            // `b` as a direct call like a popped-back arm.
-            note_overflow();
-            let ra = a();
-            metrics::bump(Event::TaskRun);
-            // Safety: never published, so it is ours alone.
-            return (ra, unsafe { job_b.run_inline() });
-        }
-        self.pool().sleep.wake_one();
+        self.push_and_wake(ptr_b);
         let ra = match panic::catch_unwind(AssertUnwindSafe(a)) {
             Ok(v) => v,
             Err(payload) => {

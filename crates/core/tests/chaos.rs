@@ -15,11 +15,11 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use lcws_core::fault::{install, FaultPlan, Site, SiteAction};
-use lcws_core::{join, par_for_grain, scope, PoolBuilder, ThreadPool, Variant};
+use lcws_core::{join, par_for_grain, scope, PoolBuilder, Variant};
 
 /// One plan at a time, process-wide.
 static CHAOS: Mutex<()> = Mutex::new(());
@@ -310,96 +310,6 @@ fn park_unpark_races_never_strand_a_run() {
     );
 }
 
-/// Overflow pressure without tiny deques: forced `push_bottom` failures
-/// make roughly one join in three degrade to inline execution; results and
-/// the `overflow_inline` counter must both show it.
-#[test]
-fn forced_push_failures_degrade_to_inline_joins() {
-    let _g = lock();
-    let guard = install(
-        FaultPlan::new(0x0F107).with(Site::PushBottom, SiteAction::fail_always().one_in(3)),
-    );
-    let (sum, m, ran) = run_with_timeout(60, || {
-        let pool = PoolBuilder::new(Variant::Signal).threads(4).build();
-        let sum = AtomicU64::new(0);
-        let ran = AtomicU64::new(0);
-        let (_, m) = pool.run_measured(|| {
-            par_for_grain(0..20_000, 16, |i| {
-                sum.fetch_add(i as u64, Ordering::Relaxed);
-            });
-            // Scope spawns exercise the second overflow path.
-            scope(|s| {
-                for _ in 0..200 {
-                    let ran = &ran;
-                    s.spawn(move || {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        });
-        (sum.into_inner(), m, ran.into_inner())
-    });
-    assert_eq!(sum, (0..20_000u64).sum::<u64>());
-    assert_eq!(ran, 200, "every scope task runs despite rejected pushes");
-    assert!(guard.fires(Site::PushBottom) > 0);
-    assert!(
-        m.overflow_inline() > 0,
-        "rejected pushes must be counted: {m}"
-    );
-}
-
-/// Faultpoint storm on `Site::InjectorPush`: forced push rejections must
-/// degrade to inline execution on the producer — graceful, never lost.
-#[test]
-fn injector_push_fault_storm_degrades_to_inline() {
-    const TASKS: u64 = 2_000;
-    let _g = lock();
-    let guard = install(
-        FaultPlan::new(0x0123_9e55).with(Site::InjectorPush, SiteAction::fail_always().one_in(3)),
-    );
-    let pool = ThreadPool::new(Variant::Signal, 4);
-    pool.serve();
-    let executed = Arc::new(AtomicU64::new(0));
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let pool = &pool;
-            let executed = Arc::clone(&executed);
-            s.spawn(move || {
-                for _ in 0..TASKS / 4 {
-                    let executed = Arc::clone(&executed);
-                    drop(pool.spawn(move || {
-                        executed.fetch_add(1, Ordering::Relaxed);
-                    }));
-                }
-            });
-        }
-    });
-    let snap = pool.shutdown();
-    assert_eq!(
-        executed.load(Ordering::Relaxed),
-        TASKS,
-        "forced injector-push failures lost tasks"
-    );
-    assert!(
-        guard.fires(Site::InjectorPush) > 0,
-        "the storm never fired — plan not installed?"
-    );
-    // Rejected pushes ran inline; accepted ones flowed through the queue.
-    let pushed = snap.injector_pushes();
-    let inline = snap.overflow_inline();
-    assert_eq!(
-        pushed + inline,
-        TASKS,
-        "push + inline-fallback accounting must cover every submission"
-    );
-    assert!(pushed > 0 && inline > 0, "storm should split both ways");
-    assert_eq!(
-        snap.injector_pops(),
-        pushed,
-        "every accepted push must leave through a pop"
-    );
-}
-
 /// Resize-window storm: `Site::DequeResize` delays stretch the window
 /// between a grow's copy loop and its buffer publish while thieves keep
 /// stealing from the ring that is about to be retired. The correctness
@@ -542,48 +452,6 @@ fn delay_storms_inside_the_resize_window_stay_linearizable() {
     assert!(
         guard.fires(Site::DequeResize) > 0,
         "growth must pass through the resize-window delay"
-    );
-}
-
-/// Forced grow failure: with `Site::DequeResize` failing always, every
-/// growth attempt reports `DequeFull`, so spawn pressure past the initial
-/// capacity must fall back to inline execution (the pre-growth degradation
-/// path, kept for exactly this case) instead of panicking or losing work.
-#[test]
-fn forced_resize_failure_degrades_to_inline_execution() {
-    let _g = lock();
-    let guard = install(FaultPlan::new(0x9120F).with(Site::DequeResize, SiteAction::fail_always()));
-    let (m, ran) = run_with_timeout(60, || {
-        let pool = PoolBuilder::new(Variant::UsLcws)
-            .threads(2)
-            .deque_capacity(4)
-            .build();
-        let ran = AtomicU64::new(0);
-        let (_, m) = pool.run_measured(|| {
-            scope(|s| {
-                for _ in 0..1000 {
-                    let ran = &ran;
-                    s.spawn(move || {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        });
-        (m, ran.into_inner())
-    });
-    assert_eq!(ran, 1000, "every task runs, queued or inline");
-    assert!(
-        guard.fires(Site::DequeResize) > 0,
-        "growth must be attempted"
-    );
-    assert!(
-        m.overflow_inline() > 0,
-        "failed growth must fall back to inline execution: {m}"
-    );
-    assert_eq!(
-        m.deque_grows(),
-        0,
-        "no doubling may succeed under fail_always: {m}"
     );
 }
 

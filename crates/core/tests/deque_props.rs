@@ -217,7 +217,7 @@ proptest! {
                     other => prop_assert!(false, "uncontended steal failed: {:?}", other),
                 }
             }
-            prop_assert!(deque.try_push_bottom(cookie(i)).is_ok(), "push {} rejected", i);
+            deque.push_bottom(cookie(i));
         }
         // ≤ total/4 steals leave a live extent > 16 slots, so the ring must
         // have doubled 4 → 8 → 16 → 32 at minimum.
@@ -243,8 +243,9 @@ proptest! {
         all.extend(stolen);
         all.sort_unstable();
         prop_assert_eq!(all, (0..total).collect::<Vec<_>>());
-        // After a full drain the deque resets and accepts pushes again.
-        prop_assert!(deque.try_push_bottom(cookie(0)).is_ok());
+        // After a full drain the deque takes pushes again.
+        deque.push_bottom(cookie(0));
+        prop_assert_eq!(deque.pop_bottom(mode), Some(cookie(0)));
     }
 
     #[test]
@@ -262,7 +263,7 @@ proptest! {
                     stolen.push(t as usize - 1);
                 }
             }
-            prop_assert!(deque.try_push_bottom(cookie(i)).is_ok(), "push {} rejected", i);
+            deque.push_bottom(cookie(i));
         }
         prop_assert!(
             deque.generation() >= 3,
@@ -276,7 +277,8 @@ proptest! {
         all.extend(stolen);
         all.sort_unstable();
         prop_assert_eq!(all, (0..total).collect::<Vec<_>>());
-        prop_assert!(deque.try_push_bottom(cookie(0)).is_ok());
+        deque.push_bottom(cookie(0));
+        prop_assert_eq!(deque.pop_bottom(), Some(cookie(0)));
     }
 
     /// Arbitrary interleave scripts of the §4 protocol steps — SignalSafe
@@ -347,7 +349,7 @@ proptest! {
         let (bot, public_bot, top) = deque.raw_state();
         prop_assert_eq!((bot, public_bot), (top, top));
         // And it is immediately reusable.
-        prop_assert!(deque.try_push_bottom(cookie(0)).is_ok());
+        deque.push_bottom(cookie(0));
         prop_assert_eq!(deque.pop_bottom(PopBottomMode::SignalSafe), Some(cookie(0)));
     }
 

@@ -1,8 +1,6 @@
 //! Integration tests for external ingress: `ThreadPool::serve` windows,
 //! `spawn`/`spawn_batch` + `JoinHandle`, the many-producer stress (the PR's
 //! acceptance scenario), and the trace behaviour of the global injector.
-//! The `Site::InjectorPush` storm lives in the chaos suite: a fault plan is
-//! process-wide, and every accounting assertion here would see its fires.
 //!
 //! The stress dimensions default to a debug-friendly size; set
 //! `LCWS_INGRESS_FULL=1` to run the full 64 producers × 10⁵ tasks

@@ -1,9 +1,10 @@
-//! Robustness tests for the pool lifecycle: concurrent pools, capacity
-//! failures, reuse after panics, and ambient-API fallbacks.
+//! Robustness tests for the pool lifecycle: concurrent pools, deque
+//! growth, reuse after panics, and ambient-API fallbacks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use lcws_core::deque::DEFAULT_DEQUE_CAPACITY;
 use lcws_core::{join, par_for_grain, scope, PoolBuilder, ThreadPool, Variant};
 
 #[test]
@@ -95,19 +96,17 @@ fn sequential_runs_from_different_caller_threads() {
 
 #[test]
 fn deque_growth_absorbs_spawn_bursts_without_inline_fallback() {
-    // A burst of spawns past the initial capacity no longer hits the
-    // inline-execution fallback: `push_bottom` doubles the ring on demand,
-    // so every task is queued (and stealable) and `overflow_inline` stays
-    // zero while `deque_grows` records the doublings.
-    let pool = PoolBuilder::new(Variant::UsLcws)
-        .threads(2)
-        .deque_capacity(8)
-        .build();
+    // A burst of spawns well past the initial capacity: `push_bottom`
+    // doubles the ring on demand, so every task is queued (and stealable)
+    // and `deque_grows` records the doublings. The lone thief takes one
+    // task per steal, far slower than the owner pushes, so the live extent
+    // passes the initial ring.
+    const SPAWNS: u64 = 4 * DEFAULT_DEQUE_CAPACITY as u64;
+    let pool = PoolBuilder::new(Variant::UsLcws).threads(2).build();
     let ran = AtomicU64::new(0);
     let (_, m) = pool.run_measured(|| {
-        // Spawn far more scope tasks than the initial ring can hold.
         scope(|s| {
-            for _ in 0..1000 {
+            for _ in 0..SPAWNS {
                 let ran = &ran;
                 s.spawn(move || {
                     ran.fetch_add(1, Ordering::Relaxed);
@@ -117,17 +116,12 @@ fn deque_growth_absorbs_spawn_bursts_without_inline_fallback() {
     });
     assert_eq!(
         ran.load(Ordering::Relaxed),
-        1000,
+        SPAWNS,
         "every spawned task runs exactly once"
-    );
-    assert_eq!(
-        m.overflow_inline(),
-        0,
-        "growable rings never overflow under plain spawn pressure: {m}"
     );
     assert!(
         m.deque_grows() > 0,
-        "1000 eager spawns from capacity 8 must double the ring: {m}"
+        "{SPAWNS} eager spawns must double the initial ring: {m}"
     );
     // The pool stays fully usable afterwards.
     assert_eq!(pool.run(|| 7), 7);
@@ -135,10 +129,9 @@ fn deque_growth_absorbs_spawn_bursts_without_inline_fallback() {
 
 #[test]
 fn deep_unbalanced_fork_tree_grows_instead_of_degrading() {
-    // A left-spine fork tree of depth 20_000 on an initial capacity-8
-    // deque: before growable rings almost every `join` found the deque
-    // full and serialized both arms; now the ring doubles and every level
-    // queues its second arm normally. The run still needs a caller stack
+    // A left-spine fork tree several times deeper than the initial ring:
+    // every level queues its second arm, and the ring doubles under it
+    // while three thieves steal from the top. The run needs a caller stack
     // big enough for the recursion depth.
     fn spine(depth: u64) -> u64 {
         if depth == 0 {
@@ -147,37 +140,28 @@ fn deep_unbalanced_fork_tree_grows_instead_of_degrading() {
         let (a, b) = join(|| spine(depth - 1), || 1u64);
         a + b
     }
-    const DEPTH: u64 = 20_000;
+    const DEPTH: u64 = 4 * DEFAULT_DEQUE_CAPACITY as u64;
     let t = std::thread::Builder::new()
-        .stack_size(64 << 20)
+        .stack_size(256 << 20)
         .spawn(|| {
-            let pool = PoolBuilder::new(Variant::Signal)
-                .threads(4)
-                .deque_capacity(8)
-                .build();
+            let pool = PoolBuilder::new(Variant::Signal).threads(4).build();
             let (sum, m) = pool.run_measured(|| spine(DEPTH));
             (sum, m)
         })
         .expect("spawn deep-recursion thread");
     let (sum, m) = t.join().expect("deep fork tree must not panic");
     assert_eq!(sum, DEPTH + 1);
-    assert_eq!(
-        m.overflow_inline(),
-        0,
-        "depth {DEPTH} on a growable ring must never hit the inline fallback: {m}"
-    );
     assert!(
         m.deque_grows() > 0,
-        "depth {DEPTH} from capacity 8 must double the ring: {m}"
+        "depth {DEPTH} must double the initial ring: {m}"
     );
 }
 
 #[test]
-fn join_recursion_at_depth_100k_grows_from_capacity_4() {
-    // Join-spine variant of the acceptance case: recursion depth 10^5 from
-    // `deque_capacity(4)`, bounded only by the caller's stack (each level
-    // holds a `join` frame). The deque itself is bounded by ring growth —
-    // zero inline fallbacks, with the doublings recorded in metrics.
+fn join_recursion_at_depth_100k_grows_the_ring() {
+    // Join-spine variant: recursion depth 10^5, bounded only by the
+    // caller's stack (each level holds a `join` frame). The deque itself
+    // is bounded by ring growth, with the doublings recorded in metrics.
     fn tree(depth: u64) -> u64 {
         if depth == 0 {
             return 1;
@@ -190,34 +174,25 @@ fn join_recursion_at_depth_100k_grows_from_capacity_4() {
     let t = std::thread::Builder::new()
         .stack_size(512 << 20)
         .spawn(|| {
-            let pool = PoolBuilder::new(Variant::UsLcws)
-                .threads(2)
-                .deque_capacity(4)
-                .build();
+            let pool = PoolBuilder::new(Variant::UsLcws).threads(2).build();
             pool.run_measured(|| tree(DEPTH))
         })
         .expect("spawn deep-recursion thread");
-    let (sum, m) = t.join().expect("capacity-4 pool must survive depth 10^5");
+    let (sum, m) = t.join().expect("pool must survive depth 10^5");
     assert!(sum > DEPTH, "tree result grows with depth: {sum}");
-    assert_eq!(
-        m.overflow_inline(),
-        0,
-        "capacity 4 at depth {DEPTH} must grow, not degrade: {m}"
-    );
     assert!(
         m.deque_grows() > 0,
-        "capacity 4 at depth {DEPTH} must record ring doublings: {m}"
+        "depth {DEPTH} must record ring doublings: {m}"
     );
 }
 
 #[test]
 fn depth_one_million_spawns_from_capacity_4_never_overflow() {
-    // The issue's acceptance criterion: deque depth 10^6 starting from
-    // capacity 4 completes with `overflow_inline == 0`. Scope spawns reach
-    // that depth without deep native recursion: with a single worker the
-    // scope body queues all 10^6 tasks before any is popped, so the ring
-    // must double from 4 slots to 2^20 (18 grows) while holding every
-    // queued task. A second, two-thread run covers the same pressure with
+    // Deque depth 10^6 completes. Scope spawns reach that depth without
+    // deep native recursion: with a single worker the scope body queues
+    // all 10^6 tasks before any is popped, so the ring must double from
+    // the initial 2^13 slots to 2^20 (7 grows) while holding every queued
+    // task. A second, two-thread run covers the same pressure with
     // concurrent thieves draining mid-growth.
     const SPAWNS: u64 = 1_000_000;
     for threads in [1usize, 2] {
@@ -227,7 +202,6 @@ fn depth_one_million_spawns_from_capacity_4_never_overflow() {
             Variant::UsLcws
         })
         .threads(threads)
-        .deque_capacity(4)
         .build();
         let ran = AtomicU64::new(0);
         let (_, m) = pool.run_measured(|| {
@@ -241,19 +215,14 @@ fn depth_one_million_spawns_from_capacity_4_never_overflow() {
             });
         });
         assert_eq!(ran.load(Ordering::Relaxed), SPAWNS, "threads = {threads}");
-        assert_eq!(
-            m.overflow_inline(),
-            0,
-            "threads = {threads}: 10^6 spawns from capacity 4 must never overflow: {m}"
-        );
         assert!(
             m.deque_grows() > 0,
-            "threads = {threads}: 10^6 spawns from capacity 4 must grow the ring: {m}"
+            "threads = {threads}: 10^6 spawns must grow the ring: {m}"
         );
         if threads == 1 {
             // Deterministic with no thieves: depth exactly 10^6 needs
-            // capacity 2^20, i.e. 18 doublings from 4.
-            assert_eq!(m.deque_grows(), 18, "single-thread growth count: {m}");
+            // capacity 2^20, i.e. 7 doublings from 2^13.
+            assert_eq!(m.deque_grows(), 7, "single-thread growth count: {m}");
         }
     }
 }

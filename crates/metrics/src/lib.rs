@@ -174,9 +174,6 @@ event_table! {
     /// Parks that ended without a matching wakeup: timed-park backstop
     /// expiry or a spurious condvar return (payload = 0).
     SpuriousWake { count: spurious_wakes, trace: spurious_wake }
-    /// Fork/spawn requests that found the worker's deque full and degraded
-    /// to inline execution on the owner instead of aborting (payload = 0).
-    OverflowInline { count: overflow_inline, trace: overflow_inline }
     /// `pthread_kill` notifications that returned a nonzero status (e.g.
     /// ESRCH from a racing thread exit); each send is one attempt.
     /// Counted in the sender, traced by the thief (payload = victim index),
@@ -221,8 +218,7 @@ event_table! {
     InjectorPush { count: injector_pushes, trace: inject }
     /// Tasks taken out of the global injector by workers falling back to
     /// it between steal attempts, one per pull and one record each.
-    /// `injector_pushes == injector_pops + inline-degraded submissions`
-    /// once a serve generation drains.
+    /// `injector_pushes == injector_pops` once a serve generation drains.
     InjectorPop { count: injector_pops, trace: injector_pop }
     /// Race reports emitted by the happens-before checker (`hb` feature of
     /// `lcws-core`). Always zero in default builds; any nonzero value under
@@ -597,7 +593,7 @@ mod tests {
             Snapshot::csv_header(),
             "fences,cas,steal_attempts,steals_ok,steals_private,exposures,\
              owner_public_pops,signals_sent,exposure_requests,idle_iters,tasks_run,\
-             pushes,local_pops,parks,unparks,spurious_wakes,overflow_inline,\
+             pushes,local_pops,parks,unparks,spurious_wakes,\
              signal_send_failed,signal_fallback_flag,faults_injected,\
              steal_aborts,deque_grows,worker_deaths,worker_respawns,\
              injector_pushes,injector_pops,hb_reports,steal_batch_tasks,\
@@ -612,7 +608,7 @@ mod tests {
         assert_eq!(
             column(Event::trace_name).join(","),
             "deque_grow,expose,fallback_reroute,handler_entry,handler_expose,inject,\
-             injector_pop,local_pop,overflow_inline,park,public_pop,push,run_close,\
+             injector_pop,local_pop,park,public_pop,push,run_close,\
              run_start,signal_send,signal_send_failed,spurious_wake,steal_ok,\
              steal_private,targeted_poll,unpark,worker_death,worker_respawn"
         );

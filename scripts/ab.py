@@ -28,6 +28,13 @@ composition:
 and judges the child's `values.round_ms` by the same rules, under the
 bound of BENCHMARK.json's `round_ms.<comp>`.
 
+With `--trace N` it runs N more pairs per workload after those, in the
+same alternating order and with the seeds of the first N, as
+`--trace 1` runs, and prints BENCHMARK.json's per-layer metrics from
+them: both medians and IQRs, the change and the wins, but no verdict,
+since BENCHMARK.json gives per-layer metrics no bound. The end-to-end
+verdicts come from the `--trace 0` pairs alone.
+
 It also records the host (`nproc`, CPU model, `/proc/stat` steal share
 over the runs) and deletes its exports unless `--keep` is given.
 Stdlib only, offline.
@@ -35,7 +42,7 @@ Stdlib only, offline.
 Usage:
     scripts/ab.py [--base HEAD~1] [--head HEAD] [--workloads a,b]
                   [--child W:comp[:workers]]... [--pairs 10] [--seed0 1000]
-                  [--scratch DIR] [--keep]
+                  [--trace N] [--scratch DIR] [--keep]
     scripts/ab.py --self-test
 """
 
@@ -97,8 +104,9 @@ def verdict(base, head, better, bound):
 
 
 def summarize(base, head, better, bound):
+    """One metric's row; no verdict when `bound` is None."""
     mb, mh = median(base), median(head)
-    return {
+    s = {
         "base_median": mb,
         "base_iqr": iqr(base),
         "head_median": mh,
@@ -106,8 +114,35 @@ def summarize(base, head, better, bound):
         "delta": (mh - mb) / mb if mb else float("nan"),
         "wins": wins(base, head, better),
         "pairs": min(len(base), len(head)),
-        "verdict": verdict(base, head, better, bound),
     }
+    if bound is not None:
+        s["verdict"] = verdict(base, head, better, bound)
+    return s
+
+
+def table(metrics, base_runs, head_runs, judge):
+    """Markdown rows, one per metric both sides reported in every run, and
+    whether any verdict is `worse`. `metrics` are BENCHMARK.json entries;
+    with `judge` false no verdict is given (and none is `worse`)."""
+    head_cols = "| metric | base median | base IQR | head median | head IQR | delta | wins |"
+    lines = [head_cols + (" verdict |" if judge else ""),
+             "|---|---:|---:|---:|---:|---:|---:|" + ("---|" if judge else "")]
+    regressed = False
+    for m in metrics:
+        name = m["name"]
+        base = [v[name] for v in base_runs if name in v]
+        head = [v[name] for v in head_runs if name in v]
+        if not base or len(base) != len(base_runs) or len(head) != len(head_runs):
+            continue
+        s = summarize(base, head, m["better"], m["bound"] if judge else None)
+        row = (f"| {name} | {s['base_median']:.4g} | {s['base_iqr']:.3g} | "
+               f"{s['head_median']:.4g} | {s['head_iqr']:.3g} | {100 * s['delta']:+.1f} % | "
+               f"{s['wins']}/{s['pairs']} |")
+        if judge:
+            row += f" {s['verdict']} |"
+            regressed |= s["verdict"] == "worse"
+        lines.append(row)
+    return lines, regressed
 
 
 def parse_child(spec):
@@ -150,6 +185,21 @@ def self_test():
     assert verdict(noisy, [50] * 10, "lower", 0.25) == "better"
     assert verdict(noisy, [200] * 10, "lower", 0.25) == "worse"
     assert verdict([100] * 10, noisy, "lower", 0.25) == "unresolved"
+    # Tables: judged rows carry a verdict, per-layer rows do not; a metric
+    # missing from any run on either side gets no row.
+    e2e = [{"name": "round_ms.ws", "better": "lower", "bound": 0.25}]
+    lines, regressed = table(e2e, [{"round_ms.ws": 100}] * 4,
+                             [{"round_ms.ws": 130}] * 4, judge=True)
+    assert regressed and lines[0].endswith("verdict |") and lines[2].endswith("worse |"), lines
+    layer = [{"name": "core.api.join_ns.ws", "better": "lower"},
+             {"name": "core.deque.split_push_pop_ns", "better": "lower"}]
+    base_runs = [{"core.api.join_ns.ws": x, "core.deque.split_push_pop_ns": 2.0}
+                 for x in (26, 25, 27, 26)]
+    head_runs = [{"core.api.join_ns.ws": x} for x in (20, 21, 30, 19)]
+    lines, regressed = table(layer, base_runs, head_runs, judge=False)
+    assert not regressed and len(lines) == 3, lines
+    assert lines[2] == "| core.api.join_ns.ws | 26 | 0.5 | 20.5 | 3.5 | -21.2 % | 3/4 |", lines
+    assert "verdict" not in lines[0]
     assert parse_child("forkjoin_balanced:uslcws") == ("forkjoin_balanced", "uslcws", 2)
     assert parse_child("pbbs_mix:ws:4") == ("pbbs_mix", "ws", 4)
     for bad in ("pbbs_mix", "pbbs_mix:", ":ws", "pbbs_mix:ws:", "pbbs_mix:ws:0",
@@ -196,9 +246,9 @@ def last_json(binary, args, stdin=None):
     return json.loads(lines[-1])
 
 
-def run_once(binary, workload, seed, seconds):
+def run_once(binary, workload, seed, seconds, trace=0):
     line = last_json(binary, ["--workload", workload, "--seed", str(seed),
-                              "--seconds", str(seconds), "--trace", "0"])
+                              "--seconds", str(seconds), "--trace", str(trace)])
     values = {k: v["value"] for k, v in line["metrics"].items()}
     return values, line["attempted"], line["failed"]
 
@@ -241,6 +291,8 @@ def main():
                     help="one-child pairs of this composition instead of --workloads")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, default=1000, help="first pair's seed")
+    ap.add_argument("--trace", type=int, default=0, metavar="N",
+                    help="N more pairs per workload at --trace 1, for the per-layer rows")
     ap.add_argument("--scratch", help="export/build directory (default: a temp dir)")
     ap.add_argument("--keep", action="store_true", help="keep the exports")
     ap.add_argument("--self-test", action="store_true")
@@ -253,7 +305,9 @@ def main():
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     workloads = a.workloads.split(",") if a.workloads else [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    # label -> run(binary, seed) -> (values, attempted, failed)
+    if a.trace and a.child:
+        raise SystemExit("--trace runs benchmark-form pairs; it does not combine with --child")
+    # label -> run(binary, seed, trace) -> (values, attempted, failed)
     cases = {}
     for spec in a.child or []:
         try:
@@ -262,12 +316,14 @@ def main():
             raise SystemExit(str(e))
         if f"round_ms.{comp}" not in metrics:
             raise SystemExit(f"--child {spec}: BENCHMARK.json has no round_ms.{comp}")
-        cases[spec] = lambda b, s, w=w, c=comp, p=workers: run_child(b, w, c, p, s)
+        cases[spec] = lambda b, s, t, w=w, c=comp, p=workers: run_child(b, w, c, p, s)
     if not cases:
-        cases = {w: lambda b, s, w=w: run_once(b, w, s, seconds) for w in workloads}
+        cases = {w: lambda b, s, t, w=w: run_once(b, w, s, seconds, t) for w in workloads}
     scratch = Path(a.scratch or tempfile.mkdtemp(prefix="lcws-ab-")).resolve()
     revs = {"base": git("rev-parse", a.base), "head": git("rev-parse", a.head)}
     trees = {side: scratch / f"{side}-{sha[:12]}" for side, sha in revs.items()}
+    # (trace, pair index) for every pair: the untraced ones first.
+    schedule = [(0, i) for i in range(a.pairs)] + [(1, i) for i in range(a.trace)]
     try:
         binaries = {}
         for side, sha in revs.items():
@@ -277,18 +333,21 @@ def main():
             binaries[side] = build(trees[side])
 
         before = cpu_times()
-        raw = {w: {"base": [], "head": [], "attempted": {"base": 0, "head": 0},
-                   "failed": {"base": 0, "head": 0}} for w in cases}
-        for i in range(a.pairs):
+        raw = {(w, t): {"base": [], "head": [], "attempted": {"base": 0, "head": 0},
+                        "failed": {"base": 0, "head": 0}}
+               for w in cases for t in {t for t, _ in schedule}}
+        for trace, i in schedule:
             seed = a.seed0 + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for w, run in cases.items():
+                r = raw[(w, trace)]
                 for side in order:
-                    values, attempted, failed = run(binaries[side], seed)
-                    raw[w][side].append(values)
-                    raw[w]["attempted"][side] += attempted
-                    raw[w]["failed"][side] += failed
-                print(f"pair {i + 1}/{a.pairs} seed {seed} {w} done", flush=True)
+                    values, attempted, failed = run(binaries[side], seed, trace)
+                    r[side].append(values)
+                    r["attempted"][side] += attempted
+                    r["failed"][side] += failed
+                label = f"traced pair {i + 1}/{a.trace}" if trace else f"pair {i + 1}/{a.pairs}"
+                print(f"{label} seed {seed} {w} done", flush=True)
         after = cpu_times()
     finally:
         if not a.keep:
@@ -305,26 +364,17 @@ def main():
     print(f"base {revs['base'][:12]} vs head {revs['head'][:12]}, "
           f"{a.pairs} pairs, seeds {a.seed0}-{a.seed0 + a.pairs - 1}, {form}")
     regressed = False
-    for w in cases:
-        r = raw[w]
+    for (w, trace), r in raw.items():
         fb, fh = r["failed"]["base"], r["failed"]["head"]
-        print(f"\n## {w}  (failed ops: base {fb}/{r['attempted']['base']}, "
+        kind = f"per layer, {a.trace} traced pairs, no verdict" if trace else "end to end"
+        print(f"\n## {w}, {kind}  (failed ops: base {fb}/{r['attempted']['base']}, "
               f"head {fh}/{r['attempted']['head']})")
-        print("| metric | base median | base IQR | head median | head IQR | delta | wins | verdict |")
-        print("|---|---:|---:|---:|---:|---:|---:|---|")
-        for name, m in metrics.items():
-            base = [v[name] for v in r["base"] if name in v]
-            head = [v[name] for v in r["head"] if name in v]
-            if not base or len(base) != len(head):
-                continue
-            s = summarize(base, head, m["better"], m["bound"])
-            regressed |= s["verdict"] == "worse"
-            print(f"| {name} | {s['base_median']:.4g} | {s['base_iqr']:.3g} | "
-                  f"{s['head_median']:.4g} | {s['head_iqr']:.3g} | {100 * s['delta']:+.1f} % | "
-                  f"{s['wins']}/{s['pairs']} | {s['verdict']} |")
+        rows = bench["per_layer"] if trace else bench["end_to_end"]
+        lines, worse = table(rows, r["base"], r["head"], judge=not trace)
+        print("\n".join(lines))
+        regressed |= worse
         regressed |= fh * max(r["attempted"]["base"], 1) > fb * max(r["attempted"]["head"], 1)
     sys.exit(1 if regressed else 0)
-
 
 if __name__ == "__main__":
     main()
