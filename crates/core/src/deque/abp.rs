@@ -176,15 +176,6 @@ impl AbpDeque {
         Steal::Empty
     }
 
-    /// Pool (at quiescence): empty the deque (`bot = top`) before handing
-    /// it to a respawned worker; see `SplitDeque::reset_for_respawn` for
-    /// the safety contract (quiescent, under the run lock).
-    pub(crate) fn reset_for_respawn(&self) {
-        let top = self.top.load(Ordering::Relaxed);
-        self.bot.store(top, Ordering::Relaxed);
-        self.ring.set_top_bound(top);
-    }
-
     /// Raw `(bot, top)` snapshot. For tests and the model checker, which
     /// assert that a drained deque rests at `bot == top`; not part of the
     /// stable API.
@@ -256,19 +247,6 @@ mod tests {
             assert!(d.pop_bottom().is_some());
             assert_eq!(d.pop_bottom(), None);
         }
-    }
-
-    #[test]
-    fn reset_for_respawn_restores_canonical_state() {
-        let d = AbpDeque::new(16);
-        d.push_bottom(job(1));
-        d.push_bottom(job(2));
-        assert_eq!(d.pop_top(), Steal::Ok(job(1)));
-        d.reset_for_respawn();
-        assert_eq!(d.raw_state(), (1, 1), "emptied at `top`, which stays");
-        assert_eq!(d.pop_top(), Steal::Empty);
-        d.push_bottom(job(3));
-        assert_eq!(d.pop_bottom(), Some(job(3)));
     }
 
     #[test]

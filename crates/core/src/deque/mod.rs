@@ -124,16 +124,6 @@ impl AnyDeque {
             AnyDeque::Split(d) => (d.private_len(), d.public_len()),
         }
     }
-
-    /// Empty the deque (`bot = public_bot = top`) before a replacement
-    /// worker takes over this slot. Caller must hold quiescence (between
-    /// runs, under the run lock).
-    pub(crate) fn reset_for_respawn(&self) {
-        match self {
-            AnyDeque::Abp(d) => d.reset_for_respawn(),
-            AnyDeque::Split(d) => d.reset_for_respawn(),
-        }
-    }
 }
 
 /// *Initial* number of slots of every pool worker's deque.

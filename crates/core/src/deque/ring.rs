@@ -244,7 +244,7 @@ impl GrowableRing {
     }
 
     /// Owner: set the cached bound to `bound`, a `top` value the owner has
-    /// acquired (an empty pop's re-anchor) or set itself (respawn and the
+    /// acquired (an empty pop's re-anchor) or set itself (the
     /// `set_start_index` test hooks, at quiescence).
     #[inline(always)]
     pub(crate) fn set_top_bound(&self, bound: u64) {

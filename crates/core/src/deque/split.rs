@@ -543,16 +543,12 @@ impl SplitDeque {
         exposed
     }
 
-    /// Owner (dying): publish the **entire** private region so thieves can
-    /// rescue tasks a panicking worker would otherwise strand forever.
-    /// Returns how many tasks were exposed.
-    ///
-    /// This is the supervision layer's last-gasp handoff (DESIGN.md §5e):
-    /// policy-agnostic (`public_bot ← bot` regardless of the variant's
-    /// [`ExposurePolicy`]) because the owner is about to stop scheduling —
-    /// the §4.1 policies exist to protect the *owner's* future `pop_bottom`,
-    /// and a dying owner has none. Called on the worker's own thread from
-    /// the unwind path, so the owner-only access discipline holds.
+    /// Owner: publish the **entire** private region (`public_bot ← bot`,
+    /// whatever the [`ExposurePolicy`]) and return how many tasks that
+    /// exposed. A setup hook for tests and the `model` scenarios that start
+    /// from an all-public deque; the pool never calls it. Not part of the
+    /// stable API.
+    #[doc(hidden)]
     pub fn expose_all(&self) -> u32 {
         let b = self.bot.load(Ordering::Relaxed);
         let pb = self.public_bot.load(Ordering::Relaxed);
@@ -567,28 +563,13 @@ impl SplitDeque {
         exposed
     }
 
-    /// Pool (at quiescence): empty the deque (`bot = public_bot = top`)
-    /// before handing it to a respawned worker. `top` stays where it is, so
-    /// a thief's stale snapshot of it can never validate again.
-    ///
-    /// # Safety (enforced by the caller)
-    /// Only sound at quiescence with no concurrent owner or thief — the
-    /// pool calls this between runs, under the run lock, after the `active`
-    /// handshake of the previous generation completed.
-    pub(crate) fn reset_for_respawn(&self) {
-        let top = self.top.load(Ordering::Relaxed);
-        self.bot.store(top, Ordering::Relaxed);
-        self.public_bot.store(top, Ordering::Relaxed);
-        self.ring.set_top_bound(top);
-    }
-
     /// Test hook: re-anchor an **empty, quiescent** deque at absolute index
     /// `start` (`bot`, `public_bot`, `top` and the ring's cached top
     /// bound). Lets the tests and the `model` scenarios start at high
     /// indices.
     ///
     /// Not part of the stable API; callable only with no concurrent owner,
-    /// thief, or handler, like [`SplitDeque::reset_for_respawn`].
+    /// thief, or handler.
     #[doc(hidden)]
     pub fn set_start_index(&self, start: u64) {
         self.bot.store(start, Ordering::Relaxed);
@@ -935,7 +916,7 @@ mod tests {
             d.push_bottom(job(i));
         }
         assert_eq!(d.update_public_bottom(ExposurePolicy::One), 1);
-        // Dying-owner handoff: everything still private becomes stealable.
+        // Everything still private becomes stealable.
         assert_eq!(d.expose_all(), 4);
         assert_eq!(d.private_len(), 0);
         assert_eq!(d.public_len(), 5);
@@ -945,21 +926,6 @@ mod tests {
         assert_eq!(d.pop_top(), Steal::Empty);
         // Idempotent on an empty deque.
         assert_eq!(d.expose_all(), 0);
-    }
-
-    #[test]
-    fn reset_for_respawn_restores_canonical_state() {
-        let d = SplitDeque::new(16);
-        d.push_bottom(job(1));
-        d.push_bottom(job(2));
-        d.update_public_bottom(ExposurePolicy::One);
-        assert_eq!(d.pop_top(), Steal::Ok(job(1)));
-        d.reset_for_respawn();
-        assert_eq!(d.raw_state(), (1, 1, 1), "emptied at `top`, which stays");
-        assert_eq!(d.pop_top(), Steal::Empty);
-        // The slot is fully reusable by the replacement owner.
-        d.push_bottom(job(3));
-        assert_eq!(d.pop_bottom(PopBottomMode::Standard), Some(job(3)));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! seeded [`FaultPlan`] decides, per site and deterministically in hit
 //! order, whether to perturb the schedule (busy delay, yield storm) or to
 //! force the site's failure outcome (a lost steal CAS, a `pthread_kill`
-//! error, a spawn error, a worker death, an empty injector round).
+//! error, a spawn error, a helper panic that aborts, an empty injector
+//! round).
 //!
 //! Pushes have no failure outcome: both deques grow on demand and the
 //! injector is unbounded, so a push always enqueues.
@@ -102,12 +103,9 @@ pub enum Site {
     DequeResize = 10,
     /// Wherever the helper main loop asks whether its generation is still
     /// open (top of each iteration, and the park recheck). Failable: a
-    /// forced fire panics the helper thread, killing it mid-run — the
-    /// deterministic worker-death injector behind the supervision chaos
-    /// tests. Both probe points sit between tasks, where the helper
-    /// provably holds no task in hand, so an injected death can strand
-    /// tasks only in the deque (where the dying-owner expose-all rescues
-    /// them), never a task mid-transfer.
+    /// forced fire panics the helper between tasks; the panic escapes its
+    /// steal loop, so the process aborts (`pool::worker_main`). It is the
+    /// one way to reach that abort, and a test does so in a child process.
     WorkerLoop = 11,
     /// Worker-side injector consumption (the one-task pop between steal
     /// attempts). A forced fire makes the pop round come back empty
@@ -382,7 +380,7 @@ pub(crate) fn point(site: Site) {
 
 /// Failable injection site: perturbs like [`point`] and reports whether the
 /// site must take its failure path (lost steal CAS, `pthread_kill` error,
-/// spawn error, worker death, empty injector round).
+/// spawn error, helper panic, empty injector round).
 ///
 /// With `faultpoints` disabled this is a constant `false` the compiler
 /// folds away, so the failure branches compile to the plain success path.

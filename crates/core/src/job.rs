@@ -202,8 +202,8 @@ unsafe impl<F: Send, R: Send> Sync for StackJob<F, R> {}
 
 impl<F, R> Drop for StackJob<F, R> {
     fn drop(&mut self) {
-        // The frame is about to be reused (same thread, or a respawned
-        // worker mapped onto the dead worker's stack range); drop the
+        // The frame is about to be reused (same thread, or a later thread
+        // whose stack the OS maps onto this one's range); drop the
         // checker's access history for it.
         hb::forget_range(self as *const _ as usize, std::mem::size_of::<Self>());
     }

@@ -54,11 +54,11 @@ impl PoolBuilder {
     /// wait for the next generation) exceeds `timeout`, the wait becomes a
     /// timed re-check instead of an unbounded block, and an expired
     /// quiescence wait prints a structured stall report to stderr — per
-    /// worker parked/dead state, deque depths, counter snapshot, and (with
-    /// the `trace` feature) the tail of each trace ring — then keeps
-    /// waiting. Off by default: without it the waits are plain untimed
-    /// condvar blocks and the supervision layer adds nothing to the close
-    /// path.
+    /// worker registered/parked state, pending exposure request, deque
+    /// depths, counter snapshot, and (with the `trace` feature) the tail of
+    /// each trace ring — then keeps waiting. Off by default: without it the
+    /// waits are plain untimed condvar blocks and the watchdog adds nothing
+    /// to the close path.
     pub fn stall_timeout(mut self, timeout: Duration) -> PoolBuilder {
         assert!(!timeout.is_zero(), "stall timeout must be non-zero");
         self.stall_timeout = Some(timeout);
@@ -106,7 +106,6 @@ impl PoolBuilder {
             sync: Mutex::new(()),
             start_cv: Condvar::new(),
             quiesce_cv: Condvar::new(),
-            death: Mutex::new(None),
             stall_timeout: self.stall_timeout,
             stall_reports: AtomicU64::new(0),
             #[cfg(feature = "trace")]
@@ -114,17 +113,16 @@ impl PoolBuilder {
         });
         let mut handles = Vec::with_capacity(threads - 1);
         for index in 1..threads {
-            match spawn_helper(&inner, index, 0) {
-                Ok(h) => handles.push(Some(h)),
+            match spawn_helper(&inner, index) {
+                Ok(h) => handles.push(h),
                 Err(e) => {
                     // Partial build: join every helper spawned so far before
                     // surfacing the error — a panic with context is
                     // acceptable, leaked threads are not.
-                    let panicked = inner.stop_helpers(handles);
+                    inner.stop_helpers(handles);
                     panic!(
                         "failed to spawn worker thread {index} of {threads} \
-                         ({e}); {} already-spawned worker(s) joined \
-                         ({panicked} of them panicked)",
+                         ({e}); {} already-spawned worker(s) joined",
                         index - 1
                     );
                 }
@@ -134,7 +132,7 @@ impl PoolBuilder {
         await_registration(&inner, 1..threads);
         ThreadPool {
             inner,
-            handles: Mutex::new(handles),
+            handles,
             run_state: Mutex::new(false),
             run_free: Condvar::new(),
         }
@@ -154,7 +152,6 @@ impl PoolBuilder {
             expose_request: CachePadded::new(shim::named_u64(0, "expose_request")),
             pthread: AtomicU64::new(0),
             wake_pending: CachePadded::new(AtomicBool::new(false)),
-            dead: AtomicBool::new(false),
             #[cfg(feature = "trace")]
             trace: trace::TraceRing::new(index as u16, self.trace_capacity),
         }

@@ -21,7 +21,7 @@
 //!
 //! This file is the generation lifecycle both modes share and the helper
 //! work loop. `builder.rs` builds the pool, `serve.rs` is the serve window,
-//! and `supervision.rs` starts, joins, heals and watches the helpers.
+//! and `supervision.rs` starts, joins and watches the helpers.
 
 mod builder;
 mod serve;
@@ -29,7 +29,6 @@ mod supervision;
 
 pub use builder::PoolBuilder;
 
-use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -50,7 +49,6 @@ use crate::sleep::{Sleep, PARK_TIMEOUT};
 use crate::trace;
 use crate::variant::Variant;
 use crate::worker::{current_ctx, WorkerCtx};
-use supervision::handle_worker_death;
 
 /// Shared, cross-thread-visible state of one worker slot.
 pub(crate) struct WorkerShared {
@@ -62,19 +60,13 @@ pub(crate) struct WorkerShared {
     pub(crate) expose_request: CachePadded<AtomicU64>,
     /// pthread handle for `pthread_kill` notifications, 0 while the slot
     /// cannot be signalled. A helper stores it once its handler is armed;
-    /// `build` and the healer wait for that before a generation opens.
+    /// `build` waits for that before the first generation opens.
     pub(crate) pthread: AtomicU64,
     /// Set by the exposure serve when it exposes work, in lieu of waking
     /// sleepers directly (condvar notify is not async-signal-safe). The
     /// owner drains it right after its own serves and on its next deque
     /// access after a handler's, and performs the wake then.
     pub(crate) wake_pending: CachePadded<AtomicBool>,
-    /// Set by the worker's own unwind path after a panic escaped its work
-    /// loop (see `handle_worker_death`); cleared by the between-runs healer
-    /// once a replacement thread owns this slot. While set, the slot is
-    /// excluded from the generation's `active` count and its zeroed
-    /// `pthread` keeps exposure requests on the flag path.
-    pub(crate) dead: AtomicBool,
     /// This worker's scheduling-event ring (owner-written, drained at run
     /// close; see `crate::trace`).
     #[cfg(feature = "trace")]
@@ -121,10 +113,6 @@ pub(crate) struct PoolInner {
     sync: Mutex<()>,
     start_cv: Condvar,
     quiesce_cv: Condvar,
-    /// First panic payload that escaped a helper's work loop this run;
-    /// `run` resumes it on the caller after quiescence (first death wins,
-    /// matching how fork-join propagates the first of two sibling panics).
-    death: Mutex<Option<Box<dyn Any + Send>>>,
     /// Opt-in watchdog period ([`PoolBuilder::stall_timeout`]): when set,
     /// the quiescence and generation-open waits are timed, and an expired
     /// quiescence wait emits a stall report to stderr and keeps waiting.
@@ -152,9 +140,8 @@ pub(crate) struct PoolInner {
 /// ```
 pub struct ThreadPool {
     inner: Arc<PoolInner>,
-    /// Slot `i` holds the join handle of helper `i + 1` (`None` while a
-    /// dead helper awaits respawn, or after a failed respawn).
-    handles: Mutex<Vec<Option<ThreadJoinHandle<()>>>>,
+    /// Slot `i` holds the join handle of helper `i + 1`.
+    handles: Vec<ThreadJoinHandle<()>>,
     /// `true` while a `run` call or an open serve window owns the pool's
     /// generation machinery. A plain `Mutex<()>` guard cannot express the
     /// serve case — the exclusion must span `serve()`'s return and be
@@ -216,58 +203,28 @@ impl ThreadPool {
             panic::catch_unwind(AssertUnwindSafe(f))
         };
 
-        let death = close_generation(pool, "run quiescence");
-        // A panic from the root closure (which fork-join already funnels
-        // sibling panics into) outranks a helper-death payload.
-        let value = result.unwrap_or_else(|payload| panic::resume_unwind(payload));
-        if let Some(payload) = death {
-            panic::resume_unwind(payload);
-        }
-        value
+        close_generation(pool, "run quiescence");
+        result.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
-    /// Open a generation for `run` or `serve`, under the run token:
-    /// self-heal, reset metrics and trace rings so they cover exactly this
-    /// generation, then release the live helpers into it.
+    /// Open a generation for `run` or `serve`, under the run token: reset
+    /// metrics and trace rings so they cover exactly this generation, then
+    /// release the helpers into it.
     fn open_generation(&self) {
-        // Respawn any helper that died in a previous generation (must
-        // precede the collector reset below so the respawn counts land in
-        // *this* generation's metrics).
-        let (respawned, stray_deaths) = self.heal_dead_workers();
         let pool = &*self.inner;
         lcws_metrics::touch();
         lcws_metrics::reset_local();
         pool.collector.reset();
-        pool.collector
-            .add(Event::WorkerRespawn, respawned.len() as u64);
-        pool.collector.add(Event::WorkerDeath, stray_deaths);
         // Helpers are parked between generations and the caller has not
         // installed a ctx (`serve`'s never does), so nobody records while
         // the rings reset.
         #[cfg(feature = "trace")]
-        {
-            for w in pool.workers.iter() {
-                w.trace.reset();
-            }
-            // Respawns are the healer's (i.e. the caller's) events; the
-            // rings were just reset, so worker 0's is exclusively ours.
-            for &index in &respawned {
-                pool.workers[0]
-                    .trace
-                    .record_now(Event::WorkerRespawn, index);
-            }
+        for w in pool.workers.iter() {
+            w.trace.reset();
         }
-        // Under the lock to avoid lost wakeups. Only live helpers take part
-        // in the `active` handshake: a slot whose respawn failed stays dead
-        // and must not be waited for.
+        // Under the lock to avoid lost wakeups.
         let _g = pool.sync.lock();
-        let live = pool
-            .workers
-            .iter()
-            .skip(1)
-            .filter(|w| !w.dead.load(Ordering::Acquire))
-            .count();
-        pool.active.store(live, Ordering::Release);
+        pool.active.store(pool.workers.len() - 1, Ordering::Release);
         pool.epoch.fetch_add(1, Ordering::AcqRel);
         pool.start_cv.notify_all();
     }
@@ -334,16 +291,11 @@ impl Drop for RunToken<'_> {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         // A serve window left open at drop would strand injected tasks and
-        // leave helpers in a live generation; close it first. `shutdown`
-        // re-panics helper deaths — contain that here, destructors must
-        // not unwind.
-        if self.inner.window.load(Ordering::SeqCst) == OPEN
-            && panic::catch_unwind(AssertUnwindSafe(|| self.shutdown())).is_err()
-        {
-            eprintln!("lcws: shutdown during pool teardown resurfaced a worker death");
+        // leave helpers in a live generation; close it first.
+        if self.inner.window.load(Ordering::SeqCst) == OPEN {
+            self.shutdown();
         }
-        self.inner
-            .stop_helpers(std::mem::take(self.handles.get_mut()));
+        self.inner.stop_helpers(std::mem::take(&mut self.handles));
     }
 }
 
@@ -357,10 +309,8 @@ impl std::fmt::Debug for ThreadPool {
 }
 
 /// Close the current generation (`run`'s end, `shutdown`'s end) and wait
-/// for the helpers to drain out of it; returns the first helper-death
-/// payload, if any, for the caller to resume — an unclaimed one must not
-/// leak into the next generation.
-fn close_generation(pool: &PoolInner, what: &str) -> Option<Box<dyn Any + Send>> {
+/// for the helpers to drain out of it.
+fn close_generation(pool: &PoolInner, what: &str) {
     pool.done_epoch
         .store(pool.epoch.load(Ordering::Acquire), Ordering::Release);
     // Helpers may be parked in the sleeper: wake them all so they can
@@ -392,33 +342,24 @@ fn close_generation(pool: &PoolInner, what: &str) -> Option<Box<dyn Any + Send>>
         let merged = trace::Trace::merge(pool.workers.iter().map(|w| w.trace.drain()).collect());
         *pool.trace_last.lock() = Some(merged);
     }
-    pool.death.lock().take()
 }
 
-/// Leave-the-generation guard: flushes the worker's TLS counters and
-/// performs the `active` handshake on **every** exit path of a generation —
-/// normal drain-out and unwind alike — so `run`'s quiescence wait can never
-/// hang on a dead helper.
-struct ActiveGuard<'a> {
-    pool: &'a PoolInner,
-}
-
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        // Flush first: on the death path the WorkerDeath bump and the
-        // dying deque's exposure counts are still in TLS, and the caller
-        // reads the collector right after quiescence.
-        lcws_metrics::flush_into(&self.pool.collector);
-        if self.pool.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.pool.sync.lock();
-            self.pool.quiesce_cv.notify_all();
-        }
+/// A helper thread's body. Task panics are caught at the task boundary
+/// (`job.rs`), so a panic that escapes the steal loop is a broken scheduler
+/// invariant (or an injected `Site::WorkerLoop` fault), after which
+/// resuming the pool is unsound: print which worker it was and abort, as
+/// rayon and Parlay do (DESIGN.md §5e). The default panic hook has already
+/// printed the payload.
+fn worker_main(pool: Arc<PoolInner>, index: usize) {
+    if panic::catch_unwind(AssertUnwindSafe(|| work_loop(&pool, index))).is_err() {
+        eprintln!("lcws: a panic escaped worker {index}'s steal loop; aborting");
+        std::process::abort();
     }
 }
 
-fn worker_main(pool: Arc<PoolInner>, index: usize, seen0: u64) {
+fn work_loop(pool: &PoolInner, index: usize) {
     lcws_metrics::touch();
-    let ctx = WorkerCtx::new(&pool, index);
+    let ctx = WorkerCtx::new(pool, index);
     let _guard = ctx.install();
     // Registered only now that the handler is armed: the registration
     // barrier (`supervision::await_registration`) means "may be signalled".
@@ -426,11 +367,8 @@ fn worker_main(pool: Arc<PoolInner>, index: usize, seen0: u64) {
         .pthread
         .store(signal::current_pthread() as u64, Ordering::Release);
 
-    // Respawned helpers baseline at the epoch their healer observed (the
-    // original cohort at 0): reading `pool.epoch` here instead could see a
-    // generation that opened with this slot excluded from `active`, and
-    // joining it would break the quiescence handshake.
-    let mut seen = seen0;
+    // Helpers start before the first generation opens, at epoch 0.
+    let mut seen = 0;
     loop {
         // Park until a new generation opens (or shutdown).
         {
@@ -458,39 +396,28 @@ fn worker_main(pool: Arc<PoolInner>, index: usize, seen0: u64) {
             }
         }
         let generation = seen;
-        // The guard owns this generation's `active` slot: constructed
-        // before the work loop, dropped (flush + decrement + notify) on
-        // every exit path below — including the unwind path, where it runs
-        // *after* the death handler so the handler's counter bumps and
-        // death flag are visible by the time the caller wakes.
-        let active = ActiveGuard { pool: &pool };
-        let unwind = panic::catch_unwind(AssertUnwindSafe(|| {
-            ctx.help_until(
-                || {
-                    if pool.done_epoch.load(Ordering::Acquire) >= generation {
-                        return true;
-                    }
-                    // Supervision fault site: a forced fire panics the
-                    // helper here, where the loop asks whether to go on —
-                    // the worker provably holds no task in hand, so the
-                    // chaos tests can kill it deterministically and assert
-                    // the dying-owner handoff rescues everything still
-                    // queued (see `handle_worker_death`). Only this, the
-                    // helper main loop, carries the site.
-                    if crate::fault::fail_at(crate::fault::Site::WorkerLoop) {
-                        panic!("injected worker-loop fault (Site::WorkerLoop)");
-                    }
-                    false
-                },
-                PARK_TIMEOUT,
-            );
-        }));
-        if let Err(payload) = unwind {
-            handle_worker_death(&pool, index, payload);
-            drop(active);
-            // The thread exits *normally*: the corpse is reaped and the
-            // slot respawned by the next run's healer.
-            return;
+        ctx.help_until(
+            || {
+                if pool.done_epoch.load(Ordering::Acquire) >= generation {
+                    return true;
+                }
+                // The fault site sits where the loop asks whether to go on,
+                // between tasks: a forced fire panics the helper here, the
+                // one way to test the abort in `worker_main`.
+                if crate::fault::fail_at(crate::fault::Site::WorkerLoop) {
+                    panic!("injected worker-loop fault (Site::WorkerLoop)");
+                }
+                false
+            },
+            PARK_TIMEOUT,
+        );
+        // Leave the generation: flush the TLS counters (the caller reads
+        // the collector right after quiescence), then the `active`
+        // handshake.
+        lcws_metrics::flush_into(&pool.collector);
+        if pool.active.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _g = pool.sync.lock();
+            pool.quiesce_cv.notify_all();
         }
     }
 }
@@ -651,9 +578,8 @@ mod tests {
         assert!(report.contains("worker 0: (caller)"));
         assert!(report.contains("worker 2:"));
         assert!(report.contains("counters (flushed)"));
-        // Healthy pool between runs: nobody dead, reports not yet emitted
-        // (this formats the report directly, bypassing the watchdog).
-        assert!(!report.contains("DEAD"));
+        // Reports not yet emitted (this formats the report directly,
+        // bypassing the watchdog).
         assert_eq!(pool.stall_reports(), 0);
     }
 

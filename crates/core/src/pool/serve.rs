@@ -162,7 +162,7 @@ impl ThreadPool {
     /// path, and return the window's metrics snapshot. Panics if no serve
     /// window is open. A task panic (of a spawned task whose handle was
     /// dropped unjoined) does **not** resurface here — it lives in the
-    /// dropped handle's state; helper *deaths* resurface like in `run`.
+    /// dropped handle's state.
     pub fn shutdown(&self) -> Snapshot {
         let pool = &*self.inner;
         let opened =
@@ -177,8 +177,7 @@ impl ThreadPool {
             // No helpers exist to drain the injector: the shutting-down
             // thread becomes worker 0 and drains inline. "Outstanding but
             // nothing visible" means a producer is between its count and
-            // its push, or an inline fallback is running elsewhere — a
-            // brief window the idle ladder rides out.
+            // its push — a brief window the idle ladder rides out.
             let ctx = WorkerCtx::new(pool, 0);
             let _guard = ctx.install();
             ctx.help_until(drained, PARK_TIMEOUT);
@@ -186,12 +185,9 @@ impl ThreadPool {
             pool.wait_with_watchdog(&pool.drain_cv, "shutdown drain", drained);
         }
         pool.window.store(CLOSED, Ordering::SeqCst);
-        let death = close_generation(pool, "shutdown quiescence");
+        close_generation(pool, "shutdown quiescence");
         let snapshot = pool.collector.snapshot();
         self.release_run();
-        if let Some(payload) = death {
-            panic::resume_unwind(payload);
-        }
         snapshot
     }
 }

@@ -178,13 +178,12 @@ pub(crate) fn current_pthread() -> libc::pthread_t {
 /// caller; the steal request then simply stays on the user-space flag the
 /// victim polls, instead of being silently dropped.
 ///
-/// The supervision layer (DESIGN.md §5e) keeps corpses out of here
-/// entirely: a dying worker zeroes its pthread slot *before* raising its
-/// death flag, and `signal_or_flag` treats a zero handle as "unreachable,
-/// leave it on the flag" — so after a worker death, thieves fail fast in
-/// user space rather than racing `pthread_kill` against thread teardown
-/// (a handle can be recycled by the OS once the thread is joined, making a
-/// late kill target an unrelated thread; the zero-handle gate closes that).
+/// A slot whose thread is not (or no longer) in the pool holds a zero
+/// handle — a helper before it registers, `run`'s seat after its run
+/// closes — and `signal_or_flag` treats zero as "unreachable, leave it on
+/// the flag", so no kill can reach a thread that left the pool (a handle
+/// can be recycled by the OS once its thread is gone). Helpers never
+/// leave mid-run: a panic escaping one aborts the process (DESIGN.md §5e).
 pub(crate) fn notify(target: u64) -> Result<(), libc::c_int> {
     // The fault-injection hook lets chaos tests force the failure outcome
     // without a racing thread exit.

@@ -285,8 +285,7 @@ impl Sleep {
 
     /// Withdraw worker `index` from the sleeper set and absorb any wakeup
     /// that was delivered concurrently (so a stale `woken` can never leak
-    /// into the next park). Also the dying-worker path: a worker killed
-    /// inside `abort` must not keep absorbing `wake_one`s.
+    /// into the next park).
     pub(crate) fn retire(&self, index: usize) {
         let (word, bit) = (index / 64, 1u64 << (index % 64));
         self.mask[word].fetch_and(!bit, Ordering::SeqCst);

@@ -480,7 +480,7 @@ fn spawn_failure_mid_build_tears_down_and_recovers() {
         "panic must name the failing worker: {msg}"
     );
     assert!(
-        msg.contains("2 already-spawned worker(s) joined (0 of them panicked)"),
+        msg.contains("2 already-spawned worker(s) joined"),
         "panic must confirm the partial teardown: {msg}"
     );
     assert_eq!(guard.fires(Site::ThreadSpawn), 1);

@@ -379,71 +379,6 @@ fn owner_exposure_is_not_clobbered_by_its_own_handler() {
     assert!(v.message.contains("moved down"), "{}", v.message);
 }
 
-/// Supervision (DESIGN.md §5e): a dying owner's last-gasp `expose_all`
-/// racing a thief's steal, with a handler exposure still injectable on the
-/// owner (a SIGUSR1 can land mid-unwind, before the handler ctx is torn
-/// down). The whole-region publish must not double-publish the task the
-/// thief is concurrently taking, and afterwards every task must be
-/// rescuable by thieves exactly once, with nothing left private
-/// (stranded).
-#[test]
-fn dying_owner_expose_all_vs_thief_and_handler() {
-    for ntasks in [1, 2, 3] {
-        let report = explore(Options::default(), || {
-            let d = SplitDeque::new(8);
-            for i in 0..ntasks {
-                d.push_bottom(cookie(i));
-            }
-            // Mid-run state: one task already public, so the thief races
-            // the boundary move itself, not just its result.
-            d.update_public_bottom(ExposurePolicy::One);
-            let taken = Mutex::new(Vec::new());
-            Execution::new()
-                .thread("dying-owner", || {
-                    pause();
-                    d.expose_all();
-                    pause();
-                })
-                .thread("thief", || {
-                    for _ in 0..2 {
-                        if let Steal::Ok(t) = d.pop_top() {
-                            taken.lock().unwrap().push(uncookie(t));
-                        }
-                    }
-                })
-                .handler_on(0, || {
-                    d.update_public_bottom(ExposurePolicy::One);
-                })
-                .run();
-            // Rescue drain, thief-side only: the owner is dead, so steals
-            // are the single remaining path to its tasks.
-            let mut all = taken.into_inner().unwrap();
-            loop {
-                match d.pop_top() {
-                    Steal::Ok(t) => all.push(uncookie(t)),
-                    Steal::Abort => continue,
-                    Steal::Empty | Steal::PrivateWork => break,
-                }
-            }
-            check_no_loss_no_dup(all, ntasks)?;
-            let (bot, public_bot, _) = d.raw_state();
-            if public_bot != bot {
-                return Err(format!(
-                    "stranded private work after expose_all: bot={bot} \
-                     public_bot={public_bot}"
-                ));
-            }
-            Ok(())
-        });
-        report.assert_exhaustive_pass("dying-owner expose_all vs thief + handler");
-        assert!(
-            report.schedules >= 10,
-            "expected a real interleaving space, got {}",
-            report.schedules
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Ring growth (the Resize decision point).
 // ---------------------------------------------------------------------------
@@ -829,7 +764,7 @@ fn batch_steal_vs_scalar_steal_single_winner_per_slot() {
                     }
                 })
                 .run();
-            // Thief-side rescue drain, as after an owner death.
+            // Thief-side drain of whatever the racers left.
             let mut all = taken.into_inner().unwrap();
             loop {
                 match d.pop_top() {

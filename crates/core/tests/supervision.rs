@@ -1,7 +1,6 @@
-//! Supervision suite: pool lifecycle churn (ROADMAP item 5) and —
-//! under `--features faultpoints` — deterministic worker-death storms
-//! exercising the containment → expose-private → quiesce → respawn
-//! protocol of DESIGN.md §5e.
+//! Supervision suite: pool lifecycle churn (ROADMAP item 5), the stall
+//! watchdog, and — under `--features faultpoints` — the abort that ends
+//! the process when a panic escapes a helper's steal loop (DESIGN.md §5e).
 //!
 //! Fault plans are process-global, so the faulted tests serialize on
 //! [`SUPERVISION`]; the churn test takes the same lock so an armed plan
@@ -99,138 +98,99 @@ fn watchdog_silent_on_healthy_runs() {
 mod faulted {
     use super::*;
     use lcws_core::fault::{install, FaultPlan, Site, SiteAction};
+    use std::io::Read;
+    use std::os::unix::process::ExitStatusExt;
+    use std::process::{Command, Stdio};
+    use std::thread::JoinHandle;
     use std::time::Instant;
 
-    /// The issue's acceptance scenario: a seeded `Site::WorkerLoop` plan
-    /// kills helpers mid-run on a capacity-4 pool. The run must terminate
-    /// (no quiescence hang), zero tasks may be lost (the dying owner's
-    /// expose-all handoff plus the task-boundary containment argument),
-    /// the panic payload must resume on the caller, and the *next* run on
-    /// the same pool must succeed after the healer respawned the dead
-    /// slots.
-    #[test]
-    fn worker_death_storm_contained_and_healed() {
-        let _g = lock();
-        run_with_timeout(120, || {
-            let pool = PoolBuilder::new(Variant::Signal).threads(4).build();
-            // Installed after build: the plan must hit running helpers,
-            // not the build-time ThreadSpawn site.
-            let guard = install(FaultPlan::new(0x5EED_0007).with(
-                Site::WorkerLoop,
-                // Let the storm ramp up first, then kill two of the three
-                // helpers (never all: fires are per-site, one panic each).
-                // Helpers hit the loop-top probe a few hundred times over a
-                // run this size, so 30 leaves wide margin on both sides.
-                SiteAction::fail_always().after(30).max_fires(2),
-            ));
-            let done = AtomicU64::new(0);
-            let mut rounds = 0;
-            let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                pool.run(|| {
-                    // On two shared cores one 8192-task loop can finish
-                    // before any helper reaches its 31st loop-top probe, so
-                    // keep the generation open until the plan has killed a
-                    // helper (or a deadline shows it never will).
-                    let deadline = Instant::now() + Duration::from_secs(30);
-                    loop {
-                        par_for_grain(0..8192, 1, |_| {
-                            done.fetch_add(1, Ordering::Relaxed);
-                        });
-                        rounds += 1;
-                        if guard.fires(Site::WorkerLoop) >= 1 || Instant::now() >= deadline {
-                            break;
-                        }
-                    }
-                });
-            }));
-            let fires = guard.fires(Site::WorkerLoop);
-            drop(guard);
-            assert!(fires >= 1, "the plan never killed a helper");
-            // Zero loss: every task ran exactly once despite the deaths.
-            assert_eq!(done.into_inner(), 8192 * rounds);
-            // The escaped payload resumed on the caller...
-            let payload = result.expect_err("worker death must resume on the caller");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(|s| s.as_str()))
-                .unwrap_or("<non-string>");
-            assert!(
-                msg.contains("injected worker-loop fault"),
-                "unexpected payload: {msg}"
-            );
-            // ...and was counted before quiescence released the caller.
-            assert!(pool.metrics().worker_deaths() >= 1);
-            assert_eq!(pool.metrics().worker_respawns(), 0);
+    /// Set in the child process of
+    /// [`escaped_helper_panic_aborts_the_process`].
+    const ABORT_CHILD: &str = "LCWS_SUPERVISION_ABORT_CHILD";
+    /// Printed by the child if `run` ever returns.
+    const AFTER_RUN: &str = "lcws-test: run returned";
 
-            // Self-heal: the next run respawns the dead helpers and
-            // completes normally.
-            let sum = AtomicU64::new(0);
+    /// A panic that escapes a helper's steal loop aborts the process. The
+    /// test re-runs its own binary, filtered to itself, as a child that
+    /// forces one `Site::WorkerLoop` fire into a run on a 2-worker pool:
+    /// the child must die of SIGABRT, its stderr must name worker 1, and
+    /// it must print nothing after `run` (no panic resumed on the caller,
+    /// no healed pool carrying on).
+    #[test]
+    fn escaped_helper_panic_aborts_the_process() {
+        if std::env::var_os(ABORT_CHILD).is_some() {
+            let pool = PoolBuilder::new(Variant::UsLcws).threads(2).build();
+            let guard = install(
+                FaultPlan::new(0xAB07_0001)
+                    .with(Site::WorkerLoop, SiteAction::fail_always().max_fires(1)),
+            );
+            let deadline = Instant::now() + Duration::from_secs(20);
             pool.run(|| {
-                par_for_grain(0..1024, 4, |i| {
-                    sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
-                });
+                // Keep the generation open until the helper reaches the
+                // probe (or a deadline shows it never will).
+                while guard.fires(Site::WorkerLoop) == 0 && Instant::now() < deadline {
+                    par_for_grain(0..1024, 16, |_| {});
+                }
             });
-            assert_eq!(sum.into_inner(), (1024 * 1025) / 2);
-            assert!(
-                pool.metrics().worker_respawns() >= 1,
-                "healer must have respawned at least one helper"
-            );
-            assert_eq!(pool.metrics().worker_deaths(), 0);
-        });
-    }
-
-    /// A failed respawn (forced `Site::ThreadSpawn` fire during healing)
-    /// must leave the pool running degraded, not broken; once the plan is
-    /// gone, the following run's healer retries and fully recovers.
-    #[test]
-    fn failed_respawn_degrades_then_heals() {
+            println!("{AFTER_RUN}");
+            return;
+        }
         let _g = lock();
-        run_with_timeout(120, || {
-            let pool = PoolBuilder::new(Variant::UsLcws).threads(4).build();
-            // Round 1: kill exactly one helper.
-            {
-                let guard = install(
-                    FaultPlan::new(0xDEAD_0001)
-                        .with(Site::WorkerLoop, SiteAction::fail_always().max_fires(1)),
-                );
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    pool.run(|| {
-                        // Big enough that helpers iterate while the run is
-                        // still open (a tiny workload can close the
-                        // generation before any helper wakes, and a helper
-                        // that wakes into a closed generation exits at the
-                        // `finished` check before reaching the fault
-                        // probe).
-                        let sum = AtomicU64::new(0);
-                        par_for_grain(0..8192, 1, |i| {
-                            sum.fetch_add(i as u64, Ordering::Relaxed);
-                        });
-                        sum.into_inner()
-                    });
-                }));
-                assert!(result.is_err(), "the death payload must resume");
-                drop(guard);
-                assert!(pool.metrics().worker_deaths() >= 1);
+        let exe = std::env::current_exe().expect("test binary path");
+        // `ulimit -c 0`: the abort must not leave a core file behind.
+        let mut child = Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -c 0 && exec \"$0\" \"$@\"")
+            .arg(exe)
+            .args([
+                "--exact",
+                "faulted::escaped_helper_panic_aborts_the_process",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env(ABORT_CHILD, "1")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn the child test process");
+        // Read both pipes while waiting, so a long backtrace cannot fill
+        // one and stall the child.
+        fn drain(mut pipe: impl Read + Send + 'static) -> JoinHandle<String> {
+            std::thread::spawn(move || {
+                let mut text = String::new();
+                let _ = pipe.read_to_string(&mut text);
+                text
+            })
+        }
+        let stdout = drain(child.stdout.take().unwrap());
+        let stderr = drain(child.stderr.take().unwrap());
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("wait for the child") {
+                break status;
             }
-            // Round 2: healer's respawn is forced to fail — the pool keeps
-            // working with the slot dead (excluded from the handshake).
-            {
-                let guard = install(
-                    FaultPlan::new(0xDEAD_0002).with(Site::ThreadSpawn, SiteAction::fail_always()),
-                );
-                assert_eq!(pool.run(|| 40 + 2), 42);
-                assert_eq!(
-                    pool.metrics().worker_respawns(),
-                    0,
-                    "respawn was forced to fail, none may be counted"
-                );
-                drop(guard);
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("the child did not exit within 60 s");
             }
-            // Round 3: no plan — the healer retries and recovers the slot.
-            assert_eq!(pool.run(|| 21 * 2), 42);
-            assert!(pool.metrics().worker_respawns() >= 1);
-        });
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let (stdout, stderr) = (stdout.join().unwrap(), stderr.join().unwrap());
+        const SIGABRT: i32 = 6;
+        assert_eq!(
+            status.signal(),
+            Some(SIGABRT),
+            "the child must abort, got {status}\nstdout:\n{stdout}\nstderr:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("worker 1's steal loop"),
+            "stderr must name worker 1:\n{stderr}"
+        );
+        assert!(
+            !stdout.contains(AFTER_RUN),
+            "nothing may run after `run`:\n{stdout}"
+        );
     }
 
     /// Watchdog under a genuine stall: helpers wedged in huge forced

@@ -198,18 +198,6 @@ event_table! {
     /// `initial << grows` (per deque; this counter aggregates across
     /// workers like every other counter).
     DequeGrow { count: deque_grows, trace: deque_grow }
-    /// Worker threads that died: a panic escaped a helper's work loop (the
-    /// job-level `catch_unwind` contains task panics, so this counts
-    /// scheduler-internal failures and injected `WorkerLoop` faults), or a
-    /// join at teardown surfaced a panic payload. Traced on the dying
-    /// worker, before it leaves the run's `active` handshake (payload =
-    /// private tasks exposed for rescue).
-    WorkerDeath { count: worker_deaths, trace: worker_death }
-    /// Replacement helper threads spawned by the pool's between-run
-    /// self-healing pass (one per dead worker successfully respawned).
-    /// Traced on worker 0's ring at the start of the run that healed the
-    /// pool (payload = the respawned worker's index).
-    WorkerRespawn { count: worker_respawns, trace: worker_respawn }
     /// Tasks submitted to the pool's global injector
     /// (`ThreadPool::spawn`/`spawn_batch`; payload = tasks in the
     /// submission). External producer threads account these directly into
@@ -595,7 +583,7 @@ mod tests {
              owner_public_pops,signals_sent,exposure_requests,idle_iters,tasks_run,\
              pushes,local_pops,parks,unparks,spurious_wakes,\
              signal_send_failed,signal_fallback_flag,faults_injected,\
-             steal_aborts,deque_grows,worker_deaths,worker_respawns,\
+             steal_aborts,deque_grows,\
              injector_pushes,injector_pops,hb_reports,steal_batch_tasks,\
              wake_attempts"
         );
@@ -610,7 +598,7 @@ mod tests {
             "deque_grow,expose,fallback_reroute,handler_entry,handler_expose,inject,\
              injector_pop,local_pop,park,public_pop,push,run_close,\
              run_start,signal_send,signal_send_failed,spurious_wake,steal_ok,\
-             steal_private,targeted_poll,unpark,worker_death,worker_respawn"
+             steal_private,targeted_poll,unpark"
         );
     }
 
