@@ -56,7 +56,8 @@ pub(crate) struct WorkerShared {
     /// The paper's `targeted` flag (one per processor), widened to say
     /// *when*: 0 while no exposure request is pending, else the
     /// [`crate::worker::request_word`] of the thief that was answered
-    /// `PRIVATE_WORK`. Protocol: `WorkerCtx::notify_victim`, DESIGN.md §4.
+    /// `PRIVATE_WORK` or whose steal took the last public task. Protocol:
+    /// `WorkerCtx::notify_victim` and `steal_once`, DESIGN.md §4.
     pub(crate) expose_request: CachePadded<AtomicU64>,
     /// pthread handle for `pthread_kill` notifications, 0 while the slot
     /// cannot be signalled. A helper stores it once its handler is armed;
@@ -426,7 +427,7 @@ fn work_loop(pool: &PoolInner, index: usize) {
 mod tests {
     use super::supervision::stall_report;
     use super::*;
-    use crate::worker::{request_age_ns, request_word, REQUEST_SIGNALLED};
+    use crate::worker::{request_age_ns, request_word, StealAttempt, REQUEST_SIGNALLED};
     use std::ptr;
 
     #[test]
@@ -702,5 +703,69 @@ mod tests {
         assert!(d
             .pop_bottom(crate::deque::PopBottomMode::Standard)
             .is_some());
+    }
+
+    /// A steal that takes the victim's last public task while private work
+    /// remains asks for the next task at once (a fresh, unsignalled
+    /// request) instead of clearing the word; any other steal clears it.
+    /// Conservative still asks only a victim left with two tasks.
+    #[test]
+    fn a_steal_of_the_last_public_task_asks_for_the_next() {
+        let stale = request_word(1) | REQUEST_SIGNALLED;
+        for variant in [
+            Variant::UsLcws,
+            Variant::Signal,
+            Variant::SignalHalf,
+            Variant::SignalConservative,
+        ] {
+            let pool = PoolBuilder::new(variant).threads(2).build();
+            let victim = &pool.inner.workers[0];
+            let AnyDeque::Split(d) = &victim.deque else {
+                panic!("{variant} uses the split deque");
+            };
+            let ctx = WorkerCtx::new(&pool.inner, 1);
+            let _guard = ctx.install();
+            // The word left behind by steal_once on a victim holding
+            // `public` public and `private` private tasks, whose request
+            // word was a stale, signalled one.
+            let word_after_steal = |public: usize, private: usize| {
+                for _ in 0..public + private {
+                    d.push_bottom(ptr::dangling_mut());
+                }
+                for _ in 0..public {
+                    d.update_public_bottom(crate::deque::ExposurePolicy::One);
+                }
+                victim.expose_request.store(stale, Ordering::Relaxed);
+                let StealAttempt::Taken(_) = ctx.steal_once() else {
+                    panic!("{variant}: the public task must be stolen");
+                };
+                let word = victim.expose_request.load(Ordering::Relaxed);
+                while d
+                    .pop_bottom(crate::deque::PopBottomMode::SignalSafe)
+                    .or_else(|| d.pop_public_bottom())
+                    .is_some()
+                {}
+                victim.expose_request.store(0, Ordering::Relaxed);
+                word
+            };
+            let min_private = if variant == Variant::SignalConservative {
+                2
+            } else {
+                1
+            };
+            for k in min_private..=3 {
+                let word = word_after_steal(1, k);
+                assert!(
+                    word != 0 && word != stale && word & REQUEST_SIGNALLED == 0,
+                    "{variant}, 1 public + {k} private: a fresh request, got {word:#x}"
+                );
+            }
+            if variant == Variant::SignalConservative {
+                assert_eq!(word_after_steal(1, 1), 0, "{variant}: one task left");
+            }
+            assert_eq!(word_after_steal(1, 0), 0, "{variant}: nothing left");
+            assert_eq!(word_after_steal(2, 0), 0, "{variant}: public work left");
+            assert_eq!(word_after_steal(2, 2), 0, "{variant}: public work left");
+        }
     }
 }

@@ -323,6 +323,15 @@ impl WorkerCtx {
     /// Listing 3): pick a random victim, try to steal, and send the
     /// per-variant work-exposure notification on `PRIVATE_WORK`.
     ///
+    /// A split-deque steal that leaves the victim's public part empty
+    /// while its private part still holds work asks for the next task
+    /// at once, under the probe's rules ([`Self::may_ask`]), instead of
+    /// clearing the request word: the victim serves the request at the
+    /// task boundary it reaches while this thief runs the stolen task,
+    /// so the request → serve → re-probe round trip overlaps useful work
+    /// (DESIGN §4, *pipelined requests*). Every other steal clears the
+    /// word. At most one request per successful steal.
+    ///
     /// `Steal::Abort` maps to [`StealAttempt::Contended`], **not** to
     /// no-work: an abort proves the victim held a stealable task an
     /// instant ago (another taker won the CAS), and folding it into the
@@ -352,8 +361,15 @@ impl WorkerCtx {
                         trace::record(Event::StealOk, victim_idx as u32);
                         self.note_steal_success();
                         // Stealing removed a task from the victim's public
-                        // part: future thieves may request exposure again.
-                        clear_request(victim);
+                        // part. If that was the last one, the next probe
+                        // would answer `PRIVATE_WORK`: ask now. Otherwise
+                        // future thieves may request exposure again.
+                        if d.public_len() == 0 && d.private_len() > 0 && self.may_ask(d) {
+                            let asked = request_word(trace::now_ns());
+                            victim.expose_request.store(asked, Ordering::Relaxed);
+                        } else {
+                            clear_request(victim);
+                        }
                         StealAttempt::Taken(task)
                     }
                     Steal::PrivateWork => {
@@ -374,17 +390,15 @@ impl WorkerCtx {
     /// later probe — by *any* thief, the stamp is in the shared word — that
     /// finds it unserved after [`signal::EXPOSE_GRACE_NS`] sends Listing
     /// 3's `SIGUSR1`, once. Plain load-then-store as in the paper: a lost
-    /// race costs one duplicate signal or one re-asked request.
+    /// race costs one duplicate signal or one re-asked request. A thief
+    /// whose steal took the victim's last public task asks under the same
+    /// [`Self::may_ask`] gate, from [`Self::steal_once`], without a probe.
     /// (`pub(crate)`, like `signal_or_flag`, for the pool regression tests.)
     pub(crate) fn notify_victim(&self, victim_idx: usize, victim: &WorkerShared, d: &SplitDeque) {
-        let policies = self.policies();
-        let by_signal = policies.notify == NotifyChannel::Signal;
-        // Conservative Exposure (§4.1.1): the victim would refuse to
-        // expose its last task anyway, so the request would be wasted.
-        let conservative = policies.exposure == ExposurePolicy::Conservative;
-        if by_signal && conservative && !d.has_two_tasks() {
+        if !self.may_ask(d) {
             return;
         }
+        let by_signal = self.policies().notify == NotifyChannel::Signal;
         let req = victim.expose_request.load(Ordering::Relaxed);
         if req == 0 {
             let asked = request_word(trace::now_ns());
@@ -399,14 +413,26 @@ impl WorkerCtx {
         }
     }
 
+    /// Conservative Exposure under signals (§4.1.1): the victim would
+    /// refuse to expose its last task anyway, so a request to a victim
+    /// holding fewer than two tasks would be wasted.
+    #[inline]
+    fn may_ask(&self, d: &SplitDeque) -> bool {
+        let policies = self.policies();
+        policies.notify != NotifyChannel::Signal
+            || policies.exposure != ExposurePolicy::Conservative
+            || d.has_two_tasks()
+    }
+
     /// Escalate a request to `SIGUSR1`. When `pthread_kill` fails **or** the
     /// victim has no pthread handle, the request simply stays on the flag
     /// the victim polls at its next task boundary — never silently
     /// dropped, only slower.
     pub(crate) fn signal_or_flag(&self, victim_idx: usize, victim: &WorkerShared) {
-        // 0 marks a slot nobody may signal (a dead helper, worker 0 outside
-        // `run`). pthread_t has no null value in POSIX; passing our
-        // sentinel to pthread_kill is undefined (glibc dereferences it).
+        // 0 marks a slot nobody may signal (a helper not yet registered,
+        // worker 0 outside `run`). pthread_t has no null value in POSIX;
+        // passing our sentinel to pthread_kill is undefined (glibc
+        // dereferences it).
         let handle = victim.pthread.load(Ordering::Acquire);
         if handle != 0 {
             // Timestamp *before* pthread_kill: the victim's HandlerEntry

@@ -14,7 +14,9 @@ BENCHMARK.json bound, first rule that applies:
               median), unless every head run lies on one side of every
               base run
   worse       head median worse than base by more than the bound
-  better      head won >= 9/10 of the pairs and |delta median| > base IQR
+  better      the head's wins are as unlikely under a fair coin as 9 of 10
+              (one-sided sign-test tail <= 11/1024, so 7/7 and 11/12 can
+              be better, 6/6 and 10/12 cannot) and |delta median| > base IQR
   unresolved  |delta median| > base IQR, but neither of the above
   same        |delta median| <= base IQR, inside the bound
 
@@ -50,6 +52,7 @@ import argparse
 import json
 import math
 import os
+from fractions import Fraction
 import shutil
 import statistics
 import subprocess
@@ -58,7 +61,6 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-WIN_SHARE = 0.9
 CHILD_SCRIPT = "rounds 8000 5\nfinish\n"
 
 
@@ -81,6 +83,16 @@ def wins(base, head, better):
     return sum(h > b for b, h in zip(base, head))
 
 
+def sign_tail(w, n):
+    """P(X >= w) for X ~ Binomial(n, 1/2), exactly: the one-sided sign-test
+    tail of `w` wins in `n` pairs."""
+    return Fraction(sum(math.comb(n, k) for k in range(w, n + 1)), 2 ** n)
+
+
+# The tail a `better` verdict needs: that of 9 wins in 10 pairs.
+WIN_TAIL = sign_tail(9, 10)
+
+
 def spread(xs):
     """IQR as a share of the median (0 for a zero median)."""
     m = median(xs)
@@ -98,7 +110,7 @@ def verdict(base, head, better, bound):
         return "worse"
     beyond_noise = abs(mh - mb) > iqr(base)
     n = min(len(base), len(head))
-    if worse_by < 0 and beyond_noise and wins(base, head, better) >= math.ceil(WIN_SHARE * n):
+    if worse_by < 0 and beyond_noise and sign_tail(wins(base, head, better), n) <= WIN_TAIL:
         return "better"
     return "unresolved" if beyond_noise else "same"
 
@@ -167,6 +179,17 @@ def self_test():
     assert abs(s["delta"] + 0.145) < 1e-9, s
     # Eight wins of ten is not enough, however large the gain.
     assert verdict(base, faster[:8] + [200, 200], "lower", 10.0) == "unresolved"
+    # Small n: the sign-test tail, not a share of the pairs. 4/4 and 6/6
+    # cannot be better, 7/7 and 11/12 can, 10/12 cannot.
+    assert WIN_TAIL == Fraction(11, 1024) and sign_tail(9, 10) <= WIN_TAIL
+    assert sign_tail(4, 4) > WIN_TAIL and sign_tail(6, 6) > WIN_TAIL
+    assert sign_tail(7, 7) <= WIN_TAIL and sign_tail(11, 12) <= WIN_TAIL
+    assert sign_tail(10, 12) > WIN_TAIL
+    assert verdict([100] * 4, [90] * 4, "lower", 0.25) == "unresolved"
+    assert verdict(base[:7], [x - 10 for x in base[:7]], "lower", 0.25) == "better"
+    twelve = base + [101, 99]
+    assert verdict(twelve, [x - 10 for x in twelve[:10]] + [200, 200], "lower", 10.0) == "unresolved"
+    assert verdict(twelve, [x - 10 for x in twelve[:11]] + [200], "lower", 10.0) == "better"
     # A move inside the base IQR is the same.
     assert verdict(base, [x - 1 for x in base], "lower", 0.25) == "same"
     assert verdict([100] * 4, [100] * 4, "lower", 0.25) == "same"
